@@ -37,6 +37,7 @@ from .confidence import (
 )
 from .mdp import (
     FiniteMdp,
+    NotConverged,
     PolicyTable,
     QTable,
     ValueTable,

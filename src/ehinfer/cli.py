@@ -13,7 +13,7 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -38,15 +38,10 @@ class CliExit(Exception):
 class RunConfig:
     """Resolved per-command run parameters; validated before any work."""
 
-    inputs: tuple = ()            # (path, code_when_missing) pairs
     out: str | None = None
     seed: int | None = None
-    params: dict = field(default_factory=dict)
 
     def validate(self):
-        for path, code in self.inputs:
-            if not os.path.isfile(path):
-                raise CliExit(code, f"missing input file: {path}")
         if self.out is not None:
             parent = os.path.dirname(os.path.abspath(self.out)) or "."
             if not os.path.isdir(parent) or not os.access(parent, os.W_OK):

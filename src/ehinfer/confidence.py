@@ -40,13 +40,16 @@ class ConfidenceDataset:
 
     def __init__(self, z, correct, logits=None, labels=None):
         z = np.ascontiguousarray(z, dtype=float)
-        correct = np.ascontiguousarray(correct, dtype=np.int8)
+        correct = np.asarray(correct)
         if z.ndim != 2 or z.shape != correct.shape:
             raise ValueError("z and correct must both be (n_records, K)")
         if z.shape[0] == 0:
             raise EmptyDataset("dataset has no records")
-        if np.any(z < 0) or np.any(z > 1):
-            raise ValueError("confidences must lie in [0, 1]")
+        if not np.all((z >= 0) & (z <= 1)):
+            raise ValueError("confidences must be finite and lie in [0, 1]")
+        if not np.all((correct == 0) | (correct == 1)):
+            raise ValueError("correctness bits must be 0 or 1")
+        correct = np.ascontiguousarray(correct, dtype=np.int8)
         if logits is not None:
             logits = np.ascontiguousarray(logits, dtype=float)
             if logits.shape[:2] != (z.shape[0], z.shape[1] - 1):
@@ -314,16 +317,3 @@ def load_jsonl(path):
     labels = np.asarray(ys) if len(ys) == len(zs) else None
     return ConfidenceDataset(np.asarray(zs), np.asarray(cs), logits, labels)
 
-
-def save_reliability_csv(dataset, path, n_bins=10):
-    """Reliability bins as CSV: exit, bin, mean_confidence, accuracy, count."""
-    bins, ece = reliability_report(dataset, n_bins)
-    with open(path, "w") as fh:
-        fh.write("exit,bin,mean_confidence,accuracy,count\n")
-        for k in range(bins.shape[0]):
-            for j in range(n_bins):
-                conf, acc, cnt = bins[k, j]
-                conf_s = "" if np.isnan(conf) else f"{conf:.6f}"
-                acc_s = "" if np.isnan(acc) else f"{acc:.6f}"
-                fh.write(f"{k},{j},{conf_s},{acc_s},{int(cnt)}\n")
-    return ece

@@ -477,18 +477,6 @@ def sweep(grid, kinds, dataset, oracle_eps=1e-6, jobs=1):
     return [row for rows in per_cell for row in rows]
 
 
-def mu_bucket(mu):
-    """Environments are grouped by energy rate rounded to 2 decimals."""
-    return round(float(mu), 2)
-
-
-def group_rows_by_mu(rows):
-    grouped = {}
-    for row in rows:
-        grouped.setdefault(mu_bucket(row["mu"]), []).append(row)
-    return grouped
-
-
 def results_columns(n_modes):
     return [
         "p_h_G", "p_h_B", "p_e_G", "p_e_B", "b_max", "mu", "controller",

@@ -14,46 +14,69 @@ import json
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.sparse as sp
 
 
 class SingularEvaluation(RuntimeError):
     """Policy evaluation linear system could not be solved."""
 
 
+class NotConverged(RuntimeError):
+    """An iterative solver used up max_iter before reaching its tolerance."""
+
+
+class TransitionMatrix(sp.csr_array):
+    """CSR transition matrix; nbytes, as on an ndarray, is its stored size."""
+
+    @property
+    def nbytes(self):
+        return self.data.nbytes + self.indices.nbytes + self.indptr.nbytes
+
+
 @dataclass(frozen=True)
 class FiniteMdp:
     """Tabular MDP with per-state feasible action sets.
 
-    transition has shape (n_actions, n_states, n_states); rows for
-    infeasible (state, action) pairs are present but never used by the
-    solvers. Rewards are expected immediate rewards in [0, 1].
+    transition is one sparse (n_actions * n_states, n_states) matrix whose
+    row a * n_states + s holds P_a(s, .); a dense (n_actions, n_states,
+    n_states) array is converted on construction. Rows for infeasible
+    (state, action) pairs are present but never used by the solvers.
+    Rewards are expected immediate rewards in [0, 1].
     """
 
-    transition: np.ndarray
+    transition: TransitionMatrix
     reward: np.ndarray
     feasible: np.ndarray
     discount: float
     state_keys: tuple
 
     def __post_init__(self):
-        t = np.ascontiguousarray(self.transition, dtype=float)
         r = np.ascontiguousarray(self.reward, dtype=float)
         f = np.ascontiguousarray(self.feasible, dtype=bool)
-        n_a, n_s, n_s2 = t.shape
-        if n_s != n_s2 or r.shape != (n_s, n_a) or f.shape != (n_s, n_a):
+        if r.ndim != 2 or f.shape != r.shape:
+            raise ValueError("inconsistent transition/reward/feasible shapes")
+        n_s, n_a = r.shape
+        t = self.transition
+        if not sp.issparse(t):
+            t = np.asarray(t, dtype=float)
+            if t.shape != (n_a, n_s, n_s):
+                raise ValueError("inconsistent transition/reward/feasible shapes")
+            t = t.reshape(n_a * n_s, n_s)
+        t = TransitionMatrix(t, dtype=float)
+        if t.shape != (n_a * n_s, n_s):
             raise ValueError("inconsistent transition/reward/feasible shapes")
         if not (0 < self.discount < 1):
             raise ValueError("discount must lie in (0, 1)")
         if not f.any(axis=1).all():
             raise ValueError("every state needs at least one feasible action")
-        row_err = np.abs(t.sum(axis=2) - 1.0)       # (A, S)
+        row_err = np.abs(t.sum(axis=1) - 1.0).reshape(n_a, n_s)
         if np.any(row_err.T[f] > 1e-9):
             raise ValueError("feasible transition rows must be stochastic")
         if np.any(r[f] < 0) or np.any(r[f] > 1):
             raise ValueError("feasible rewards must lie in [0, 1]")
         if len(self.state_keys) != n_s:
             raise ValueError("state_keys length must match n_states")
-        for arr in (t, r, f):
+        for arr in (t.data, t.indices, t.indptr, r, f):
             arr.setflags(write=False)
         object.__setattr__(self, "transition", t)
         object.__setattr__(self, "reward", r)
@@ -62,11 +85,11 @@ class FiniteMdp:
 
     @property
     def n_states(self):
-        return self.transition.shape[1]
+        return self.reward.shape[0]
 
     @property
     def n_actions(self):
-        return self.transition.shape[0]
+        return self.reward.shape[1]
 
 
 @dataclass(frozen=True)
@@ -104,7 +127,7 @@ class QTable:
 
 
 def _masked_q(mdp, v):
-    q = mdp.reward + mdp.discount * (mdp.transition @ v).T
+    q = mdp.reward + mdp.discount * (mdp.transition @ v).reshape(mdp.n_actions, -1).T
     return np.where(mdp.feasible, q, -np.inf)
 
 
@@ -121,7 +144,8 @@ def value_iteration(mdp, eps=1e-8, max_iter=10**6):
     """Classic value iteration to sup-norm residual eps.
 
     Greedy ties break toward the smallest action index. The residual
-    sequence is recorded on the returned ValueTable.
+    sequence is recorded on the returned ValueTable. Raises NotConverged
+    when max_iter sweeps do not reach eps.
     """
     if eps <= 0:
         raise ValueError("eps must be positive")
@@ -135,43 +159,37 @@ def value_iteration(mdp, eps=1e-8, max_iter=10**6):
         v = v_new
         if res <= eps:
             break
+    else:
+        raise NotConverged(f"value iteration did not reach eps={eps} in {max_iter} sweeps")
     policy = np.argmax(_masked_q(mdp, v), axis=1)
     vt = ValueTable(values=v, state_keys=mdp.state_keys, residuals=tuple(residuals), iterations=it)
     return vt, PolicyTable(actions=policy, state_keys=mdp.state_keys)
 
 
-def evaluate_policy(mdp, policy, dense_limit=10**4, tol=1e-10):
-    """Exact discounted value of a fixed policy (dense solve or iteration).
+def evaluate_policy(mdp, policy):
+    """Exact discounted value of a fixed policy by one dense linear solve.
 
-    `policy` is an action index per state. Dense linear solve below
-    `dense_limit` states, geometric-series iteration above it.
+    `policy` is an action index per state; only its rows of the transition
+    matrix are made dense.
     """
     if isinstance(policy, PolicyTable):
         policy = policy.actions
     n = mdp.n_states
     idx = np.arange(n)
-    p_pi = mdp.transition[policy, idx]
+    p_pi = mdp.transition[np.asarray(policy) * n + idx].toarray()
     r_pi = mdp.reward[idx, policy]
-    if n <= dense_limit:
-        try:
-            return np.linalg.solve(np.eye(n) - mdp.discount * p_pi, r_pi)
-        except np.linalg.LinAlgError as ex:
-            raise SingularEvaluation(str(ex)) from ex
-    v = np.zeros(n)
-    # iterative fallback for very large state spaces
-    for _ in range(10**7):
-        v_new = r_pi + mdp.discount * (p_pi @ v)
-        if np.abs(v_new - v).max() <= tol:
-            return v_new
-        v = v_new
-    raise SingularEvaluation("iterative policy evaluation did not converge")
+    try:
+        return np.linalg.solve(np.eye(n) - mdp.discount * p_pi, r_pi)
+    except np.linalg.LinAlgError as ex:
+        raise SingularEvaluation(str(ex)) from ex
 
 
 def policy_iteration(mdp, max_iter=10**4):
     """Howard policy iteration with exact evaluation.
 
     Starts from the cheapest feasible action in every state; terminates
-    when policy improvement leaves the policy unchanged.
+    when policy improvement leaves the policy unchanged. Raises
+    NotConverged when that takes more than max_iter evaluations.
     """
     policy = np.argmax(mdp.feasible, axis=1)
     for it in range(1, max_iter + 1):
@@ -180,6 +198,8 @@ def policy_iteration(mdp, max_iter=10**4):
         if np.array_equal(improved, policy):
             break
         policy = improved
+    else:
+        raise NotConverged(f"policy iteration still improving after {max_iter} steps")
     vt = ValueTable(values=v, state_keys=mdp.state_keys, iterations=it)
     return vt, PolicyTable(actions=policy, state_keys=mdp.state_keys)
 
@@ -204,7 +224,7 @@ def build_mms_mdp(env, rho, gamma=None):
     gamma = env.epoch.discount_epoch if gamma is None else float(gamma)
     n_s = env.n_states
     n_a = env.n_modes
-    transition = np.stack([env.epoch_kernel(a) for a in range(n_a)])
+    transition = sp.vstack([sp.csr_array(env.epoch_kernel(a)) for a in range(n_a)])
     reward = np.tile(rho, (n_s, 1))
     b_of = np.repeat(np.arange(env.battery.b_max + 1), env.chain.n)
     feasible = b_of[:, None] >= np.asarray(env.battery.cost)[None, :]
@@ -243,10 +263,21 @@ def build_inc_iag_mdp(env, rho, gamma_slot=None):
     k, t, n_h = env.n_modes, env.epoch.T, env.chain.n
     n_bh = (env.battery.b_max + 1) * n_h
     n_s = n_bh * k * t
-    transition = np.zeros((2, n_s, n_s))
     reward = np.zeros((n_s, 2))
     feasible = np.zeros((n_s, 2), dtype=bool)
     bh_rows = np.arange(n_bh)
+    b_of = np.repeat(np.arange(env.battery.b_max + 1), n_h * k * t)
+    xi_of = np.tile(np.repeat(np.arange(k), t), n_bh)
+    feasible[:, 0] = True
+    step_cost = np.array(
+        [env.battery.cost[x + 1] - env.battery.cost[x] if x < k - 1 else 0 for x in range(k)]
+    )
+    feasible[:, 1] = (xi_of < k - 1) & (b_of >= step_cost[xi_of])
+    # infeasible proceed rows are valid dummies: a 1 on the diagonal, in
+    # place of any slot-kernel entry there
+    is_dummy = ~feasible[:, 1]
+    dummy = np.nonzero(is_dummy)[0]
+    triplets = [(n_s + dummy, dummy, np.ones(len(dummy)))]
 
     def block(xi, tau):
         return (bh_rows * k + xi) * t + tau
@@ -264,17 +295,11 @@ def build_inc_iag_mdp(env, rho, gamma_slot=None):
                 else:
                     cols = block(0, 0)
                     reward[rows, alpha] = rho[xi + alpha]
-                transition[alpha][np.ix_(rows, cols)] = slot
-    b_of = np.repeat(np.arange(env.battery.b_max + 1), n_h * k * t)
-    xi_of = np.tile(np.repeat(np.arange(k), t), n_bh)
-    feasible[:, 0] = True
-    step_cost = np.array(
-        [env.battery.cost[x + 1] - env.battery.cost[x] if x < k - 1 else 0 for x in range(k)]
-    )
-    feasible[:, 1] = (xi_of < k - 1) & (b_of >= step_cost[xi_of])
-    # infeasible proceed rows were left all-zero; make them valid dummies
-    dummy = np.nonzero(~feasible[:, 1])[0]
-    transition[1][dummy, dummy] = 1.0
+                i, j = np.nonzero(slot)
+                keep = (alpha == 0) | ~is_dummy[rows[i]] | (rows[i] != cols[j])
+                triplets.append((alpha * n_s + rows[i][keep], cols[j][keep], slot[i, j][keep]))
+    r, c, p = (np.concatenate(x) for x in zip(*triplets))
+    transition = sp.coo_array((p, (r, c)), shape=(2 * n_s, n_s))
     return FiniteMdp(transition, reward, feasible, gamma_slot, inc_state_keys(env))
 
 
@@ -326,13 +351,9 @@ def dominance_margin(env, rho, eps=1e-9):
     v_mms, _ = value_iteration(build_mms_mdp(env, rho), eps=eps)
     v_inc, _ = value_iteration(build_inc_iag_mdp(env, rho), eps=eps)
     scale = env.epoch.discount_slot ** (env.epoch.T - 1)
-    gaps = []
-    for b in range(env.battery.b_max + 1):
-        for h in range(env.chain.n):
-            vi = v_inc.values[inc_state_index(env, b, h, 0, 0)]
-            vm = v_mms.values[env.state_index(b, h)]
-            gaps.append(vi - scale * vm)
-    return float(min(gaps))
+    # (b, h) epoch starts in state order: every (n_modes * T)-th incremental state
+    v_start = v_inc.values[::env.n_modes * env.epoch.T]
+    return float((v_start - scale * v_mms.values).min())
 
 
 def save_policy(policy, path, meta=None):

@@ -18,6 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .confidence import EmptyDataset
+from .mdp import NotConverged
 
 
 @dataclass(frozen=True)
@@ -122,7 +123,10 @@ def approx_operator(v_bar, dataset, env, gamma):
 
 
 def solve_oracle(env, dataset, gamma=None, eps=1e-6, max_iter=10**5):
-    """Iterate the empirical operator from zero until sup-norm residual eps."""
+    """Iterate the empirical operator from zero until sup-norm residual eps.
+
+    Raises NotConverged when max_iter sweeps do not reach eps.
+    """
     if eps <= 0:
         raise ValueError("eps must be positive")
     gamma = env.epoch.discount_epoch if gamma is None else float(gamma)
@@ -136,7 +140,7 @@ def solve_oracle(env, dataset, gamma=None, eps=1e-6, max_iter=10**5):
         if res <= eps:
             break
     else:
-        raise RuntimeError("operator iteration did not converge")
+        raise NotConverged(f"operator iteration did not reach eps={eps} in {max_iter} sweeps")
     cont = _continuation(env, gamma, v)
     k = env.n_modes
     # delta_0i(s) = gamma * (P_0(s) - P_i(s)) . v_bar = cont_0 - cont_i

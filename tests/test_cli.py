@@ -109,6 +109,18 @@ class TestSolve:
         assert main(["solve", "--kind", "oracle", "--env", "env.json",
                      "--out", "x.json"]) == 2
 
+    @pytest.mark.parametrize("field,value", [("z", float("nan")), ("correct", 2)])
+    def test_bad_dataset_is_input_error(self, sandbox, capsys, field, value):
+        lines = gen(sandbox).read_text().splitlines()
+        row = json.loads(lines[0])
+        row[field][1] = value
+        lines[0] = json.dumps(row)
+        (sandbox / "bad.jsonl").write_text("\n".join(lines) + "\n")
+        rc = main(["solve", "--kind", "oracle", "--env", "env.json",
+                   "--dataset", "bad.jsonl", "--out", "sol.json"])
+        assert rc == 2
+        assert "bad dataset" in capsys.readouterr().err
+
     def test_oracle_report_records_contraction(self, sandbox):
         ds = gen(sandbox)
         rc = main(["solve", "--kind", "oracle", "--env", "env.json",

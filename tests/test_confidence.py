@@ -72,6 +72,21 @@ class TestDatasetContainer:
         with pytest.raises(EmptyDataset):
             ConfidenceDataset(np.zeros((0, 3)), np.zeros((0, 3), dtype=np.int8))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_confidence_rejected(self, bad):
+        z = np.full((2, 3), 0.5)
+        z[1, 2] = bad
+        with pytest.raises(ValueError):
+            ConfidenceDataset(z, np.zeros((2, 3), dtype=np.int8))
+
+    @pytest.mark.parametrize("bad", [2, -1, 256, 0.5])
+    def test_correct_must_be_zero_or_one(self, bad):
+        # 256 would wrap to 0 and 0.5 truncate to 0 under an int8 cast
+        correct = np.zeros((2, 3))
+        correct[0, 1] = bad
+        with pytest.raises(ValueError):
+            ConfidenceDataset(np.full((2, 3), 0.5), correct)
+
     def test_take_and_record(self, big_dataset):
         sub = big_dataset.take(np.arange(10))
         assert len(sub) == 10

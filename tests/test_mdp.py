@@ -1,17 +1,20 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from ehinfer.confidence import default_spec, generate_synthetic, exit_accuracy
 from ehinfer.env import two_state_env
-from ehinfer.mdp import (FiniteMdp, PolicyTable, QTable, ValueTable,
-                         build_inc_iag_mdp, build_mms_mdp, check_monotone,
-                         check_superadditive, dominance_margin,
-                         evaluate_policy, greedy_policy_from_values,
-                         inc_state_index, load_policy, load_values,
-                         mms_state_keys, policy_iteration, q_table,
-                         save_policy, save_values, value_iteration)
+from ehinfer.mdp import (FiniteMdp, NotConverged, PolicyTable, QTable,
+                         ValueTable, build_inc_iag_mdp, build_mms_mdp,
+                         check_monotone, check_superadditive,
+                         dominance_margin, evaluate_policy,
+                         greedy_policy_from_values, inc_state_index,
+                         load_policy, load_values, mms_state_keys,
+                         policy_iteration, q_table, save_policy, save_values,
+                         value_iteration)
+from test_acceptance import grid_sample, reference_env
 
 RHO = np.array([0.005, 0.53, 0.69, 0.83])
 
@@ -87,6 +90,23 @@ class TestFiniteMdp:
         assert pol.actions[0] == 0
         q = q_table(mdp, value_iteration(mdp, eps=1e-10)[0])
         assert q.q[0, 1] == -np.inf
+
+
+class TestNotConverged:
+    def test_value_iteration_raises_at_max_iter(self):
+        mdp = build_mms_mdp(two_state_env(0.9, 0.5, 0.8, 0.0, b_max=5), RHO)
+        with pytest.raises(NotConverged):
+            value_iteration(mdp, max_iter=2)
+
+    def test_policy_iteration_raises_at_max_iter(self):
+        # the all-free starting policy is not optimal, so one step cannot stop
+        mdp = build_mms_mdp(two_state_env(0.9, 0.5, 0.8, 0.0, b_max=5), RHO)
+        with pytest.raises(NotConverged):
+            policy_iteration(mdp, max_iter=1)
+
+    def test_is_a_runtime_error(self):
+        # the CLI maps RuntimeError to its solver-failure exit code
+        assert issubclass(NotConverged, RuntimeError)
 
 
 class TestSolverAgreement:
@@ -176,7 +196,114 @@ class TestIncMdp:
 
     def test_dominance_on_example_env(self):
         env = two_state_env(0.9, 0.5, 0.8, 0.0, b_max=5)
-        assert dominance_margin(env, RHO) >= -1e-6
+        margin = dominance_margin(env, RHO)
+        assert margin >= -1e-6
+        v_inc, _ = value_iteration(build_inc_iag_mdp(env, RHO), eps=1e-9)
+        v_mms, _ = value_iteration(build_mms_mdp(env, RHO), eps=1e-9)
+        scale = env.epoch.discount_slot ** (env.epoch.T - 1)
+        assert margin == min(
+            v_inc.values[inc_state_index(env, b, h, 0, 0)]
+            - scale * v_mms.values[env.state_index(b, h)]
+            for b in range(6) for h in range(2))
+
+
+def dense_inc_iag_model(env, rho):
+    """Reference: the incremental model as a dense (2, S, S) tensor.
+
+    Returns (transition, reward, feasible). Infeasible proceed rows keep
+    their slot-kernel entries and get a 1 on the diagonal; the solvers
+    never read them.
+    """
+    k, t, n_h = env.n_modes, env.epoch.T, env.chain.n
+    n_bh = (env.battery.b_max + 1) * n_h
+    n_s = n_bh * k * t
+    transition = np.zeros((2, n_s, n_s))
+    reward = np.zeros((n_s, 2))
+    feasible = np.zeros((n_s, 2), dtype=bool)
+    bh_rows = np.arange(n_bh)
+
+    def block(xi, tau):
+        return (bh_rows * k + xi) * t + tau
+
+    for xi in range(k):
+        for tau in range(t):
+            rows = block(xi, tau)
+            for alpha in (0, 1):
+                if alpha == 1 and xi == k - 1:
+                    continue
+                cost = env.battery.cost[xi + alpha] - env.battery.cost[xi]
+                slot = env.slot_kernel(cost)
+                if tau < t - 1:
+                    cols = block(xi + alpha, tau + 1)
+                else:
+                    cols = block(0, 0)
+                    reward[rows, alpha] = rho[xi + alpha]
+                transition[alpha][np.ix_(rows, cols)] = slot
+    b_of = np.repeat(np.arange(env.battery.b_max + 1), n_h * k * t)
+    xi_of = np.tile(np.repeat(np.arange(k), t), n_bh)
+    feasible[:, 0] = True
+    step_cost = np.array(
+        [env.battery.cost[x + 1] - env.battery.cost[x] if x < k - 1 else 0 for x in range(k)]
+    )
+    feasible[:, 1] = (xi_of < k - 1) & (b_of >= step_cost[xi_of])
+    dummy = np.nonzero(~feasible[:, 1])[0]
+    transition[1][dummy, dummy] = 1.0
+    return transition, reward, feasible
+
+
+def dense_value_iteration(transition, reward, feasible, gamma, eps):
+    """Reference value iteration on the dense tensor; returns (values, q)."""
+
+    def masked_q(v):
+        return np.where(feasible, reward + gamma * (transition @ v).T, -np.inf)
+
+    v = np.zeros(reward.shape[0])
+    while True:
+        v_new = masked_q(v).max(axis=1)
+        res = np.abs(v_new - v).max()
+        v = v_new
+        if res <= eps:
+            return v, masked_q(v)
+
+
+# the environments of gates 3, 4 and 7, the benchmark's b_max=100, and a
+# one-slot epoch, where an infeasible proceed row's diagonal is also a
+# slot-kernel entry
+REFERENCE_ENVS = (
+    [reference_env()]
+    + [two_state_env(*cell) for cell in grid_sample()]
+    + [reference_env(b_max=100),
+       two_state_env(0.8, 0.4, 0.6, 0.2, b_max=3, costs=(0, 1), T=1)]
+)
+
+
+class TestSparseIncModel:
+    @pytest.mark.parametrize("env", REFERENCE_ENVS, ids=lambda e: e.fingerprint())
+    def test_matches_dense_reference(self, env):
+        rho = RHO[:env.n_modes]
+        trans, reward, feasible = dense_inc_iag_model(env, rho)
+        mdp = build_inc_iag_mdp(env, rho)
+        n_s = mdp.n_states
+        assert np.array_equal(mdp.transition.toarray().reshape(2, n_s, n_s), trans)
+        assert np.array_equal(mdp.reward, reward)
+        assert np.array_equal(mdp.feasible, feasible)
+        v_ref, q_ref = dense_value_iteration(trans, reward, feasible, mdp.discount, 1e-8)
+        vt, pol = value_iteration(mdp, eps=1e-8)
+        assert np.abs(vt.values - v_ref).max() <= 1e-12
+        # exact ties may break either way under a different summation order
+        gap = np.abs(q_ref[:, 1] - q_ref[:, 0])
+        decided = ~np.isfinite(gap) | (gap > 1e-12)
+        assert np.array_equal(pol.actions[decided], np.argmax(q_ref, axis=1)[decided])
+
+    def test_build_stays_small_at_b_max_300(self):
+        env = reference_env(b_max=300)      # dense tensor would be 835 MB
+        tracemalloc.start()
+        try:
+            build_inc_iag_mdp(env, RHO)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 50e6
 
 
 class TestStructureChecks:

@@ -4,6 +4,7 @@ from hypothesis import given, settings, strategies as st
 
 from ehinfer.confidence import SyntheticSpec, default_spec, generate_synthetic
 from ehinfer.env import two_state_env
+from ehinfer.mdp import NotConverged
 from ehinfer.oracle import (OracleSolution, approx_operator,
                             build_partition_matrices, dataset_fingerprint,
                             load_solution, oracle_policy, region_inequalities,
@@ -99,6 +100,10 @@ class TestSolve:
             feas = [a for a in range(4) if env.battery.cost[a] <= b]
             expect = dataset.z[:, feas].max(axis=1).mean()
             assert sol.v_bar_of(b, 0) == pytest.approx(expect, abs=1e-12)
+
+    def test_not_converged_raises(self, dataset):
+        with pytest.raises(NotConverged):
+            solve_oracle(fig_env(b_max=3), dataset, eps=1e-8, max_iter=2)
 
     def test_bad_eps(self, dataset):
         with pytest.raises(ValueError):
