@@ -263,19 +263,17 @@ def _build_controller(args, env, ds):
     kind = args.controller
     need = lambda attr, flag: getattr(args, attr) or _missing_flag(flag, kind)
     if kind == "mms":
-        pol, _ = _load_policy(need("policy", "--policy"))
-        return harness.MmsController(pol, env)
+        return harness.MmsController(_load_policy(need("policy", "--policy"), env), env)
     if kind == "inc-iag":
-        pol, _ = _load_policy(need("policy", "--policy"))
-        return harness.IncTableController(pol, env)
+        return harness.IncTableController(_load_policy(need("policy", "--policy"), env), env)
     if kind == "oracle":
         sol = _load_solution(need("solution", "--solution"), env, ds)
         return harness.OracleController(sol, env)
     if kind == "inc-dqn":
-        net, _ = _load_checkpoint(need("checkpoint", "--checkpoint"))
+        net = _load_checkpoint(need("checkpoint", "--checkpoint"), env)
         return harness.IncDqnController(net, env)
     if kind == "os-dqn":
-        net, _ = _load_checkpoint(need("checkpoint", "--checkpoint"))
+        net = _load_checkpoint(need("checkpoint", "--checkpoint"), env)
         return harness.OsDqnController(net, env)
     if kind == "random":
         return harness.RandomFeasibleController(env)
@@ -290,13 +288,22 @@ def _missing_flag(flag, kind):
     raise CliExit(EXIT_INPUT, f"controller={kind} requires {flag}")
 
 
-def _load_policy(path):
+def _check_env_binding(path, meta, env):
+    found = meta.get("env_fingerprint")
+    if found != env.fingerprint():
+        raise CliExit(EXIT_INPUT, f"{path}: made for environment {found}, "
+                                  f"not {env.fingerprint()}")
+
+
+def _load_policy(path, env):
     if not os.path.isfile(path):
         raise CliExit(EXIT_MISSING, f"missing policy artifact: {path}")
     try:
-        return mdp_mod.load_policy(path)
+        pol, meta = mdp_mod.load_policy(path)
     except (ValueError, KeyError, json.JSONDecodeError) as ex:
         raise CliExit(EXIT_INPUT, f"{path}: bad policy file ({ex})")
+    _check_env_binding(path, meta, env)
+    return pol
 
 
 def _load_solution(path, env, ds):
@@ -309,13 +316,15 @@ def _load_solution(path, env, ds):
         raise CliExit(EXIT_INPUT, f"{path}: bad solution file ({ex})")
 
 
-def _load_checkpoint(path):
+def _load_checkpoint(path, env):
     if not os.path.isfile(path):
         raise CliExit(EXIT_MISSING, f"missing checkpoint artifact: {path}")
     try:
-        return dqn_mod.load_checkpoint(path)
+        net, meta = dqn_mod.load_checkpoint(path)
     except (ValueError, KeyError, json.JSONDecodeError) as ex:
         raise CliExit(EXIT_INPUT, f"{path}: bad checkpoint file ({ex})")
+    _check_env_binding(path, meta, env)
+    return net
 
 
 def cmd_simulate(args):
@@ -403,10 +412,10 @@ def cmd_exit_probs(args):
     meta = {"controller": kind, "env_fingerprint": env.fingerprint()}
     try:
         if kind == "mms":
-            pol, _ = _load_policy(args.policy or _missing_flag("--policy", kind))
+            pol = _load_policy(args.policy or _missing_flag("--policy", kind), env)
             eta = harness.exit_probability_mms(pol, env)
         elif kind == "inc-iag":
-            pol, _ = _load_policy(args.policy or _missing_flag("--policy", kind))
+            pol = _load_policy(args.policy or _missing_flag("--policy", kind), env)
             eta = harness.exit_probability_matrix(pol, env)
         elif kind == "oracle":
             if args.dataset is None:
@@ -421,8 +430,8 @@ def cmd_exit_probs(args):
             if args.dataset is None:
                 raise CliExit(EXIT_INPUT, "controller=inc-dqn requires --dataset")
             ds = _load_dataset(args.dataset, code=EXIT_MISSING)
-            net, _ = _load_checkpoint(
-                args.checkpoint or _missing_flag("--checkpoint", kind))
+            net = _load_checkpoint(
+                args.checkpoint or _missing_flag("--checkpoint", kind), env)
             ctl = harness.IncDqnController(net, env)
             eta = np.zeros((env.n_states, env.n_modes))
             for b in range(env.battery.b_max + 1):

@@ -313,7 +313,11 @@ def load_jsonl(path):
                 ys.append(row["label"])
     if not zs:
         raise EmptyDataset(f"no records in {path}")
-    logits = np.asarray(ls) if len(ls) == len(zs) else None
-    labels = np.asarray(ys) if len(ys) == len(zs) else None
+    for name, vals in (("logits", ls), ("label", ys)):
+        if 0 < len(vals) < len(zs):
+            raise ValueError(f"{len(vals)} of {len(zs)} records carry {name}; "
+                             "need all or none")
+    logits = np.asarray(ls) if ls else None
+    labels = np.asarray(ys) if ys else None
     return ConfidenceDataset(np.asarray(zs), np.asarray(cs), logits, labels)
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .env import battery_step, stationary_distribution
+from .env import stationary_distribution
 
 
 class DimensionMismatch(ValueError):
@@ -89,26 +89,37 @@ def encode_inc(env, b, h, xi, tau, z):
     The battery level is one-hot so the first layer width tracks b_max,
     matching the reference forward cost of about 6.6k multiply-adds at
     b_max=30; scalar b/b_max would undershoot that budget by a third.
+    Scalars give one (d,) vector; b, h, xi, z of shape (E,) a batch (E, d).
     """
-    n_b = env.battery.b_max + 1
-    k = env.n_modes
-    vec = np.zeros(n_b + env.chain.n + k + 2)
-    vec[b] = 1.0
-    vec[n_b + h] = 1.0
-    vec[n_b + env.chain.n + xi] = 1.0
-    vec[-2] = tau / (env.epoch.T - 1) if env.epoch.T > 1 else 0.0
-    vec[-1] = z
+    n_b, n_h = env.battery.b_max + 1, env.chain.n
+    vec, rows = _zero_inputs(b, inc_input_dim(env))
+    vec[rows, b] = 1.0
+    vec[rows, n_b + h] = 1.0
+    vec[rows, n_b + n_h + xi] = 1.0
+    vec[rows, -2] = tau / (env.epoch.T - 1) if env.epoch.T > 1 else 0.0
+    vec[rows, -1] = z
     return vec
 
 
 def encode_os(env, b, h, z_vec):
-    """One-shot-mode input: one-hot b, one-hot h, full confidence vector."""
+    """One-shot-mode input: one-hot b, one-hot h, full confidence vector.
+
+    Scalar b, h give one (d,) vector; b, h of shape (E,) with z_vec (E, K)
+    a batch (E, d).
+    """
     n_b = env.battery.b_max + 1
-    vec = np.zeros(n_b + env.chain.n + env.n_modes)
-    vec[b] = 1.0
-    vec[n_b + h] = 1.0
-    vec[n_b + env.chain.n:] = z_vec
+    vec, rows = _zero_inputs(b, os_input_dim(env))
+    vec[rows, b] = 1.0
+    vec[rows, n_b + h] = 1.0
+    vec[rows, n_b + env.chain.n:] = z_vec
     return vec
+
+
+def _zero_inputs(b, dim):
+    """Zero encodings shaped like b, plus the row index that pairs with b."""
+    if np.ndim(b) == 0:
+        return np.zeros(dim), ...
+    return np.zeros((len(b), dim)), np.arange(len(b))
 
 
 def inc_input_dim(env):
@@ -251,41 +262,29 @@ def _epsilon(cfg, step):
     return cfg.eps_start + frac * (cfg.eps_end - cfg.eps_start)
 
 
-class _SlotSampler:
-    """Inverse-cdf slot dynamics shared by training and evaluation."""
-
-    def __init__(self, env):
-        self.env = env
-        self.cum_chain = np.cumsum(env.chain.transition, axis=1)
-        self.cum_arr = np.cumsum(env.arrivals.pmf_per_state, axis=1)
-
-    def step(self, rng, b, h, consumption):
-        u_h, u_e = rng.random(), rng.random()
-        h2 = int(np.searchsorted(self.cum_chain[h], u_h))
-        src = h2 if self.env.condition_on_next else h
-        e = int(np.searchsorted(self.cum_arr[src], u_e))
-        return battery_step(b, consumption, e, self.env.battery.b_max), h2
-
-
 def _inc_feasible(env, b, xi):
-    k = env.n_modes
-    can = xi < k - 1 and (env.battery.cost[xi + 1] - env.battery.cost[xi]) <= b
-    return np.array([True, can])
-
-
-def _os_feasible(env, b):
-    return np.array([c <= b for c in env.battery.cost])
+    """Feasible (pause, proceed) pair, as (2,) for scalars or (E, 2)."""
+    can = env.can_proceed(b, xi)
+    feasible = np.ones(np.shape(can) + (2,), dtype=bool)
+    feasible[..., 1] = can
+    return feasible
 
 
 def greedy_action(net, x, feasible):
-    q = forward(net, x)
-    q = np.where(feasible, q, -np.inf)
-    return int(np.argmax(q))
+    """Best feasible action for one encoded state (d,) or for each row of (E, d)."""
+    q = np.where(feasible, forward(net, x), -np.inf)
+    return np.argmax(q, axis=-1)
+
+
+def _slot(env, rng, b, h, consumption):
+    """One sampled slot from a single state; draws u_h, then u_e."""
+    u_h = rng.random()
+    b, h, _ = env.slot_step(b, h, consumption, u_h, rng.random())
+    return b, h
 
 
 def _eval_greedy(net, env, dataset, cfg, rng, epochs):
     """Greedy-policy accuracy over a fresh rollout; no exploration."""
-    sampler = _SlotSampler(env)
     pi0 = stationary_distribution(env.chain)
     b = env.battery.b_max
     h = int(np.searchsorted(np.cumsum(pi0), rng.random()))
@@ -299,15 +298,15 @@ def _eval_greedy(net, env, dataset, cfg, rng, epochs):
                 x = encode_inc(env, b, h, xi, tau, rec.z[xi])
                 alpha = greedy_action(net, x, _inc_feasible(env, b, xi))
                 cost = env.battery.cost[xi + alpha] - env.battery.cost[xi]
-                b, h = sampler.step(rng, b, h, cost)
+                b, h = _slot(env, rng, b, h, cost)
                 xi += alpha
             hits += int(rec.correct[xi])
         else:
             x = encode_os(env, b, h, rec.z)
-            a = greedy_action(net, x, _os_feasible(env, b))
-            b, h = sampler.step(rng, b, h, env.battery.cost[a])
+            a = greedy_action(net, x, env.affordable(b))
+            b, h = _slot(env, rng, b, h, env.battery.cost[a])
             for _ in range(t - 1):
-                b, h = sampler.step(rng, b, h, 0)
+                b, h = _slot(env, rng, b, h, 0)
             hits += int(rec.correct[a])
     return hits / epochs
 
@@ -336,7 +335,6 @@ def train(env, dataset, cfg):
     target = net.copy()
     buf = ReplayBuffer(cfg.buffer_capacity, dim, n_actions)
     opt = Adam(net.parameters(), lr=cfg.lr)
-    sampler = _SlotSampler(env)
     pi0 = stationary_distribution(env.chain)
 
     b = env.battery.b_max
@@ -358,7 +356,7 @@ def train(env, dataset, cfg):
             else:
                 alpha = greedy_action(net, x, feas)
             cost = env.battery.cost[xi + alpha] - env.battery.cost[xi]
-            b2, h2 = sampler.step(rng, b, h, cost)
+            b2, h2 = _slot(env, rng, b, h, cost)
             if tau == t - 1:
                 reward = float(rec.z[xi + alpha])
                 rec = dataset.record(int(rng.integers(len(dataset))))
@@ -372,7 +370,7 @@ def train(env, dataset, cfg):
             buf.push(x, alpha, reward, x2, _inc_feasible(env, b2, xi2), False)
             b, h, xi, tau = b2, h2, xi2, tau2
         else:
-            feas = _os_feasible(env, b)
+            feas = env.affordable(b)
             x = encode_os(env, b, h, rec.z)
             if rng.random() < eps:
                 choices = np.flatnonzero(feas)
@@ -380,12 +378,12 @@ def train(env, dataset, cfg):
             else:
                 a = greedy_action(net, x, feas)
             reward = float(rec.z[a])
-            b2, h2 = sampler.step(rng, b, h, env.battery.cost[a])
+            b2, h2 = _slot(env, rng, b, h, env.battery.cost[a])
             for _ in range(t - 1):
-                b2, h2 = sampler.step(rng, b2, h2, 0)
+                b2, h2 = _slot(env, rng, b2, h2, 0)
             rec = dataset.record(int(rng.integers(len(dataset))))
             x2 = encode_os(env, b2, h2, rec.z)
-            buf.push(x, a, reward, x2, _os_feasible(env, b2), False)
+            buf.push(x, a, reward, x2, env.affordable(b2), False)
             b, h = b2, h2
 
         if buf.size >= max(cfg.warmup, cfg.batch_size) and step % cfg.train_every == 0:

@@ -5,8 +5,9 @@ An environment couples a finite Markov chain over harvesting conditions
 finite battery. Decision epochs span ``T`` slots; the battery evolves
 slotwise as ``b' = min(max(b - u + e, 0), b_max)``.
 
-All types are immutable after construction. Sampling requires a
-caller-owned ``numpy.random.Generator``; there is no hidden global state.
+All types are immutable after construction. Sampling takes uniforms the
+caller drew from its own ``numpy.random.Generator``; there is no hidden
+global state.
 """
 
 from __future__ import annotations
@@ -161,12 +162,25 @@ class HarvestEnvironment:
     epoch: EpochConfig
     condition_on_next: bool = False
     _slot_cache: dict = field(default_factory=dict, compare=False, repr=False)
+    _tables: dict = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         if self.arrivals.pmf_per_state.shape[0] != self.chain.n:
             raise ValueError("arrival pmf rows must match number of chain states")
         if self.epoch.T < self.battery.n_modes - 1:
             raise ValueError("T must be at least K - 1")
+        cost = np.asarray(self.battery.cost)
+        # the last cumulative column is left out, so an inverse-cdf draw
+        # never lands past the last state when rounding leaves it below 1
+        tables = {
+            "cost": cost,
+            "step_cost": np.append(np.diff(cost), np.iinfo(np.int64).max),
+            "cum_chain": np.cumsum(self.chain.transition, axis=1)[:, :-1],
+            "cum_arrivals": np.cumsum(self.arrivals.pmf_per_state, axis=1)[:, :-1],
+        }
+        for arr in tables.values():
+            arr.setflags(write=False)
+        object.__setattr__(self, "_tables", tables)
 
     @property
     def n_h(self):
@@ -208,6 +222,31 @@ class HarvestEnvironment:
 
     def epoch_kernel(self, a):
         return epoch_kernel(self, a)
+
+    def affordable(self, b):
+        """Modes whose full cost fits battery level b, as a bool array (..., K)."""
+        return np.asarray(b)[..., None] >= self._tables["cost"]
+
+    def can_proceed(self, b, xi):
+        """Whether an incremental controller at mode xi can afford the next mode."""
+        return self._tables["step_cost"][xi] <= b
+
+    def slot_step(self, b, h, consumption, u_h, u_e):
+        """One slot of dynamics by inverse-cdf draws, for scalars or arrays.
+
+        The next weather state is drawn with uniform u_h from the row of h,
+        the arrival with u_e from the arrival pmf of h (or of the next state
+        under condition_on_next); the battery then spends `consumption`.
+        Returns (b', h', overflow), overflow being the packets lost to the
+        full battery.
+        """
+        t = self._tables
+        h_next = (np.asarray(u_h)[..., None] > t["cum_chain"][h]).sum(axis=-1)
+        src = h_next if self.condition_on_next else h
+        e = (np.asarray(u_e)[..., None] > t["cum_arrivals"][src]).sum(axis=-1)
+        b_max = self.battery.b_max
+        overflow = np.maximum(b - consumption + e - b_max, 0)
+        return battery_step(b, consumption, e, b_max), h_next, overflow
 
     def to_config(self):
         return {
@@ -253,8 +292,8 @@ def two_state_env(p_g, p_b, pe_g, pe_b, b_max, costs=(0, 1, 2, 3), T=3, gamma=0.
 
 
 def battery_step(b, u, e, b_max):
-    """One-slot battery update: min(max(b - u + e, 0), b_max)."""
-    return min(max(b - u + e, 0), b_max)
+    """One-slot battery update: min(max(b - u + e, 0), b_max), elementwise."""
+    return np.minimum(np.maximum(b - u + e, 0), b_max)
 
 
 def stationary_distribution(chain, tol=1e-12, max_iter=10**6):
@@ -338,19 +377,6 @@ def epoch_kernel(env, a):
 
 def epoch_distribution(env, a, b, h):
     """Row of the epoch kernel for epoch-start state (b, h); checks feasibility."""
-    if env.battery.cost[a] > b:
+    if not env.affordable(b)[a]:
         raise InfeasibleAction(f"mode {a} costs {env.battery.cost[a]} > battery {b}")
     return epoch_kernel(env, a)[env.state_index(b, h)]
-
-
-def sample_slot(rng, env, state, consumption):
-    """Draw one slot of dynamics; returns (next EnvState, harvested packets)."""
-    support = np.arange(env.arrivals.e_max + 1)
-    if env.condition_on_next:
-        h_next = int(rng.choice(env.chain.n, p=env.chain.transition[state.h]))
-        e = int(rng.choice(support, p=env.arrivals.pmf_per_state[h_next]))
-    else:
-        e = int(rng.choice(support, p=env.arrivals.pmf_per_state[state.h]))
-        h_next = int(rng.choice(env.chain.n, p=env.chain.transition[state.h]))
-    b_next = battery_step(state.b, consumption, e, env.battery.b_max)
-    return EnvState(b=b_next, h=h_next), e

@@ -2,9 +2,11 @@
 
 Controllers are thin adapters around solved policies, oracle solutions, or
 trained networks, exposing either a per-epoch mode choice (one-shot) or a
-per-slot pause/proceed choice (incremental). The simulator pre-draws all
-environment randomness per episode so different controllers evaluated
-under the same seed face identical arrival and environment-state paths.
+per-slot pause/proceed choice (incremental); they decide for arrays of
+states, one entry per episode. The simulator pre-draws all environment
+randomness per episode so different controllers evaluated under the same
+seed face identical arrival and environment-state paths, then steps every
+episode together.
 """
 
 from __future__ import annotations
@@ -42,7 +44,7 @@ class MmsController:
         self.n_modes = env.n_modes
 
     def decide(self, b, h, z, u_dec):
-        return int(self.actions[self.env.state_index(b, h)])
+        return self.actions[self.env.state_index(b, h)]
 
 
 class OracleController:
@@ -54,16 +56,12 @@ class OracleController:
     def __init__(self, solution, env):
         if solution.env.fingerprint() != env.fingerprint():
             raise IncompatibleController("oracle solution solved for a different environment")
+        self.solution = solution
         self.env = env
         self.n_modes = env.n_modes
-        self.continuation = solution.continuation
-        costs = np.asarray(env.battery.cost)
-        bs = np.arange(env.battery.b_max + 1)
-        self._mask = np.where(costs[None, :] <= bs[:, None], 0.0, -np.inf)
 
     def decide(self, b, h, z, u_dec):
-        scores = z + self.continuation[:, self.env.state_index(b, h)] + self._mask[b]
-        return int(np.argmax(scores))
+        return oracle_mod.oracle_choice(self.solution, b, h, z)
 
 
 class IncTableController:
@@ -81,7 +79,7 @@ class IncTableController:
         self.n_modes = env.n_modes
 
     def decide_sub(self, b, h, xi, tau, z_xi, u_dec):
-        return int(self.actions[mdp_mod.inc_state_index(self.env, b, h, xi, tau)])
+        return self.actions[mdp_mod.inc_state_index(self.env, b, h, xi, tau)]
 
 
 class IncDqnController:
@@ -99,8 +97,7 @@ class IncDqnController:
 
     def decide_sub(self, b, h, xi, tau, z_xi, u_dec):
         x = dqn_mod.encode_inc(self.env, b, h, xi, tau, z_xi)
-        feas = dqn_mod._inc_feasible(self.env, b, xi)
-        return dqn_mod.greedy_action(self.net, x, feas)
+        return dqn_mod.greedy_action(self.net, x, dqn_mod._inc_feasible(self.env, b, xi))
 
 
 class OsDqnController:
@@ -118,8 +115,7 @@ class OsDqnController:
 
     def decide(self, b, h, z, u_dec):
         x = dqn_mod.encode_os(self.env, b, h, z)
-        feas = dqn_mod._os_feasible(self.env, b)
-        return dqn_mod.greedy_action(self.net, x, feas)
+        return dqn_mod.greedy_action(self.net, x, self.env.affordable(b))
 
 
 class RandomFeasibleController:
@@ -131,11 +127,10 @@ class RandomFeasibleController:
     def __init__(self, env):
         self.env = env
         self.n_modes = env.n_modes
-        self._costs = np.asarray(env.battery.cost)
 
     def decide(self, b, h, z, u_dec):
-        n_feas = int(np.searchsorted(self._costs, b, side="right"))
-        return int(u_dec * n_feas)
+        n_feas = self.env.affordable(b).sum(axis=-1)
+        return (u_dec * n_feas).astype(np.int64)
 
 
 class FixedModeController:
@@ -150,11 +145,9 @@ class FixedModeController:
         self.kind = f"FixedMode({k})"
         self.env = env
         self.n_modes = env.n_modes
-        self._costs = np.asarray(env.battery.cost)
 
     def decide(self, b, h, z, u_dec):
-        affordable = int(np.searchsorted(self._costs, b, side="right")) - 1
-        return min(self.k, affordable)
+        return np.minimum(self.k, self.env.affordable(b).sum(axis=-1) - 1)
 
 
 @dataclass(frozen=True)
@@ -167,87 +160,56 @@ class EpisodeResult:
     epochs: int
 
 
-def _run_episode(controller, env, dataset, epochs, rng, cum_pi):
-    t_slots = env.epoch.T
-    n_h = env.chain.n
-    costs = env.battery.cost
-    b_max = env.battery.b_max
-    cond_next = env.condition_on_next
-    cum_chain = np.cumsum(env.chain.transition, axis=1)
-    cum_arr = np.cumsum(env.arrivals.pmf_per_state, axis=1)
-    z_all = dataset.z
-    correct_all = dataset.correct
-    k_modes = env.n_modes
+def _rollout(controller, env, dataset, b, h, rec_idx, u_h, u_e, u_dec):
+    """Step E episodes through N epochs together, from start states b, h (E,).
 
-    rec_idx = rng.integers(len(dataset), size=epochs)
-    u_h = rng.random((epochs, t_slots))
-    u_e = rng.random((epochs, t_slots))
-    u_dec = rng.random(epochs)
-    b = b_max
-    h = int(np.searchsorted(cum_pi, rng.random()))
+    Epoch n of episode i serves record rec_idx[i, n] and draws slot tau's
+    weather and arrival from u_h[i, n, tau] and u_e[i, n, tau]; u_dec[i, n]
+    is the controller's private uniform. Controllers see arrays: decide
+    gets (b, h, z, u) of every episode once per epoch, decide_sub
+    (b, h, xi, tau, z_xi, u) once per slot. Raises InfeasibleAction if a
+    controller picks a mode or a step the battery cannot pay for.
 
-    hits = 0
-    hist = np.zeros(k_modes, dtype=np.int64)
-    energy = 0
-    overflow = 0
-    outage = 0
-    one_shot = not controller.incremental
-    min_cost = costs[1] if k_modes > 1 else None
-
-    for n in range(epochs):
-        rec = rec_idx[n]
-        z_rec = z_all[rec]
-        if min_cost is not None and b < min_cost:
-            outage += 1
-        if one_shot:
-            a = controller.decide(b, h, z_rec, u_dec[n])
-            if costs[a] > b:
-                raise InfeasibleAction(f"{controller.kind} chose mode {a} at b={b}")
-            mode = a
-            energy += costs[a]
-            for tau in range(t_slots):
-                c = costs[a] if tau == 0 else 0
-                h2 = int(np.searchsorted(cum_chain[h], u_h[n, tau]))
-                src = h2 if cond_next else h
-                e = int(np.searchsorted(cum_arr[src], u_e[n, tau]))
-                nb = b - c + e
-                if nb > b_max:
-                    overflow += nb - b_max
-                    nb = b_max
-                b = nb if nb > 0 else 0
-                h = h2
+    Returns per-episode (hits (E,), exit histogram (E, K), energy used,
+    overflow, outage (E,)).
+    """
+    n_ep, n_epochs, t_slots = u_h.shape
+    costs = np.asarray(env.battery.cost)
+    rows = np.arange(n_ep)
+    hits, energy, overflow, outage = (np.zeros(n_ep, dtype=np.int64) for _ in range(4))
+    hist = np.zeros((n_ep, env.n_modes), dtype=np.int64)
+    b, h = np.asarray(b), np.asarray(h)
+    for n in range(n_epochs):
+        rec = rec_idx[:, n]
+        z = dataset.z[rec]
+        if env.n_modes > 1:
+            outage += b < costs[1]
+        if controller.incremental:
+            mode = np.zeros(n_ep, dtype=np.int64)      # xi, the mode reached so far
         else:
-            xi = 0
-            for tau in range(t_slots):
-                alpha = controller.decide_sub(b, h, xi, tau, z_rec[xi], u_dec[n])
-                if alpha:
-                    c = costs[xi + 1] - costs[xi]
-                    if xi >= k_modes - 1 or c > b:
-                        raise InfeasibleAction(f"{controller.kind} proceed at b={b}, xi={xi}")
-                else:
-                    c = 0
-                energy += c
-                h2 = int(np.searchsorted(cum_chain[h], u_h[n, tau]))
-                src = h2 if cond_next else h
-                e = int(np.searchsorted(cum_arr[src], u_e[n, tau]))
-                nb = b - c + e
-                if nb > b_max:
-                    overflow += nb - b_max
-                    nb = b_max
-                b = nb if nb > 0 else 0
-                h = h2
-                xi += alpha
-            mode = xi
-        hist[mode] += 1
-        hits += int(correct_all[rec, mode])
-    return EpisodeResult(
-        accuracy=hits / epochs,
-        exit_hist=hist,
-        energy_used=energy,
-        overflow=overflow,
-        outage=outage,
-        epochs=epochs,
-    )
+            mode = controller.decide(b, h, z, u_dec[:, n])
+            bad = np.flatnonzero(~env.affordable(b)[rows, mode])
+            if len(bad):
+                i = bad[0]
+                raise InfeasibleAction(f"{controller.kind} chose mode {mode[i]} at b={b[i]}")
+        for tau in range(t_slots):
+            if controller.incremental:
+                alpha = controller.decide_sub(b, h, mode, tau, z[rows, mode], u_dec[:, n])
+                bad = np.flatnonzero((alpha != 0) & ~env.can_proceed(b, mode))
+                if len(bad):
+                    i = bad[0]
+                    raise InfeasibleAction(
+                        f"{controller.kind} proceed at b={b[i]}, xi={mode[i]}")
+                c = costs[mode + alpha] - costs[mode]
+                mode = mode + alpha
+            else:
+                c = costs[mode] if tau == 0 else 0
+            energy += c
+            b, h, spill = env.slot_step(b, h, c, u_h[:, n, tau], u_e[:, n, tau])
+            overflow += spill
+        hist[rows, mode] += 1
+        hits += dataset.correct[rec, mode]
+    return hits, hist, energy, overflow, outage
 
 
 def simulate(controller, env, dataset, episodes, epochs, seed):
@@ -255,7 +217,9 @@ def simulate(controller, env, dataset, episodes, epochs, seed):
 
     Per-episode generators come from spawning the master seed, so episode
     e sees the same environment randomness no matter which controller is
-    being evaluated.
+    being evaluated. Each episode draws its record indices, weather and
+    arrival uniforms, decision uniforms and start weather state in that
+    order; all episodes then advance together (see _rollout).
     """
     if dataset.n_exits != env.n_modes:
         raise IncompatibleController(
@@ -264,10 +228,33 @@ def simulate(controller, env, dataset, episodes, epochs, seed):
     if controller.n_modes != env.n_modes:
         raise IncompatibleController("controller mode count mismatch")
     cum_pi = np.cumsum(stationary_distribution(env.chain))
-    children = np.random.SeedSequence(seed).spawn(episodes)
+    t_slots = env.epoch.T
+    rec_idx = np.empty((episodes, epochs), dtype=np.int64)
+    u_h = np.empty((episodes, epochs, t_slots))
+    u_e = np.empty((episodes, epochs, t_slots))
+    u_dec = np.empty((episodes, epochs))
+    u_start = np.empty(episodes)
+    for i, child in enumerate(np.random.SeedSequence(seed).spawn(episodes)):
+        rng = np.random.default_rng(child)
+        rec_idx[i] = rng.integers(len(dataset), size=epochs)
+        rng.random(out=u_h[i])
+        rng.random(out=u_e[i])
+        rng.random(out=u_dec[i])
+        u_start[i] = rng.random()
+    b0 = np.full(episodes, env.battery.b_max)
+    hits, hist, energy, overflow, outage = _rollout(
+        controller, env, dataset, b0, np.searchsorted(cum_pi, u_start),
+        rec_idx, u_h, u_e, u_dec)
     return [
-        _run_episode(controller, env, dataset, epochs, np.random.default_rng(child), cum_pi)
-        for child in children
+        EpisodeResult(
+            accuracy=int(hits[i]) / epochs,
+            exit_hist=hist[i],
+            energy_used=int(energy[i]),
+            overflow=int(overflow[i]),
+            outage=int(outage[i]),
+            epochs=epochs,
+        )
+        for i in range(episodes)
     ]
 
 
@@ -330,11 +317,8 @@ def exit_probability_matrix(policy, env):
 def exit_probability_oracle(solution, dataset):
     """Fraction of records each (b, h) routes to every mode."""
     env = solution.env
-    costs = np.asarray(env.battery.cost)
-    b_of = np.repeat(np.arange(env.battery.b_max + 1), env.chain.n)
-    mask = np.where(costs[None, :] <= b_of[:, None], 0.0, -np.inf)    # (S, A)
-    scores = dataset.z[:, None, :] + solution.continuation.T[None, :, :] + mask[None, :, :]
-    choice = scores.argmax(axis=2)                                    # (D, S)
+    b, h = np.divmod(np.arange(env.n_states), env.n_h)
+    choice = oracle_mod.oracle_choice(solution, b, h, dataset.z[:, None, :])    # (D, S)
     eta = np.zeros((env.n_states, env.n_modes))
     for s in range(env.n_states):
         eta[s] = np.bincount(choice[:, s], minlength=env.n_modes)
@@ -350,36 +334,15 @@ def exit_probability_mms(policy, env):
 
 def exit_probability_mc(controller, env, dataset, start, rollouts, seed):
     """Monte Carlo single-epoch exit distribution from a fixed (b, h)."""
-    b0, h0 = start
     rng = np.random.default_rng(seed)
     t_slots = env.epoch.T
-    costs = env.battery.cost
-    b_max = env.battery.b_max
-    cum_chain = np.cumsum(env.chain.transition, axis=1)
-    cum_arr = np.cumsum(env.arrivals.pmf_per_state, axis=1)
-    rec_idx = rng.integers(len(dataset), size=rollouts)
-    u_h = rng.random((rollouts, t_slots))
-    u_e = rng.random((rollouts, t_slots))
-    u_dec = rng.random(rollouts)
-    counts = np.zeros(env.n_modes, dtype=np.int64)
-    for n in range(rollouts):
-        b, h = b0, h0
-        z_rec = dataset.z[rec_idx[n]]
-        if controller.incremental:
-            xi = 0
-            for tau in range(t_slots):
-                alpha = controller.decide_sub(b, h, xi, tau, z_rec[xi], u_dec[n])
-                c = costs[xi + 1] - costs[xi] if alpha else 0
-                h2 = int(np.searchsorted(cum_chain[h], u_h[n, tau]))
-                src = h2 if env.condition_on_next else h
-                e = int(np.searchsorted(cum_arr[src], u_e[n, tau]))
-                b = min(max(b - c + e, 0), b_max)
-                h = h2
-                xi += alpha
-            counts[xi] += 1
-        else:
-            counts[controller.decide(b, h, z_rec, u_dec[n])] += 1
-    return counts / rollouts
+    rec_idx = rng.integers(len(dataset), size=(rollouts, 1))
+    u_h = rng.random((rollouts, 1, t_slots))
+    u_e = rng.random((rollouts, 1, t_slots))
+    u_dec = rng.random((rollouts, 1))
+    b0, h0 = (np.full(rollouts, x) for x in start)
+    _, hist, _, _, _ = _rollout(controller, env, dataset, b0, h0, rec_idx, u_h, u_e, u_dec)
+    return hist.sum(axis=0) / rollouts
 
 
 @dataclass(frozen=True)

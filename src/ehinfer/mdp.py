@@ -226,8 +226,7 @@ def build_mms_mdp(env, rho, gamma=None):
     n_a = env.n_modes
     transition = sp.vstack([sp.csr_array(env.epoch_kernel(a)) for a in range(n_a)])
     reward = np.tile(rho, (n_s, 1))
-    b_of = np.repeat(np.arange(env.battery.b_max + 1), env.chain.n)
-    feasible = b_of[:, None] >= np.asarray(env.battery.cost)[None, :]
+    feasible = env.affordable(np.arange(n_s) // env.n_h)
     return FiniteMdp(transition, reward, feasible, gamma, mms_state_keys(env))
 
 
@@ -269,12 +268,8 @@ def build_inc_iag_mdp(env, rho, gamma_slot=None):
     b_of = np.repeat(np.arange(env.battery.b_max + 1), n_h * k * t)
     xi_of = np.tile(np.repeat(np.arange(k), t), n_bh)
     feasible[:, 0] = True
-    step_cost = np.array(
-        [env.battery.cost[x + 1] - env.battery.cost[x] if x < k - 1 else 0 for x in range(k)]
-    )
-    feasible[:, 1] = (xi_of < k - 1) & (b_of >= step_cost[xi_of])
-    # infeasible proceed rows are valid dummies: a 1 on the diagonal, in
-    # place of any slot-kernel entry there
+    feasible[:, 1] = env.can_proceed(b_of, xi_of)
+    # infeasible proceed rows are valid dummies: a single 1 on the diagonal
     is_dummy = ~feasible[:, 1]
     dummy = np.nonzero(is_dummy)[0]
     triplets = [(n_s + dummy, dummy, np.ones(len(dummy)))]
@@ -296,7 +291,7 @@ def build_inc_iag_mdp(env, rho, gamma_slot=None):
                     cols = block(0, 0)
                     reward[rows, alpha] = rho[xi + alpha]
                 i, j = np.nonzero(slot)
-                keep = (alpha == 0) | ~is_dummy[rows[i]] | (rows[i] != cols[j])
+                keep = (alpha == 0) | ~is_dummy[rows[i]]
                 triplets.append((alpha * n_s + rows[i][keep], cols[j][keep], slot[i, j][keep]))
     r, c, p = (np.concatenate(x) for x in zip(*triplets))
     transition = sp.coo_array((p, (r, c)), shape=(2 * n_s, n_s))
@@ -326,12 +321,11 @@ def check_superadditive(qtab, env, tol=1e-9):
     feasible at b2). Returns (ok, worst_deficit).
     """
     worst = 0.0
-    costs = env.battery.cost
     b_max = env.battery.b_max
     for h in range(env.chain.n):
         q_bh = np.array([qtab.q[env.state_index(b, h)] for b in range(b_max + 1)])
         for b1 in range(b_max + 1):
-            acts = [a for a in range(env.n_modes) if costs[a] <= b1]
+            acts = np.flatnonzero(env.affordable(b1))
             for i, a1 in enumerate(acts):
                 for a2 in acts[i + 1:]:
                     d1 = q_bh[b1, a2] - q_bh[b1, a1]

@@ -99,11 +99,6 @@ def _continuation(env, gamma, v_bar):
     return gamma * (kernels @ v_bar)
 
 
-def _feasible_mask(env):
-    b_of = np.repeat(np.arange(env.battery.b_max + 1), env.chain.n)
-    return b_of[:, None] >= np.asarray(env.battery.cost)[None, :]   # (S, A)
-
-
 def approx_operator(v_bar, dataset, env, gamma):
     """Empirical Bellman update averaged over the confidence dataset.
 
@@ -117,7 +112,8 @@ def approx_operator(v_bar, dataset, env, gamma):
     if dataset.n_exits != env.n_modes:
         raise ValueError("dataset exit count must match environment modes")
     cont = _continuation(env, gamma, v_bar)             # (A, S)
-    masked = np.where(_feasible_mask(env).T, cont, -np.inf)
+    b_of = np.arange(env.n_states) // env.n_h
+    masked = np.where(env.affordable(b_of).T, cont, -np.inf)
     scores = dataset.z[:, :, None] + masked[None, :, :]  # (D, A, S)
     return scores.max(axis=1).mean(axis=0)
 
@@ -141,24 +137,38 @@ def solve_oracle(env, dataset, gamma=None, eps=1e-6, max_iter=10**5):
             break
     else:
         raise NotConverged(f"operator iteration did not reach eps={eps} in {max_iter} sweeps")
-    cont = _continuation(env, gamma, v)
-    k = env.n_modes
+    return _solution(env, gamma, v, tuple(residuals), dataset_fingerprint(dataset))
+
+
+def _solution(env, gamma, v_bar, residuals, dataset_fp):
+    """OracleSolution with the continuation and delta implied by v_bar."""
+    cont = _continuation(env, gamma, v_bar)
     # delta_0i(s) = gamma * (P_0(s) - P_i(s)) . v_bar = cont_0 - cont_i
-    delta = (cont[0][None, :] - cont[1:]).T if k > 1 else np.zeros((env.n_states, 0))
-    v.setflags(write=False)
-    cont.setflags(write=False)
-    delta = np.ascontiguousarray(delta)
-    delta.setflags(write=False)
+    delta = np.ascontiguousarray((cont[0][None, :] - cont[1:]).T)
+    for arr in (v_bar, cont, delta):
+        arr.setflags(write=False)
     return OracleSolution(
         env=env,
         gamma=gamma,
-        v_bar=v,
+        v_bar=v_bar,
         continuation=cont,
         delta=delta,
-        matrices=build_partition_matrices(k),
-        residuals=tuple(residuals),
-        dataset_fp=dataset_fingerprint(dataset),
+        matrices=build_partition_matrices(env.n_modes),
+        residuals=residuals,
+        dataset_fp=dataset_fp,
     )
+
+
+def oracle_choice(solution, b, h, z):
+    """Mode maximising z^(a) plus the continuation of (b, h), among affordable a.
+
+    Ties go to the cheaper mode. b and h broadcast together, and z has one
+    trailing axis of K confidences that broadcasts against them.
+    """
+    env = solution.env
+    scores = z + solution.continuation.T[env.state_index(b, h)]
+    np.copyto(scores, -np.inf, where=~env.affordable(b))
+    return scores.argmax(axis=-1)
 
 
 def region_of(z, b, h, solution):
@@ -168,14 +178,7 @@ def region_of(z, b, h, solution):
     continuation, ties toward the smaller mode; equivalent to testing the
     region inequalities restricted to feasible modes.
     """
-    env = solution.env
-    s = env.state_index(b, h)
-    z = np.asarray(z, dtype=float)
-    scores = z + solution.continuation[:, s]
-    for a, cost in enumerate(env.battery.cost):
-        if cost > b:
-            scores[a] = -np.inf
-    return int(np.argmax(scores))
+    return int(oracle_choice(solution, b, h, np.asarray(z, dtype=float)))
 
 
 def region_inequalities(z, b, h, solution, j):
@@ -185,8 +188,9 @@ def region_inequalities(z, b, h, solution, j):
     delta = solution.delta_of(b, h)
     lhs = solution.matrices.m[j] @ z
     rhs = solution.matrices.f[j] @ delta
+    affordable = env.affordable(b)
     others = [i for i in range(env.n_modes) if i != j]
-    keep = [r for r, i in enumerate(others) if env.battery.cost[i] <= b]
+    keep = [r for r, i in enumerate(others) if affordable[i]]
     return lhs[keep] >= rhs[keep] - 1e-12
 
 
@@ -222,17 +226,5 @@ def load_solution(path, env, dataset_fp=""):
         raise ValueError("environment does not match the stored solution")
     keys = [f"b={b},h={lab}" for b, lab in env.state_labels()]
     v = np.array([payload["v_bar"][k] for k in keys])
-    gamma = float(payload["gamma"])
-    cont = _continuation(env, gamma, v)
-    k_modes = env.n_modes
-    delta = (cont[0][None, :] - cont[1:]).T if k_modes > 1 else np.zeros((env.n_states, 0))
-    return OracleSolution(
-        env=env,
-        gamma=gamma,
-        v_bar=v,
-        continuation=cont,
-        delta=delta,
-        matrices=build_partition_matrices(k_modes),
-        residuals=(),
-        dataset_fp=payload.get("dataset_fingerprint", dataset_fp),
-    )
+    return _solution(env, float(payload["gamma"]), v, (),
+                     payload.get("dataset_fingerprint", dataset_fp))

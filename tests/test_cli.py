@@ -121,6 +121,16 @@ class TestSolve:
         assert rc == 2
         assert "bad dataset" in capsys.readouterr().err
 
+    def test_partial_logits_is_input_error(self, sandbox, capsys):
+        lines = gen(sandbox, extra=("--logits",)).read_text().splitlines()
+        row = json.loads(lines[0])
+        del row["logits"]
+        lines[0] = json.dumps(row)
+        (sandbox / "bad.jsonl").write_text("\n".join(lines) + "\n")
+        assert main(["calibrate", "--dataset", "bad.jsonl", "--fit",
+                     "--out", "cal.jsonl"]) == 2
+        assert "bad dataset" in capsys.readouterr().err
+
     def test_oracle_report_records_contraction(self, sandbox):
         ds = gen(sandbox)
         rc = main(["solve", "--kind", "oracle", "--env", "env.json",
@@ -248,6 +258,44 @@ class TestExitProbs:
         assert main(["exit-probs", "--env", "env.json",
                      "--controller", "inc-iag", "--policy", "mms.json",
                      "--out", "eta.csv"]) == 2
+
+
+class TestEnvBinding:
+    """Artifacts made for another environment of the same shape are refused."""
+
+    @pytest.fixture()
+    def other_env(self, sandbox):
+        cfg = json.loads((sandbox / "env.json").read_text())
+        cfg["arrival_pmfs"][0] = [0.3, 0.7]         # pe_g 0.8 -> 0.7
+        (sandbox / "other_env.json").write_text(json.dumps(cfg))
+        return "other_env.json"
+
+    def _simulate(self, ds, flag, artifact, kind):
+        return main(["simulate", "--env", "env.json", "--dataset", str(ds),
+                     "--controller", kind, flag, artifact, "--episodes", "1",
+                     "--epochs", "10", "--seed", "0", "--out", "r.csv"])
+
+    def _exit_probs(self, ds, flag, artifact, kind):
+        return main(["exit-probs", "--env", "env.json", "--controller", kind,
+                     flag, artifact, "--dataset", str(ds), "--rollouts", "5",
+                     "--seed", "0", "--out", "eta.csv"])
+
+    @pytest.mark.parametrize("kind", ["mms", "inc-iag"])
+    def test_policy_for_other_env(self, sandbox, other_env, capsys, kind):
+        ds = gen(sandbox, n=200)
+        assert main(["solve", "--kind", kind, "--env", other_env,
+                     "--dataset", str(ds), "--out", "p.json"]) == 0
+        assert self._simulate(ds, "--policy", "p.json", kind) == 2
+        assert self._exit_probs(ds, "--policy", "p.json", kind) == 2
+        assert "environment" in capsys.readouterr().err
+
+    def test_checkpoint_for_other_env(self, sandbox, other_env, capsys):
+        ds = gen(sandbox, n=200)
+        assert main(["train-dqn", "--env", other_env, "--dataset", str(ds),
+                     "--steps", "0", "--seed", "0", "--out", "net.json"]) == 0
+        assert self._simulate(ds, "--checkpoint", "net.json", "inc-dqn") == 2
+        assert self._exit_probs(ds, "--checkpoint", "net.json", "inc-dqn") == 2
+        assert "environment" in capsys.readouterr().err
 
 
 class TestCalibrate:

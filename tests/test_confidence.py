@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -213,3 +215,17 @@ class TestJsonl:
         back = load_jsonl(path)
         assert np.array_equal(back.z, ds.z)
         assert back.logits is None
+
+    @pytest.mark.parametrize("field", ["logits", "label"])
+    def test_partial_logits_or_labels_rejected(self, tmp_path, field):
+        ds = generate_synthetic(np.random.default_rng(5), default_spec(), 8,
+                                with_logits=True)
+        path = tmp_path / "ds.jsonl"
+        save_jsonl(ds, path)
+        lines = path.read_text().splitlines()
+        row = json.loads(lines[3])
+        del row[field]
+        lines[3] = json.dumps(row)
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError, match=field):
+            load_jsonl(path)

@@ -5,11 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ehinfer.env import (ArrivalModel, BatteryConfig, EnvState, EpochConfig,
+from ehinfer.env import (ArrivalModel, BatteryConfig, EpochConfig,
                          HarvestChain, HarvestEnvironment, InfeasibleAction,
                          NonErgodicChain, battery_step, energy_rate,
-                         epoch_distribution, epoch_kernel, sample_slot,
-                         slot_kernel, stationary_distribution, two_state_env)
+                         epoch_distribution, epoch_kernel, slot_kernel,
+                         stationary_distribution, two_state_env)
 
 
 def fig5_env(b_max=30):
@@ -105,19 +105,17 @@ class TestKernels:
 
     def test_epoch_kernel_matches_sampler(self):
         # epoch = full cost up front, then idle slots; compare against the
-        # one-slot sampler applied T times
+        # sampled slot step applied T times
         env = two_state_env(0.8, 0.4, 0.6, 0.1, b_max=3)
         a, b0, h0 = 2, 3, 0
         row = epoch_distribution(env, a, b0, h0)
         n = 20000
         rng = np.random.default_rng(5)
-        counts = np.zeros(env.n_states)
-        for _ in range(n):
-            state = EnvState(b0, h0)
-            state, _ = sample_slot(rng, env, state, env.battery.cost[a])
-            for _ in range(env.epoch.T - 1):
-                state, _ = sample_slot(rng, env, state, 0)
-            counts[env.state_index(state.b, state.h)] += 1
+        b, h = np.full(n, b0), np.full(n, h0)
+        for tau in range(env.epoch.T):
+            cost = env.battery.cost[a] if tau == 0 else 0
+            b, h, _ = env.slot_step(b, h, cost, rng.random(n), rng.random(n))
+        counts = np.bincount(env.state_index(b, h), minlength=env.n_states)
         freq = counts / n
         sigma = np.sqrt(np.maximum(row * (1 - row), 1e-12) / n)
         assert np.all(np.abs(freq - row) <= 3 * sigma + 1e-3)
@@ -187,15 +185,49 @@ class TestSerialization:
 
 
 class TestSampling:
-    def test_sample_slot_deterministic(self):
+    def test_slot_step_deterministic(self):
         env = fig5_env(5)
-        a = [sample_slot(np.random.default_rng(3), env, EnvState(4, 0), 1)
+        a = [env.slot_step(4, 0, 1, *np.random.default_rng(3).random(2))
              for _ in range(2)]
         assert a[0] == a[1]
 
-    def test_sample_slot_empirical_marginal(self):
+    def test_slot_step_empirical_marginal(self):
         env = fig5_env(5)
         rng = np.random.default_rng(11)
-        hs = [sample_slot(rng, env, EnvState(5, 0), 0)[0].h for _ in range(4000)]
+        _, hs, _ = env.slot_step(np.full(4000, 5), np.zeros(4000, dtype=int), 0,
+                                 rng.random(4000), rng.random(4000))
         # from G the chain stays with probability 0.9
         assert np.mean(np.array(hs) == 0) == pytest.approx(0.9, abs=0.02)
+
+    @given(b=st.integers(0, 5), h=st.integers(0, 1), c=st.integers(0, 3),
+           u_h=st.floats(0, 1), u_e=st.floats(0, 1),
+           cond_next=st.booleans())
+    def test_slot_step_is_inverse_cdf_then_clip(self, b, h, c, u_h, u_e, cond_next):
+        env = two_state_env(0.7, 0.4, 0.6, 0.2, b_max=5, condition_on_next=cond_next)
+        b2, h2, spill = env.slot_step(b, h, c, u_h, u_e)
+        cum_h = np.cumsum(env.chain.transition[h])
+        assert h2 == min(np.searchsorted(cum_h, u_h), env.n_h - 1)
+        cum_e = np.cumsum(env.arrivals.pmf_per_state[h2 if cond_next else h])
+        e = min(np.searchsorted(cum_e, u_e), env.arrivals.e_max)
+        assert b2 == min(max(b - c + e, 0), 5)
+        assert spill == max(b - c + e - 5, 0)
+        # arrays step each element exactly as scalars do
+        arr = env.slot_step(np.array([b, 0]), np.array([h, 1]), c,
+                            np.array([u_h, 0.5]), np.array([u_e, 0.5]))
+        assert (arr[0][0], arr[1][0], arr[2][0]) == (b2, h2, spill)
+
+
+class TestAffordability:
+    def test_affordable_matches_costs(self):
+        env = two_state_env(0.9, 0.5, 0.8, 0.0, b_max=4, costs=(0, 1, 3, 4))
+        mask = env.affordable(np.arange(5))
+        assert mask.shape == (5, 4)
+        for b in range(5):
+            assert mask[b].tolist() == [c <= b for c in env.battery.cost]
+            assert env.affordable(b).tolist() == mask[b].tolist()
+
+    def test_can_proceed_needs_next_increment(self):
+        env = two_state_env(0.9, 0.5, 0.8, 0.0, b_max=4, costs=(0, 1, 3, 4))
+        for b in range(5):
+            assert [bool(env.can_proceed(b, xi)) for xi in range(4)] == \
+                [b >= 1, b >= 2, b >= 1, False]

@@ -210,9 +210,8 @@ class TestIncMdp:
 def dense_inc_iag_model(env, rho):
     """Reference: the incremental model as a dense (2, S, S) tensor.
 
-    Returns (transition, reward, feasible). Infeasible proceed rows keep
-    their slot-kernel entries and get a 1 on the diagonal; the solvers
-    never read them.
+    Returns (transition, reward, feasible). Infeasible proceed rows are a
+    single 1 on the diagonal; the solvers never read them.
     """
     k, t, n_h = env.n_modes, env.epoch.T, env.chain.n
     n_bh = (env.battery.b_max + 1) * n_h
@@ -247,6 +246,7 @@ def dense_inc_iag_model(env, rho):
     )
     feasible[:, 1] = (xi_of < k - 1) & (b_of >= step_cost[xi_of])
     dummy = np.nonzero(~feasible[:, 1])[0]
+    transition[1][dummy] = 0.0
     transition[1][dummy, dummy] = 1.0
     return transition, reward, feasible
 
@@ -267,8 +267,8 @@ def dense_value_iteration(transition, reward, feasible, gamma, eps):
 
 
 # the environments of gates 3, 4 and 7, the benchmark's b_max=100, and a
-# one-slot epoch, where an infeasible proceed row's diagonal is also a
-# slot-kernel entry
+# one-slot epoch, where a proceed row's slot-kernel entries can fall on its
+# own diagonal
 REFERENCE_ENVS = (
     [reference_env()]
     + [two_state_env(*cell) for cell in grid_sample()]
@@ -294,6 +294,13 @@ class TestSparseIncModel:
         gap = np.abs(q_ref[:, 1] - q_ref[:, 0])
         decided = ~np.isfinite(gap) | (gap > 1e-12)
         assert np.array_equal(pol.actions[decided], np.argmax(q_ref, axis=1)[decided])
+
+    @pytest.mark.parametrize("env", REFERENCE_ENVS, ids=lambda e: e.fingerprint())
+    def test_every_row_is_stochastic(self, env):
+        # infeasible proceed rows included: code that reads the transition
+        # matrix without the feasibility mask must still see distributions
+        mdp = build_inc_iag_mdp(env, RHO[:env.n_modes])
+        assert np.abs(mdp.transition.sum(axis=1) - 1.0).max() <= 1e-12
 
     def test_build_stays_small_at_b_max_300(self):
         env = reference_env(b_max=300)      # dense tensor would be 835 MB
