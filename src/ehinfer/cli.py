@@ -13,7 +13,6 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -34,18 +33,11 @@ class CliExit(Exception):
         self.message = message
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Resolved per-command run parameters; validated before any work."""
-
-    out: str | None = None
-    seed: int | None = None
-
-    def validate(self):
-        if self.out is not None:
-            parent = os.path.dirname(os.path.abspath(self.out)) or "."
-            if not os.path.isdir(parent) or not os.access(parent, os.W_OK):
-                raise CliExit(EXIT_INPUT, f"output directory not writable: {parent}")
+def _check_writable(out):
+    """Reject an output path whose directory is missing or read-only, before any work."""
+    parent = os.path.dirname(os.path.abspath(out)) or "."
+    if not os.path.isdir(parent) or not os.access(parent, os.W_OK):
+        raise CliExit(EXIT_INPUT, f"output directory not writable: {parent}")
 
 
 def _resolve_seed(value):
@@ -101,8 +93,7 @@ def _write_json(payload, path):
 
 def cmd_gen_data(args):
     seed = _resolve_seed(args.seed)
-    run = RunConfig(out=args.out, seed=seed)
-    run.validate()
+    _check_writable(args.out)
     if args.n <= 0:
         raise CliExit(EXIT_INPUT, "--n must be a positive record count")
     if args.spec is not None:
@@ -196,13 +187,16 @@ def cmd_solve(args):
             rho, src = _rho_from_args(args)
             if len(rho) != env.n_modes:
                 raise CliExit(EXIT_INPUT, "mode accuracy vector length mismatch")
-            m = mdp_mod.build_inc_iag_mdp(env, rho)
-            vt, pol = mdp_mod.value_iteration(m, eps=args.eps)
+            vt, pol = mdp_mod.value_iteration(
+                mdp_mod.build_inc_iag_mdp(env, rho), eps=args.eps)
+            # the dominance margin compares against the one-shot model's values
+            v_mms, _ = mdp_mod.value_iteration(
+                mdp_mod.build_mms_mdp(env, rho), eps=args.eps)
             mdp_mod.save_policy(pol, args.out, meta=dict(meta, source=src))
             report.update({
                 "iterations": vt.iterations,
                 "residual_final": vt.residuals[-1] if vt.residuals else 0.0,
-                "dominance_margin": mdp_mod.dominance_margin(env, rho, eps=args.eps),
+                "dominance_margin": mdp_mod.epoch_start_margin(env, vt, v_mms),
             })
     except CliExit:
         raise
@@ -219,8 +213,7 @@ def cmd_solve(args):
 
 def cmd_train_dqn(args):
     seed = _resolve_seed(args.seed)
-    run = RunConfig(out=args.out, seed=seed)
-    run.validate()
+    _check_writable(args.out)
     env = _load_env(args.env)
     ds = _load_dataset(args.dataset)
     curve_path = args.curve or args.out + ".curve.csv"
@@ -329,8 +322,7 @@ def _load_checkpoint(path, env):
 
 def cmd_simulate(args):
     seed = _resolve_seed(args.seed)
-    run = RunConfig(out=args.out, seed=seed)
-    run.validate()
+    _check_writable(args.out)
     env = _load_env(args.env, code=EXIT_MISSING)
     ds = _load_dataset(args.dataset, code=EXIT_MISSING)
     try:
@@ -369,8 +361,7 @@ def cmd_simulate(args):
 
 def cmd_sweep(args):
     seed = _resolve_seed(args.seed)
-    run = RunConfig(out=args.out, seed=seed)
-    run.validate()
+    _check_writable(args.out)
     ds = _load_dataset(args.dataset, code=EXIT_MISSING)
     fields = {}
     if args.grid is not None:
@@ -406,8 +397,7 @@ def cmd_sweep(args):
 
 def cmd_exit_probs(args):
     env = _load_env(args.env, code=EXIT_MISSING)
-    run = RunConfig(out=args.out)
-    run.validate()
+    _check_writable(args.out)
     kind = args.controller
     meta = {"controller": kind, "env_fingerprint": env.fingerprint()}
     try:
@@ -454,8 +444,7 @@ def cmd_exit_probs(args):
 # --------------------------------------------------------------- calibrate
 
 def cmd_calibrate(args):
-    run = RunConfig(out=args.out)
-    run.validate()
+    _check_writable(args.out)
     ds = _load_dataset(args.dataset)
     _, ece_before = conf.reliability_report(ds)
     if args.fit:

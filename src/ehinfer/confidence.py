@@ -284,14 +284,12 @@ def reliability_report(dataset, n_bins=10):
 
 def save_jsonl(dataset, path):
     """Write one JSON object per record: z, correct, optional logits/label."""
+    # row by row, so only one record's Python floats exist at a time
     with open(path, "w") as fh:
         for i in range(len(dataset)):
-            row = {
-                "z": [float(v) for v in dataset.z[i]],
-                "correct": [int(v) for v in dataset.correct[i]],
-            }
+            row = {"z": dataset.z[i].tolist(), "correct": dataset.correct[i].tolist()}
             if dataset.logits is not None:
-                row["logits"] = [[float(v) for v in vec] for vec in dataset.logits[i]]
+                row["logits"] = dataset.logits[i].tolist()
             if dataset.labels is not None:
                 row["label"] = int(dataset.labels[i])
             fh.write(json.dumps(row) + "\n")

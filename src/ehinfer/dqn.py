@@ -6,7 +6,8 @@ learns either the incremental per-slot pause/proceed choice from
 (b, h, full confidence vector). Replay buffer, target network, epsilon-
 greedy exploration, and the adaptive-moment optimizer are implemented
 directly on numpy arrays so gradients can be checked against finite
-differences.
+differences. Training evaluates the greedy network as a harness controller
+through `harness.simulate`, the same rollout every controller runs on.
 """
 
 from __future__ import annotations
@@ -283,34 +284,6 @@ def _slot(env, rng, b, h, consumption):
     return b, h
 
 
-def _eval_greedy(net, env, dataset, cfg, rng, epochs):
-    """Greedy-policy accuracy over a fresh rollout; no exploration."""
-    pi0 = stationary_distribution(env.chain)
-    b = env.battery.b_max
-    h = int(np.searchsorted(np.cumsum(pi0), rng.random()))
-    hits = 0
-    t = env.epoch.T
-    for _ in range(epochs):
-        rec = dataset.record(int(rng.integers(len(dataset))))
-        if cfg.mode == "incremental":
-            xi = 0
-            for tau in range(t):
-                x = encode_inc(env, b, h, xi, tau, rec.z[xi])
-                alpha = greedy_action(net, x, _inc_feasible(env, b, xi))
-                cost = env.battery.cost[xi + alpha] - env.battery.cost[xi]
-                b, h = _slot(env, rng, b, h, cost)
-                xi += alpha
-            hits += int(rec.correct[xi])
-        else:
-            x = encode_os(env, b, h, rec.z)
-            a = greedy_action(net, x, env.affordable(b))
-            b, h = _slot(env, rng, b, h, env.battery.cost[a])
-            for _ in range(t - 1):
-                b, h = _slot(env, rng, b, h, 0)
-            hits += int(rec.correct[a])
-    return hits / epochs
-
-
 def train(env, dataset, cfg):
     """Deep Q-learning against the sampled environment and dataset.
 
@@ -319,7 +292,9 @@ def train(env, dataset, cfg):
     once per epoch with reward equal to the chosen mode's confidence.
     Both are continuing tasks (the battery carries across epochs), so no
     transition is terminal. Returns the trained network and a learning
-    curve of (env step, greedy accuracy, mean recent loss) rows.
+    curve of (env step, greedy accuracy, mean recent loss) rows; each
+    greedy accuracy is one `harness.simulate` episode of cfg.eval_epochs
+    epochs, seeded from the training seed and the step.
     """
     if dataset.n_exits != env.n_modes:
         raise ValueError("dataset exit count must match environment modes")
@@ -395,10 +370,10 @@ def train(env, dataset, cfg):
                 target = net.copy()
 
         if step % cfg.eval_every == 0 or step == cfg.total_steps:
-            acc = _eval_greedy(
-                net, env, dataset, cfg,
-                np.random.default_rng(eval_seed + step), cfg.eval_epochs,
-            )
+            from . import harness       # harness imports this module
+            controller = harness.IncDqnController if inc else harness.OsDqnController
+            acc = harness.simulate(controller(net, env), env, dataset, 1, cfg.eval_epochs,
+                                   eval_seed + step)[0].accuracy
             mean_loss = float(np.mean(recent_losses)) if recent_losses else float("nan")
             curve.append((step, acc, mean_loss))
             recent_losses = []

@@ -161,7 +161,7 @@ class HarvestEnvironment:
     battery: BatteryConfig
     epoch: EpochConfig
     condition_on_next: bool = False
-    _slot_cache: dict = field(default_factory=dict, compare=False, repr=False)
+    _kernels: dict = field(default_factory=dict, init=False, compare=False, repr=False)
     _tables: dict = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
@@ -208,20 +208,21 @@ class HarvestEnvironment:
             for h in range(self.chain.n)
         ]
 
+    def _kernel(self, key, build):
+        """Kernel built once per environment and handed out read-only."""
+        if key not in self._kernels:
+            self._kernels[key] = _as_readonly(build())
+        return self._kernels[key]
+
     def slot_kernel(self, u):
         u = int(u)
-        if u not in self._slot_cache:
-            self._slot_cache[u] = slot_kernel(
-                self.chain,
-                self.arrivals,
-                u,
-                self.battery.b_max,
-                condition_on_next=self.condition_on_next,
-            )
-        return self._slot_cache[u]
+        return self._kernel(("slot", u), lambda: slot_kernel(
+            self.chain, self.arrivals, u, self.battery.b_max,
+            condition_on_next=self.condition_on_next))
 
     def epoch_kernel(self, a):
-        return epoch_kernel(self, a)
+        a = int(a)
+        return self._kernel(("epoch", a), lambda: epoch_kernel(self, a))
 
     def affordable(self, b):
         """Modes whose full cost fits battery level b, as a bool array (..., K)."""
@@ -379,4 +380,4 @@ def epoch_distribution(env, a, b, h):
     """Row of the epoch kernel for epoch-start state (b, h); checks feasibility."""
     if not env.affordable(b)[a]:
         raise InfeasibleAction(f"mode {a} costs {env.battery.cost[a]} > battery {b}")
-    return epoch_kernel(env, a)[env.state_index(b, h)]
+    return env.epoch_kernel(a)[env.state_index(b, h)]

@@ -6,7 +6,10 @@ per-slot pause/proceed choice (incremental); they decide for arrays of
 states, one entry per episode. The simulator pre-draws all environment
 randomness per episode so different controllers evaluated under the same
 seed face identical arrival and environment-state paths, then steps every
-episode together.
+episode together; DQN training evaluates its network through the same
+`simulate`. The exact exit analyses read the models the controllers were
+solved on: the IncIAgEE slot chain for incremental policies, and the
+oracle solution's continuation for the oracle.
 """
 
 from __future__ import annotations
@@ -18,6 +21,7 @@ from dataclasses import dataclass
 from itertools import product
 
 import numpy as np
+import scipy.sparse as sp
 
 from . import dqn as dqn_mod
 from . import mdp as mdp_mod
@@ -272,46 +276,32 @@ def aggregate_accuracy(results):
 def exit_probability_matrix(policy, env):
     """Exact per-epoch exit distribution of an incremental policy.
 
-    Follows the closed-loop slot chain over (b, h, xi) for one epoch,
-    absorbing into a fictitious terminal state per final mode at the last
-    slot. Returns eta with shape (n_bh_states, K); rows sum to 1.
+    Walks the policy's rows of the IncIAgEE slot chain (the rows
+    evaluate_policy solves with) for T - 1 slots from every (b, h, 0, 0)
+    epoch start; the choice alpha at the last slot ends the epoch in mode
+    xi + alpha. Returns eta with shape (n_bh_states, K); rows sum to 1.
+    Raises InfeasibleAction if the policy proceeds where the battery
+    cannot pay for the next mode.
     """
     actions = np.asarray(policy.actions)
-    k = env.n_modes
-    t = env.epoch.T
-    n_bh = env.n_states
-    expected = n_bh * k * t
-    if len(actions) != expected:
+    k, t, n_bh = env.n_modes, env.epoch.T, env.n_states
+    n = n_bh * k * t
+    if len(actions) != n:
         raise IncompatibleController("incremental policy table size mismatch")
-    n = n_bh * k
-
-    def step_matrix(tau, final):
-        mat = np.zeros((n, k) if final else (n, n))
-        for xi in range(k):
-            rows = np.arange(n_bh) * k + xi
-            idx = np.array(
-                [mdp_mod.inc_state_index(env, s // env.chain.n, s % env.chain.n, xi, tau)
-                 for s in range(n_bh)]
-            )
-            alphas = actions[idx]
-            for alpha in (0, 1):
-                sel = np.flatnonzero(alphas == alpha)
-                if len(sel) == 0:
-                    continue
-                if final:
-                    mat[rows[sel], xi + alpha] = 1.0
-                else:
-                    cost = env.battery.cost[xi + alpha] - env.battery.cost[xi]
-                    slot = env.slot_kernel(cost)
-                    cols = np.arange(n_bh) * k + (xi + alpha)
-                    mat[np.ix_(rows[sel], cols)] = slot[sel]
-        return mat
-
-    dist = np.zeros((n_bh, n))
-    dist[np.arange(n_bh), np.arange(n_bh) * k] = 1.0     # start at xi = 0
-    for tau in range(t - 1):
-        dist = dist @ step_matrix(tau, final=False)
-    return dist @ step_matrix(t - 1, final=True)
+    model = mdp_mod.build_inc_iag_mdp(env, np.zeros(k))
+    idx = np.arange(n)
+    bad = np.flatnonzero(~model.feasible[idx, actions])
+    if len(bad):
+        raise InfeasibleAction(f"policy proceeds at {model.state_keys[bad[0]]}")
+    p_pi = model.transition[actions * n + idx]
+    dist = sp.eye_array(n, format="csr")[np.arange(n_bh) * k * t]     # (b, h, 0, 0)
+    for _ in range(t - 1):
+        dist = dist @ p_pi
+    # state index ((b, h) * K + xi) * T + tau
+    bh_xi, tau = np.divmod(idx, t)
+    last = np.flatnonzero(tau == t - 1)
+    final = bh_xi[last] % k + actions[last]
+    return dist[:, last].toarray() @ np.eye(k)[final]
 
 
 def exit_probability_oracle(solution, dataset):
@@ -319,10 +309,9 @@ def exit_probability_oracle(solution, dataset):
     env = solution.env
     b, h = np.divmod(np.arange(env.n_states), env.n_h)
     choice = oracle_mod.oracle_choice(solution, b, h, dataset.z[:, None, :])    # (D, S)
-    eta = np.zeros((env.n_states, env.n_modes))
-    for s in range(env.n_states):
-        eta[s] = np.bincount(choice[:, s], minlength=env.n_modes)
-    return eta / len(dataset)
+    counts = np.bincount((env.n_modes * np.arange(env.n_states) + choice).ravel(),
+                         minlength=env.n_states * env.n_modes)
+    return counts.reshape(env.n_states, env.n_modes) / len(dataset)
 
 
 def exit_probability_mms(policy, env):

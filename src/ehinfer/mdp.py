@@ -344,6 +344,15 @@ def dominance_margin(env, rho, eps=1e-9):
     """
     v_mms, _ = value_iteration(build_mms_mdp(env, rho), eps=eps)
     v_inc, _ = value_iteration(build_inc_iag_mdp(env, rho), eps=eps)
+    return epoch_start_margin(env, v_inc, v_mms)
+
+
+def epoch_start_margin(env, v_inc, v_mms):
+    """min over (b,h) of V_inc(b,h,0,0) - gamma_slot**(T-1) * V_mms(b,h).
+
+    v_inc and v_mms are the ValueTables of the incremental and one-shot
+    confidence-blind models of env.
+    """
     scale = env.epoch.discount_slot ** (env.epoch.T - 1)
     # (b, h) epoch starts in state order: every (n_modes * T)-th incremental state
     v_start = v_inc.values[::env.n_modes * env.epoch.T]

@@ -5,9 +5,11 @@ import os
 import numpy as np
 import pytest
 
+from ehinfer import mdp as mdp_mod
 from ehinfer.cli import main
 from ehinfer.confidence import load_jsonl
 from ehinfer.env import two_state_env
+from ehinfer.mdp import dominance_margin
 
 
 @pytest.fixture()
@@ -95,6 +97,31 @@ class TestSolve:
         assert report["monotone"] is True
         assert report["superadditive"] is True
         assert report["kind"] == "mms"
+
+    def test_inc_iag_builds_and_solves_its_model_once(self, sandbox, monkeypatch):
+        # the dominance margin reuses the values of the policy's own solve
+        calls = {"build": 0, "solve": []}
+        build, solve = mdp_mod.build_inc_iag_mdp, mdp_mod.value_iteration
+
+        def counted_build(*args, **kwargs):
+            calls["build"] += 1
+            return build(*args, **kwargs)
+
+        def counted_solve(mdp, *args, **kwargs):
+            calls["solve"].append(mdp.n_actions)
+            return solve(mdp, *args, **kwargs)
+
+        monkeypatch.setattr(mdp_mod, "build_inc_iag_mdp", counted_build)
+        monkeypatch.setattr(mdp_mod, "value_iteration", counted_solve)
+        rc = main(["solve", "--kind", "inc-iag", "--env", "env.json",
+                   "--rho", "0.005,0.53,0.69,0.83", "--out", "iag.json"])
+        assert rc == 0
+        # one incremental (pause/proceed) solve, one one-shot (K modes) solve
+        assert calls == {"build": 1, "solve": [2, 4]}
+        report = json.loads((sandbox / "iag.json.report.json").read_text())
+        env = two_state_env(0.9, 0.5, 0.8, 0.0, b_max=3)
+        assert report["dominance_margin"] == dominance_margin(
+            env, np.array([0.005, 0.53, 0.69, 0.83]), eps=1e-6)
 
     def test_rho_list_alternative(self, sandbox):
         rc = main(["solve", "--kind", "mms", "--env", "env.json",
@@ -249,6 +276,18 @@ class TestExitProbs:
         for probs in per_state.values():
             assert sum(probs) == pytest.approx(1.0)
             assert sorted(set(probs)) in ([0.0, 1.0], [1.0])
+
+    def test_infeasible_proceed_is_input_error(self, sandbox, capsys):
+        ds = gen(sandbox)
+        main(["solve", "--kind", "inc-iag", "--env", "env.json",
+              "--dataset", str(ds), "--out", "iag.json"])
+        payload = json.loads((sandbox / "iag.json").read_text())
+        payload["policy"]["b=0,h=B,xi=0,tau=0"] = 1     # no energy to proceed
+        (sandbox / "bad.json").write_text(json.dumps(payload))
+        assert main(["exit-probs", "--env", "env.json", "--controller", "inc-iag",
+                     "--policy", "bad.json", "--out", "eta.csv"]) == 2
+        assert "b=0,h=B,xi=0,tau=0" in capsys.readouterr().err
+        assert not (sandbox / "eta.csv").exists()
 
     def test_incompatible_policy_is_input_error(self, sandbox):
         ds = gen(sandbox)

@@ -208,6 +208,22 @@ class TestJsonl:
         assert np.allclose(back.logits, ds.logits)
         assert np.array_equal(back.labels, ds.labels)
 
+    @pytest.mark.parametrize("with_logits", [True, False])
+    def test_bytes_match_per_element_writer(self, tmp_path, with_logits):
+        ds = generate_synthetic(np.random.default_rng(7), default_spec(), 32,
+                                with_logits=with_logits)
+        path = tmp_path / "ds.jsonl"
+        save_jsonl(ds, path)
+        lines = []
+        for i in range(len(ds)):
+            row = {"z": [float(v) for v in ds.z[i]],
+                   "correct": [int(v) for v in ds.correct[i]]}
+            if with_logits:
+                row["logits"] = [[float(v) for v in vec] for vec in ds.logits[i]]
+                row["label"] = int(ds.labels[i])
+            lines.append(json.dumps(row) + "\n")
+        assert path.read_text() == "".join(lines)
+
     def test_roundtrip_without_logits(self, tmp_path):
         ds = generate_synthetic(np.random.default_rng(6), default_spec(), 16)
         path = tmp_path / "ds.jsonl"

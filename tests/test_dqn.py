@@ -8,6 +8,7 @@ from ehinfer.dqn import (Adam, DimensionMismatch, QNetwork, ReplayBuffer,
                          mac_count, os_input_dim, save_checkpoint, save_curve,
                          td_loss_and_grads, train)
 from ehinfer.env import two_state_env
+from ehinfer.harness import IncDqnController, OsDqnController, simulate
 
 
 def tiny_net():
@@ -221,6 +222,17 @@ class TestTraining:
         _, curve = train(env, ds, self.smoke_cfg("oneshot"))
         assert [row[0] for row in curve] == [400]
         assert 0.0 <= curve[0][1] <= 1.0
+
+    @pytest.mark.parametrize("mode,controller", [("incremental", IncDqnController),
+                                                 ("oneshot", OsDqnController)])
+    def test_eval_is_one_simulated_episode(self, setup, mode, controller):
+        env, ds = setup
+        cfg = self.smoke_cfg(mode)
+        net, curve = train(env, ds, cfg)
+        eval_seed = int(np.random.default_rng(cfg.seed).integers(2**31))
+        (result,) = simulate(controller(net, env), env, ds, 1, cfg.eval_epochs,
+                             eval_seed + cfg.total_steps)
+        assert curve[-1][1] == result.accuracy
 
     def test_config_validation(self):
         with pytest.raises(ValueError):

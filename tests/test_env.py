@@ -135,6 +135,23 @@ class TestKernels:
         with pytest.raises(InfeasibleAction):
             epoch_distribution(env, 3, 2, 0)   # cost 3 > battery 2
 
+    @pytest.mark.parametrize("kind", ["slot_kernel", "epoch_kernel"])
+    def test_cached_kernels_are_read_only(self, kind):
+        # every model of the env reads the cached array, so a write must fail
+        env = fig5_env(3)
+        ker = getattr(env, kind)(1)
+        assert getattr(env, kind)(1) is ker
+        with pytest.raises(ValueError):
+            ker[0, 0] += 5
+        assert np.abs(getattr(env, kind)(1).sum(axis=1) - 1).max() <= 1e-9
+
+    def test_cached_epoch_kernel_matches_fresh_build(self):
+        # slot kernels of the same index are cached first: the keys must not collide
+        env = two_state_env(0.7, 0.3, 0.6, 0.2, b_max=3)
+        for a in range(env.n_modes):
+            env.slot_kernel(a)
+            assert np.array_equal(env.epoch_kernel(a), epoch_kernel(env, a))
+
 
 class TestConfigs:
     def test_cost_must_start_at_zero(self):

@@ -5,7 +5,7 @@ from ehinfer import mdp as mdp_mod
 from ehinfer.confidence import (SyntheticSpec, default_spec, exit_accuracy,
                                 generate_synthetic)
 from ehinfer.dqn import QNetwork
-from ehinfer.env import two_state_env
+from ehinfer.env import InfeasibleAction, two_state_env
 from ehinfer.harness import (FixedModeController, IncDqnController,
                              IncTableController, IncompatibleController,
                              MmsController, OracleController, OsDqnController,
@@ -17,7 +17,8 @@ from ehinfer.harness import (FixedModeController, IncDqnController,
                              write_eta_csv, write_results_csv)
 from ehinfer.mdp import (PolicyTable, build_inc_iag_mdp, build_mms_mdp,
                          inc_state_index, policy_iteration, value_iteration)
-from ehinfer.oracle import solve_oracle
+from ehinfer.oracle import oracle_choice, solve_oracle
+from test_mdp import REFERENCE_ENVS, RHO
 
 
 @pytest.fixture(scope="module")
@@ -27,6 +28,53 @@ def dataset():
 
 def fig_env(**kw):
     return two_state_env(0.9, 0.5, 0.8, 0.0, **kw)
+
+
+def reference_exit_probability_matrix(policy, env):
+    """Reference: the slot chain over (b, h, xi) rebuilt from the slot kernels.
+
+    A proceed the battery cannot pay for is charged anyway (the battery
+    clips at 0); the library rejects such policies instead.
+    """
+    actions = np.asarray(policy.actions)
+    k, t, n_bh = env.n_modes, env.epoch.T, env.n_states
+    n = n_bh * k
+
+    def step_matrix(tau, final):
+        mat = np.zeros((n, k) if final else (n, n))
+        for xi in range(k):
+            rows = np.arange(n_bh) * k + xi
+            idx = np.array([inc_state_index(env, s // env.chain.n, s % env.chain.n, xi, tau)
+                            for s in range(n_bh)])
+            alphas = actions[idx]
+            for alpha in (0, 1):
+                sel = np.flatnonzero(alphas == alpha)
+                if len(sel) == 0:
+                    continue
+                if final:
+                    mat[rows[sel], xi + alpha] = 1.0
+                else:
+                    cost = env.battery.cost[xi + alpha] - env.battery.cost[xi]
+                    cols = np.arange(n_bh) * k + (xi + alpha)
+                    mat[np.ix_(rows[sel], cols)] = env.slot_kernel(cost)[sel]
+        return mat
+
+    dist = np.zeros((n_bh, n))
+    dist[np.arange(n_bh), np.arange(n_bh) * k] = 1.0     # start at xi = 0
+    for tau in range(t - 1):
+        dist = dist @ step_matrix(tau, final=False)
+    return dist @ step_matrix(t - 1, final=True)
+
+
+def reference_exit_probability_oracle(solution, dataset):
+    """Reference: one bincount per state."""
+    env = solution.env
+    b, h = np.divmod(np.arange(env.n_states), env.n_h)
+    choice = oracle_choice(solution, b, h, dataset.z[:, None, :])
+    eta = np.zeros((env.n_states, env.n_modes))
+    for s in range(env.n_states):
+        eta[s] = np.bincount(choice[:, s], minlength=env.n_modes)
+    return eta / len(dataset)
 
 
 def always_proceed_policy(env):
@@ -202,6 +250,23 @@ class TestExitProbabilities:
             assert np.all(np.abs(mc - eta[env.state_index(b, h)])
                           <= 3 * sigma + 1e-3)
 
+    @pytest.mark.parametrize("env", REFERENCE_ENVS, ids=lambda e: e.fingerprint())
+    def test_matrix_matches_reference(self, env):
+        _, pol = value_iteration(build_inc_iag_mdp(env, RHO[:env.n_modes]), eps=1e-8)
+        for policy in (pol, always_proceed_policy(env)):
+            eta = exit_probability_matrix(policy, env)
+            ref = reference_exit_probability_matrix(policy, env)
+            assert np.abs(eta - ref).max() <= 1e-12
+
+    def test_infeasible_proceed_rejected(self):
+        # proceeding from xi=0 at b=0 would be charged to an empty battery
+        env = fig_env(b_max=3)
+        actions = always_proceed_policy(env).actions.copy()
+        actions[inc_state_index(env, 0, 1, 0, 0)] = 1
+        bad = PolicyTable(actions=actions, state_keys=mdp_mod.inc_state_keys(env))
+        with pytest.raises(InfeasibleAction, match="b=0,h=B,xi=0,tau=0"):
+            exit_probability_matrix(bad, env)
+
     def test_mms_one_hot(self, dataset):
         env = fig_env(b_max=4)
         _, pol = policy_iteration(build_mms_mdp(env, exit_accuracy(dataset)))
@@ -218,6 +283,7 @@ class TestExitProbabilities:
         assert eta[env.state_index(0, 0), 0] == 1.0
         # a full battery should hardly ever take the blind guess
         assert eta[env.state_index(5, 0), 0] < 0.05
+        assert np.array_equal(eta, reference_exit_probability_oracle(sol, dataset))
 
 
 class TestSweep:
