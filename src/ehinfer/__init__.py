@@ -11,7 +11,6 @@ probabilities, and parameter sweeps; `cli` the command line front end.
 from .env import (
     ArrivalModel,
     BatteryConfig,
-    EnvState,
     EpochConfig,
     HarvestChain,
     HarvestEnvironment,
@@ -38,8 +37,6 @@ from .confidence import (
 from .mdp import (
     FiniteMdp,
     NotConverged,
-    PolicyTable,
-    QTable,
     ValueTable,
     build_inc_iag_mdp,
     build_mms_mdp,
@@ -48,6 +45,7 @@ from .mdp import (
     dominance_margin,
     evaluate_policy,
     policy_iteration,
+    state_keys,
     value_iteration,
 )
 from .oracle import (

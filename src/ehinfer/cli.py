@@ -175,7 +175,7 @@ def cmd_solve(args):
             qt = mdp_mod.q_table(m, vt)
             ok_m, where = mdp_mod.check_monotone(pol, env)
             ok_s, worst = mdp_mod.check_superadditive(qt, env)
-            mdp_mod.save_policy(pol, args.out, meta=dict(meta, source=src))
+            mdp_mod.save_policy(pol, args.out, env, False, meta=dict(meta, source=src))
             report.update({
                 "iterations": vt.iterations,
                 "monotone": bool(ok_m),
@@ -192,7 +192,7 @@ def cmd_solve(args):
             # the dominance margin compares against the one-shot model's values
             v_mms, _ = mdp_mod.value_iteration(
                 mdp_mod.build_mms_mdp(env, rho), eps=args.eps)
-            mdp_mod.save_policy(pol, args.out, meta=dict(meta, source=src))
+            mdp_mod.save_policy(pol, args.out, env, True, meta=dict(meta, source=src))
             report.update({
                 "iterations": vt.iterations,
                 "residual_final": vt.residuals[-1] if vt.residuals else 0.0,
@@ -202,6 +202,8 @@ def cmd_solve(args):
         raise
     except (NonErgodicChain, mdp_mod.SingularEvaluation, RuntimeError) as ex:
         raise CliExit(EXIT_SOLVER, f"solver failed: {ex}")
+    except ValueError as ex:
+        raise CliExit(EXIT_INPUT, f"solve rejected: {ex}")
     _write_json(report, args.out + ".report.json")
     line = ", ".join(f"{k}={report[k]}" for k in sorted(report)
                      if k not in ("env_fingerprint", "dataset_fingerprint"))
@@ -256,9 +258,10 @@ def _build_controller(args, env, ds):
     kind = args.controller
     need = lambda attr, flag: getattr(args, attr) or _missing_flag(flag, kind)
     if kind == "mms":
-        return harness.MmsController(_load_policy(need("policy", "--policy"), env), env)
+        return harness.MmsController(_load_policy(need("policy", "--policy"), env, False), env)
     if kind == "inc-iag":
-        return harness.IncTableController(_load_policy(need("policy", "--policy"), env), env)
+        return harness.IncTableController(
+            _load_policy(need("policy", "--policy"), env, True), env)
     if kind == "oracle":
         sol = _load_solution(need("solution", "--solution"), env, ds)
         return harness.OracleController(sol, env)
@@ -288,12 +291,12 @@ def _check_env_binding(path, meta, env):
                                   f"not {env.fingerprint()}")
 
 
-def _load_policy(path, env):
+def _load_policy(path, env, incremental):
     if not os.path.isfile(path):
         raise CliExit(EXIT_MISSING, f"missing policy artifact: {path}")
     try:
-        pol, meta = mdp_mod.load_policy(path)
-    except (ValueError, KeyError, json.JSONDecodeError) as ex:
+        pol, meta = mdp_mod.load_policy(path, env, incremental)
+    except (ValueError, KeyError, TypeError, json.JSONDecodeError) as ex:
         raise CliExit(EXIT_INPUT, f"{path}: bad policy file ({ex})")
     _check_env_binding(path, meta, env)
     return pol
@@ -402,10 +405,10 @@ def cmd_exit_probs(args):
     meta = {"controller": kind, "env_fingerprint": env.fingerprint()}
     try:
         if kind == "mms":
-            pol = _load_policy(args.policy or _missing_flag("--policy", kind), env)
+            pol = _load_policy(args.policy or _missing_flag("--policy", kind), env, False)
             eta = harness.exit_probability_mms(pol, env)
         elif kind == "inc-iag":
-            pol = _load_policy(args.policy or _missing_flag("--policy", kind), env)
+            pol = _load_policy(args.policy or _missing_flag("--policy", kind), env, True)
             eta = harness.exit_probability_matrix(pol, env)
         elif kind == "oracle":
             if args.dataset is None:
@@ -435,7 +438,7 @@ def cmd_exit_probs(args):
     except CliExit:
         raise
     except (harness.IncompatibleController, ValueError, IndexError) as ex:
-        raise CliExit(EXIT_INPUT, f"artifact does not fit the environment: {ex}")
+        raise CliExit(EXIT_INPUT, f"exit-probs rejected: {ex}")
     harness.write_eta_csv(eta, env, args.out, meta=meta)
     print(f"wrote {args.out}: {eta.shape[0]} states x {eta.shape[1]} modes")
     return 0

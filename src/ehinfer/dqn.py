@@ -251,9 +251,12 @@ class TrainConfig:
         if self.mode not in ("incremental", "oneshot"):
             raise ValueError("mode must be 'incremental' or 'oneshot'")
         for name in ("lr", "batch_size", "buffer_capacity", "target_sync",
-                     "eps_decay_steps", "total_steps"):
+                     "eps_decay_steps", "total_steps", "train_every", "eval_every",
+                     "eval_epochs"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
+        if self.warmup < 0:
+            raise ValueError("warmup must be nonnegative")
         if not (0 <= self.eps_end <= self.eps_start <= 1):
             raise ValueError("need 0 <= eps_end <= eps_start <= 1")
 

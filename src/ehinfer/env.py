@@ -140,14 +140,6 @@ class EpochConfig:
 
 
 @dataclass(frozen=True)
-class EnvState:
-    """Joint battery level and environment-state index."""
-
-    b: int
-    h: int
-
-
-@dataclass(frozen=True)
 class HarvestEnvironment:
     """Bundle of chain, arrivals, battery, and epoch configuration.
 
@@ -196,17 +188,6 @@ class HarvestEnvironment:
 
     def state_index(self, b, h):
         return b * self.chain.n + h
-
-    def state_of(self, index):
-        return EnvState(b=index // self.chain.n, h=index % self.chain.n)
-
-    def state_labels(self):
-        """(b, h-label) pairs in state-index order."""
-        return [
-            (b, self.chain.states[h])
-            for b in range(self.battery.b_max + 1)
-            for h in range(self.chain.n)
-        ]
 
     def _kernel(self, key, build):
         """Kernel built once per environment and handed out read-only."""

@@ -1,9 +1,10 @@
 """Simulation, metrics, exit-selection analyses, and parameter sweeps.
 
-Controllers are thin adapters around solved policies, oracle solutions, or
-trained networks, exposing either a per-epoch mode choice (one-shot) or a
-per-slot pause/proceed choice (incremental); they decide for arrays of
-states, one entry per episode. The simulator pre-draws all environment
+Controllers are thin adapters around solved policies (arrays of action
+indices in state-index order), oracle solutions, or trained networks,
+exposing either a per-epoch mode choice (one-shot) or a per-slot
+pause/proceed choice (incremental); they decide for arrays of states, one
+entry per episode. The simulator pre-draws all environment
 randomness per episode so different controllers evaluated under the same
 seed face identical arrival and environment-state paths, then steps every
 episode together; DQN training evaluates its network through the same
@@ -41,9 +42,9 @@ class MmsController:
     incremental = False
 
     def __init__(self, policy, env):
-        if len(policy.actions) != env.n_states:
+        if len(policy) != env.n_states:
             raise IncompatibleController("policy table size does not match environment")
-        self.actions = np.asarray(policy.actions)
+        self.actions = np.asarray(policy)
         self.env = env
         self.n_modes = env.n_modes
 
@@ -75,10 +76,9 @@ class IncTableController:
     incremental = True
 
     def __init__(self, policy, env):
-        expected = env.n_states * env.n_modes * env.epoch.T
-        if len(policy.actions) != expected:
+        if len(policy) != env.n_states * env.n_modes * env.epoch.T:
             raise IncompatibleController("incremental policy table size mismatch")
-        self.actions = np.asarray(policy.actions)
+        self.actions = np.asarray(policy)
         self.env = env
         self.n_modes = env.n_modes
 
@@ -223,8 +223,10 @@ def simulate(controller, env, dataset, episodes, epochs, seed):
     e sees the same environment randomness no matter which controller is
     being evaluated. Each episode draws its record indices, weather and
     arrival uniforms, decision uniforms and start weather state in that
-    order; all episodes then advance together (see _rollout).
+    order; all episodes then advance together (see _rollout). Raises
+    ValueError unless episodes and epochs are at least 1.
     """
+    _check_counts(episodes=episodes, epochs=epochs)
     if dataset.n_exits != env.n_modes:
         raise IncompatibleController(
             f"dataset has {dataset.n_exits} exits, environment {env.n_modes} modes"
@@ -262,6 +264,12 @@ def simulate(controller, env, dataset, episodes, epochs, seed):
     ]
 
 
+def _check_counts(**counts):
+    for name, n in counts.items():
+        if n < 1:
+            raise ValueError(f"{name} must be at least 1, got {n}")
+
+
 def aggregate_accuracy(results):
     """Mean accuracy and normal-approximation 95% interval over episodes."""
     accs = np.array([r.accuracy for r in results])
@@ -279,29 +287,30 @@ def exit_probability_matrix(policy, env):
     Walks the policy's rows of the IncIAgEE slot chain (the rows
     evaluate_policy solves with) for T - 1 slots from every (b, h, 0, 0)
     epoch start; the choice alpha at the last slot ends the epoch in mode
-    xi + alpha. Returns eta with shape (n_bh_states, K); rows sum to 1.
-    Raises InfeasibleAction if the policy proceeds where the battery
-    cannot pay for the next mode.
+    xi + alpha. policy is an action per incremental state. Returns eta
+    with shape (n_bh_states, K); rows sum to 1. Raises InfeasibleAction if
+    the policy proceeds where the battery cannot pay for the next mode.
     """
-    actions = np.asarray(policy.actions)
-    k, t, n_bh = env.n_modes, env.epoch.T, env.n_states
-    n = n_bh * k * t
+    actions = np.asarray(policy)
+    k, t = env.n_modes, env.epoch.T
+    n = env.n_states * k * t
     if len(actions) != n:
         raise IncompatibleController("incremental policy table size mismatch")
     model = mdp_mod.build_inc_iag_mdp(env, np.zeros(k))
     idx = np.arange(n)
     bad = np.flatnonzero(~model.feasible[idx, actions])
     if len(bad):
-        raise InfeasibleAction(f"policy proceeds at {model.state_keys[bad[0]]}")
+        raise InfeasibleAction(f"policy proceeds at {mdp_mod.state_keys(env, True)[bad[0]]}")
     p_pi = model.transition[actions * n + idx]
-    dist = sp.eye_array(n, format="csr")[np.arange(n_bh) * k * t]     # (b, h, 0, 0)
+    b, h = np.divmod(np.arange(env.n_states), env.n_h)
+    dist = sp.eye_array(n, format="csr")[mdp_mod.inc_state_index(env, b, h, 0, 0)]
     for _ in range(t - 1):
         dist = dist @ p_pi
-    # state index ((b, h) * K + xi) * T + tau
-    bh_xi, tau = np.divmod(idx, t)
-    last = np.flatnonzero(tau == t - 1)
-    final = bh_xi[last] % k + actions[last]
-    return dist[:, last].toarray() @ np.eye(k)[final]
+    # the last slot of every (b, h, xi), and the mode each one ends the epoch in
+    xi = np.arange(k)
+    last = mdp_mod.inc_state_index(env, b[:, None], h[:, None], xi, t - 1)     # (n_bh, K)
+    final = xi + actions[last]
+    return dist[:, last.ravel()].toarray() @ np.eye(k)[final.ravel()]
 
 
 def exit_probability_oracle(solution, dataset):
@@ -317,12 +326,13 @@ def exit_probability_oracle(solution, dataset):
 def exit_probability_mms(policy, env):
     """One-hot exit distribution of a one-shot confidence-blind policy."""
     eta = np.zeros((env.n_states, env.n_modes))
-    eta[np.arange(env.n_states), np.asarray(policy.actions)] = 1.0
+    eta[np.arange(env.n_states), np.asarray(policy)] = 1.0
     return eta
 
 
 def exit_probability_mc(controller, env, dataset, start, rollouts, seed):
     """Monte Carlo single-epoch exit distribution from a fixed (b, h)."""
+    _check_counts(rollouts=rollouts)
     rng = np.random.default_rng(seed)
     t_slots = env.epoch.T
     rec_idx = rng.integers(len(dataset), size=(rollouts, 1))
@@ -354,6 +364,7 @@ class SweepGrid:
         for name in ("p_g", "p_b", "pe_g", "pe_b", "b_max", "seeds"):
             if len(getattr(self, name)) == 0:
                 raise ValueError(f"{name} must be nonempty")
+        _check_counts(episodes=self.episodes, epochs=self.epochs)
 
     def cells(self):
         return list(product(self.p_g, self.p_b, self.pe_g, self.pe_b, self.b_max))
@@ -488,11 +499,10 @@ def write_eta_csv(eta, env, path, meta=None):
         for key, val in (meta or {}).items():
             fh.write(f"# {key}={val}\n")
         fh.write("b,h,k,eta\n")
-        for s in range(env.n_states):
-            state = env.state_of(s)
-            label = env.chain.states[state.h]
-            for k in range(env.n_modes):
-                fh.write(f"{state.b},{label},{k},{eta[s, k]:.10g}\n")
+        for b in range(env.battery.b_max + 1):
+            for h, label in enumerate(env.chain.states):
+                for k, p in enumerate(eta[env.state_index(b, h)]):
+                    fh.write(f"{b},{label},{k},{p:.10g}\n")
 
 
 def config_fingerprint(payload):

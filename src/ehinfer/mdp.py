@@ -6,6 +6,11 @@ mode's average accuracy. The incremental MDP has state (b, h, xi, tau) and
 decides pause/proceed each slot, earning the accuracy of the reached mode
 at the last slot of the epoch. Both are confidence-blind: rewards are
 average accuracies, not per-instance confidences.
+
+Solved tables are plain arrays in state-index order: values (S,), action
+values (S, A) and policies (S,) of action indices. States are named only
+in artifact files, by the keys of `state_keys`; `load_policy` reads each
+action back by its key.
 """
 
 from __future__ import annotations
@@ -48,7 +53,6 @@ class FiniteMdp:
     reward: np.ndarray
     feasible: np.ndarray
     discount: float
-    state_keys: tuple
 
     def __post_init__(self):
         r = np.ascontiguousarray(self.reward, dtype=float)
@@ -74,14 +78,11 @@ class FiniteMdp:
             raise ValueError("feasible transition rows must be stochastic")
         if np.any(r[f] < 0) or np.any(r[f] > 1):
             raise ValueError("feasible rewards must lie in [0, 1]")
-        if len(self.state_keys) != n_s:
-            raise ValueError("state_keys length must match n_states")
         for arr in (t.data, t.indices, t.indptr, r, f):
             arr.setflags(write=False)
         object.__setattr__(self, "transition", t)
         object.__setattr__(self, "reward", r)
         object.__setattr__(self, "feasible", f)
-        object.__setattr__(self, "state_keys", tuple(self.state_keys))
 
     @property
     def n_states(self):
@@ -95,35 +96,8 @@ class FiniteMdp:
 @dataclass(frozen=True)
 class ValueTable:
     values: np.ndarray
-    state_keys: tuple
     residuals: tuple = field(default=(), compare=False)
     iterations: int = field(default=0, compare=False)
-
-    def as_dict(self):
-        return {k: float(v) for k, v in zip(self.state_keys, self.values)}
-
-
-@dataclass(frozen=True)
-class PolicyTable:
-    actions: np.ndarray
-    state_keys: tuple
-
-    def as_dict(self):
-        return {k: int(a) for k, a in zip(self.state_keys, self.actions)}
-
-
-@dataclass(frozen=True)
-class QTable:
-    """Action values with -inf at infeasible pairs."""
-
-    q: np.ndarray
-    state_keys: tuple
-
-    def as_dict(self):
-        return {
-            k: [None if not np.isfinite(v) else float(v) for v in row]
-            for k, row in zip(self.state_keys, self.q)
-        }
 
 
 def _masked_q(mdp, v):
@@ -132,7 +106,8 @@ def _masked_q(mdp, v):
 
 
 def q_table(mdp, values):
-    return QTable(q=_masked_q(mdp, np.asarray(values.values)), state_keys=mdp.state_keys)
+    """Action values (S, A) of a ValueTable, with -inf at infeasible pairs."""
+    return _masked_q(mdp, np.asarray(values.values))
 
 
 def greedy_policy_from_values(mdp, v):
@@ -144,8 +119,9 @@ def value_iteration(mdp, eps=1e-8, max_iter=10**6):
     """Classic value iteration to sup-norm residual eps.
 
     Greedy ties break toward the smallest action index. The residual
-    sequence is recorded on the returned ValueTable. Raises NotConverged
-    when max_iter sweeps do not reach eps.
+    sequence is recorded on the returned ValueTable; the policy is an
+    action index per state. Raises NotConverged when max_iter sweeps do not
+    reach eps.
     """
     if eps <= 0:
         raise ValueError("eps must be positive")
@@ -161,9 +137,8 @@ def value_iteration(mdp, eps=1e-8, max_iter=10**6):
             break
     else:
         raise NotConverged(f"value iteration did not reach eps={eps} in {max_iter} sweeps")
-    policy = np.argmax(_masked_q(mdp, v), axis=1)
-    vt = ValueTable(values=v, state_keys=mdp.state_keys, residuals=tuple(residuals), iterations=it)
-    return vt, PolicyTable(actions=policy, state_keys=mdp.state_keys)
+    vt = ValueTable(values=v, residuals=tuple(residuals), iterations=it)
+    return vt, greedy_policy_from_values(mdp, v)
 
 
 def evaluate_policy(mdp, policy):
@@ -172,8 +147,6 @@ def evaluate_policy(mdp, policy):
     `policy` is an action index per state; only its rows of the transition
     matrix are made dense.
     """
-    if isinstance(policy, PolicyTable):
-        policy = policy.actions
     n = mdp.n_states
     idx = np.arange(n)
     p_pi = mdp.transition[np.asarray(policy) * n + idx].toarray()
@@ -194,22 +167,26 @@ def policy_iteration(mdp, max_iter=10**4):
     policy = np.argmax(mdp.feasible, axis=1)
     for it in range(1, max_iter + 1):
         v = evaluate_policy(mdp, policy)
-        improved = np.argmax(_masked_q(mdp, v), axis=1)
+        improved = greedy_policy_from_values(mdp, v)
         if np.array_equal(improved, policy):
             break
         policy = improved
     else:
         raise NotConverged(f"policy iteration still improving after {max_iter} steps")
-    vt = ValueTable(values=v, state_keys=mdp.state_keys, iterations=it)
-    return vt, PolicyTable(actions=policy, state_keys=mdp.state_keys)
+    return ValueTable(values=v, iterations=it), policy
 
 
-def mms_state_keys(env):
-    return tuple(
-        f"b={b},h={env.chain.states[h]}"
-        for b in range(env.battery.b_max + 1)
-        for h in range(env.chain.n)
-    )
+def state_keys(env, incremental):
+    """Artifact keys of the (b, h) or, if incremental, (b, h, xi, tau) states.
+
+    In state-index order: "b=3,h=G" names (b, h) state env.state_index(3, 0),
+    "b=3,h=G,xi=1,tau=2" incremental state inc_state_index(env, 3, 0, 1, 2).
+    """
+    keys = [f"b={b},h={h}" for b in range(env.battery.b_max + 1) for h in env.chain.states]
+    if not incremental:
+        return keys
+    return [f"{bh},xi={xi},tau={tau}"
+            for bh in keys for xi in range(env.n_modes) for tau in range(env.epoch.T)]
 
 
 def build_mms_mdp(env, rho, gamma=None):
@@ -227,23 +204,12 @@ def build_mms_mdp(env, rho, gamma=None):
     transition = sp.vstack([sp.csr_array(env.epoch_kernel(a)) for a in range(n_a)])
     reward = np.tile(rho, (n_s, 1))
     feasible = env.affordable(np.arange(n_s) // env.n_h)
-    return FiniteMdp(transition, reward, feasible, gamma, mms_state_keys(env))
+    return FiniteMdp(transition, reward, feasible, gamma)
 
 
 def inc_state_index(env, b, h, xi, tau):
-    k, t = env.n_modes, env.epoch.T
-    return ((b * env.chain.n + h) * k + xi) * t + tau
-
-
-def inc_state_keys(env):
-    k, t = env.n_modes, env.epoch.T
-    return tuple(
-        f"b={b},h={env.chain.states[h]},xi={xi},tau={tau}"
-        for b in range(env.battery.b_max + 1)
-        for h in range(env.chain.n)
-        for xi in range(k)
-        for tau in range(t)
-    )
+    """Index of incremental state (b, h, xi, tau); broadcasts over arrays."""
+    return (env.state_index(b, h) * env.n_modes + xi) * env.epoch.T + tau
 
 
 def build_inc_iag_mdp(env, rho, gamma_slot=None):
@@ -259,78 +225,68 @@ def build_inc_iag_mdp(env, rho, gamma_slot=None):
     if rho.shape != (env.n_modes,):
         raise ValueError("rho length must match the number of modes")
     gamma_slot = env.epoch.discount_slot if gamma_slot is None else float(gamma_slot)
-    k, t, n_h = env.n_modes, env.epoch.T, env.chain.n
-    n_bh = (env.battery.b_max + 1) * n_h
-    n_s = n_bh * k * t
+    k, t = env.n_modes, env.epoch.T
+    n_s = env.n_states * k * t
+    b, h = np.divmod(np.arange(env.n_states), env.n_h)
     reward = np.zeros((n_s, 2))
-    feasible = np.zeros((n_s, 2), dtype=bool)
-    bh_rows = np.arange(n_bh)
-    b_of = np.repeat(np.arange(env.battery.b_max + 1), n_h * k * t)
-    xi_of = np.tile(np.repeat(np.arange(k), t), n_bh)
-    feasible[:, 0] = True
-    feasible[:, 1] = env.can_proceed(b_of, xi_of)
-    # infeasible proceed rows are valid dummies: a single 1 on the diagonal
-    is_dummy = ~feasible[:, 1]
-    dummy = np.nonzero(is_dummy)[0]
-    triplets = [(n_s + dummy, dummy, np.ones(len(dummy)))]
-
-    def block(xi, tau):
-        return (bh_rows * k + xi) * t + tau
-
+    feasible = np.ones((n_s, 2), dtype=bool)
+    triplets = []
     for xi in range(k):
+        proceed = env.can_proceed(b, xi)
         for tau in range(t):
-            rows = block(xi, tau)
+            rows = inc_state_index(env, b, h, xi, tau)
+            feasible[rows, 1] = proceed
+            # infeasible proceed rows are valid dummies: a single 1 on the diagonal
+            dummy = rows[~proceed]
+            triplets.append((n_s + dummy, dummy, np.ones(len(dummy))))
             for alpha in (0, 1):
                 if alpha == 1 and xi == k - 1:
                     continue    # already at the deepest mode
                 cost = env.battery.cost[xi + alpha] - env.battery.cost[xi]
                 slot = env.slot_kernel(cost)
                 if tau < t - 1:
-                    cols = block(xi + alpha, tau + 1)
+                    cols = inc_state_index(env, b, h, xi + alpha, tau + 1)
                 else:
-                    cols = block(0, 0)
+                    cols = inc_state_index(env, b, h, 0, 0)
                     reward[rows, alpha] = rho[xi + alpha]
                 i, j = np.nonzero(slot)
-                keep = (alpha == 0) | ~is_dummy[rows[i]]
+                keep = (alpha == 0) | proceed[i]
                 triplets.append((alpha * n_s + rows[i][keep], cols[j][keep], slot[i, j][keep]))
     r, c, p = (np.concatenate(x) for x in zip(*triplets))
     transition = sp.coo_array((p, (r, c)), shape=(2 * n_s, n_s))
-    return FiniteMdp(transition, reward, feasible, gamma_slot, inc_state_keys(env))
+    return FiniteMdp(transition, reward, feasible, gamma_slot)
 
 
 def check_monotone(policy, env):
     """Mode index nondecreasing in battery for each environment state.
 
-    Returns (ok, first_violation) with the violation as (h label, b) where
-    the policy at b+1 drops below the policy at b.
+    policy is a (b, h) action table. Returns (ok, first_violation) with the
+    violation as (h label, b) where the policy at b+1 drops below the
+    policy at b.
     """
-    for h in range(env.chain.n):
-        for b in range(env.battery.b_max):
-            lo = policy.actions[env.state_index(b, h)]
-            hi = policy.actions[env.state_index(b + 1, h)]
-            if hi < lo:
-                return False, (env.chain.states[h], b)
+    dips = np.diff(np.reshape(policy, (env.battery.b_max + 1, env.n_h)), axis=0) < 0
+    h, b = np.nonzero(dips.T)       # ordered by h, then by b
+    if len(h):
+        return False, (env.chain.states[h[0]], int(b[0]))
     return True, None
 
 
-def check_superadditive(qtab, env, tol=1e-9):
+def check_superadditive(q, env, tol=1e-9):
     """Nondecreasing differences of q in (b, a), per environment state.
 
-    Checks q(b2,a2) - q(b2,a1) >= q(b1,a2) - q(b1,a1) for b1 <= b2 and
-    a1 <= a2 both feasible at b1 (costs are nondecreasing, so both stay
-    feasible at b2). Returns (ok, worst_deficit).
+    q is a (b, h) action-value table (S, A). Checks q(b2,a2) - q(b2,a1) >=
+    q(b1,a2) - q(b1,a1) for b1 <= b2 and a1 <= a2 both feasible at b1
+    (costs are nondecreasing, so both stay feasible at b2). Returns
+    (ok, worst_deficit).
     """
     worst = 0.0
-    b_max = env.battery.b_max
-    for h in range(env.chain.n):
-        q_bh = np.array([qtab.q[env.state_index(b, h)] for b in range(b_max + 1)])
-        for b1 in range(b_max + 1):
-            acts = np.flatnonzero(env.affordable(b1))
-            for i, a1 in enumerate(acts):
-                for a2 in acts[i + 1:]:
-                    d1 = q_bh[b1, a2] - q_bh[b1, a1]
-                    d2 = q_bh[b1:, a2] - q_bh[b1:, a1]
-                    worst = max(worst, float((d1 - d2).max()))
+    q = np.reshape(q, (env.battery.b_max + 1, env.n_h, env.n_modes))
+    for b1 in range(env.battery.b_max + 1):
+        acts = np.flatnonzero(env.affordable(b1))
+        for i, a1 in enumerate(acts):
+            for a2 in acts[i + 1:]:
+                d = q[b1:, :, a2] - q[b1:, :, a1]      # (b2 >= b1, h)
+                worst = max(worst, float((d[0] - d).max()))
     return worst <= tol, worst
 
 
@@ -354,40 +310,45 @@ def epoch_start_margin(env, v_inc, v_mms):
     confidence-blind models of env.
     """
     scale = env.epoch.discount_slot ** (env.epoch.T - 1)
-    # (b, h) epoch starts in state order: every (n_modes * T)-th incremental state
-    v_start = v_inc.values[::env.n_modes * env.epoch.T]
+    b, h = np.divmod(np.arange(env.n_states), env.n_h)
+    v_start = v_inc.values[inc_state_index(env, b, h, 0, 0)]
     return float((v_start - scale * v_mms.values).min())
 
 
-def save_policy(policy, path, meta=None):
-    """Policy JSON: metadata plus a state-key -> action-index mapping."""
-    payload = {"meta": dict(meta or {}), "policy": policy.as_dict()}
+def save_policy(policy, path, env, incremental, meta=None):
+    """Policy JSON: metadata plus a state-key -> action-index mapping.
+
+    The keys are state_keys(env, incremental), in state-index order.
+    """
+    keys = state_keys(env, incremental)
+    if len(policy) != len(keys):
+        raise ValueError(f"policy has {len(policy)} states, the environment {len(keys)}")
+    payload = {"meta": dict(meta or {}), "policy": {k: int(a) for k, a in zip(keys, policy)}}
     with open(path, "w") as fh:
         json.dump(payload, fh, indent=1, sort_keys=False)
         fh.write("\n")
 
 
-def load_policy(path):
+def load_policy(path, env, incremental):
+    """Read a save_policy file back as (actions, meta), each action by its key.
+
+    Key order in the file does not matter. Raises ValueError unless the
+    file's keys are exactly state_keys(env, incremental) and every action
+    is a mode (one-shot) or a pause/proceed choice (incremental).
+    """
     with open(path) as fh:
         payload = json.load(fh)
     mapping = payload["policy"]
-    keys = tuple(mapping.keys())
-    actions = np.array([int(mapping[key]) for key in keys], dtype=np.int64)
-    return PolicyTable(actions=actions, state_keys=keys), payload.get("meta", {})
-
-
-def save_values(values, path, meta=None):
-    """Value JSON: metadata plus a state-key -> value mapping."""
-    payload = {"meta": dict(meta or {}), "values": values.as_dict()}
-    with open(path, "w") as fh:
-        json.dump(payload, fh, indent=1, sort_keys=False)
-        fh.write("\n")
-
-
-def load_values(path):
-    with open(path) as fh:
-        payload = json.load(fh)
-    mapping = payload["values"]
-    keys = tuple(mapping.keys())
-    vals = np.array([float(mapping[key]) for key in keys])
-    return ValueTable(values=vals, state_keys=keys), payload.get("meta", {})
+    keys = state_keys(env, incremental)
+    missing = [k for k in keys if k not in mapping]
+    extra = sorted(set(mapping).difference(keys))
+    if missing or extra:
+        kind = "(b, h, xi, tau)" if incremental else "(b, h)"
+        raise ValueError(f"policy keys are not the {kind} states of this environment: "
+                         f"{len(missing)} missing, {len(extra)} unexpected "
+                         f"(first {(missing or extra)[0]!r})")
+    actions = np.array([int(mapping[k]) for k in keys], dtype=np.int64)
+    n_actions = 2 if incremental else env.n_modes
+    if np.any((actions < 0) | (actions >= n_actions)):
+        raise ValueError(f"policy actions must lie in 0..{n_actions - 1}")
+    return actions, payload.get("meta", {})

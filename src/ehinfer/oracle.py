@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .confidence import EmptyDataset
-from .mdp import NotConverged
+from .mdp import NotConverged, state_keys
 
 
 @dataclass(frozen=True)
@@ -194,17 +194,8 @@ def region_inequalities(z, b, h, solution, j):
     return lhs[keep] >= rhs[keep] - 1e-12
 
 
-def oracle_policy(solution):
-    """Deterministic callable policy (EnvState, z) -> mode index."""
-
-    def policy(state, z):
-        return region_of(z, state.b, state.h, solution)
-
-    return policy
-
-
 def save_solution(solution, path, meta=None):
-    keys = [f"b={b},h={lab}" for b, lab in solution.env.state_labels()]
+    keys = state_keys(solution.env, incremental=False)
     payload = {
         "meta": dict(meta or {}),
         "gamma": solution.gamma,
@@ -224,7 +215,6 @@ def load_solution(path, env, dataset_fp=""):
         payload = json.load(fh)
     if payload["env_fingerprint"] != env.fingerprint():
         raise ValueError("environment does not match the stored solution")
-    keys = [f"b={b},h={lab}" for b, lab in env.state_labels()]
-    v = np.array([payload["v_bar"][k] for k in keys])
+    v = np.array([payload["v_bar"][k] for k in state_keys(env, incremental=False)])
     return _solution(env, float(payload["gamma"]), v, (),
                      payload.get("dataset_fingerprint", dataset_fp))

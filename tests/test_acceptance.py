@@ -393,11 +393,6 @@ def toy_obs_mdp(env):
     def idx(b, xi, tau, lvl):
         return ((b * n_xi + xi) * t + tau) * n_lvl + lvl
 
-    keys = tuple(
-        f"b={b},xi={xi},tau={tau},lvl={lvl}"
-        for b in range(n_b) for xi in range(n_xi)
-        for tau in range(t) for lvl in range(n_lvl)
-    )
     trans = np.zeros((2, n, n))
     reward = np.zeros((n, 2))
     feas = np.zeros((n, 2), dtype=bool)
@@ -430,7 +425,7 @@ def toy_obs_mdp(env):
                                     s1 = idx(b1, xi1, tau + 1, l1)
                                 trans[a, s, s1] += 0.5 * p
     mdp = FiniteMdp(transition=trans, reward=reward, feasible=feas,
-                    discount=env.epoch.discount_slot, state_keys=keys)
+                    discount=env.epoch.discount_slot)
     return mdp, idx
 
 

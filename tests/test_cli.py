@@ -8,7 +8,7 @@ import pytest
 from ehinfer import mdp as mdp_mod
 from ehinfer.cli import main
 from ehinfer.confidence import load_jsonl
-from ehinfer.env import two_state_env
+from ehinfer.env import NonErgodicChain, two_state_env
 from ehinfer.mdp import dominance_margin
 
 
@@ -189,6 +189,23 @@ class TestSolve:
         assert main(["solve", "--kind", "mms", "--env", "nope.json",
                      "--rho", "0.1,0.2,0.3,0.4", "--out", "x.json"]) == 2
 
+    @pytest.mark.parametrize("kind", ["inc-iag", "oracle"])
+    @pytest.mark.parametrize("eps", ["0", "-1e-6"])
+    def test_nonpositive_eps_is_input_error(self, sandbox, capsys, kind, eps):
+        ds = gen(sandbox, n=200)
+        assert main(["solve", "--kind", kind, "--env", "env.json", "--dataset", str(ds),
+                     f"--eps={eps}", "--out", "x.json"]) == 2
+        assert "eps must be positive" in capsys.readouterr().err
+
+    def test_non_ergodic_chain_stays_a_solver_failure(self, sandbox, monkeypatch):
+        # NonErgodicChain is a ValueError, but not an input error
+        def refuse(*args, **kwargs):
+            raise NonErgodicChain("chain is reducible or periodic")
+
+        monkeypatch.setattr(mdp_mod, "policy_iteration", refuse)
+        assert main(["solve", "--kind", "mms", "--env", "env.json",
+                     "--rho", "0.005,0.53,0.69,0.83", "--out", "x.json"]) == 3
+
 
 class TestSimulate:
     def test_end_to_end_and_missing_artifact(self, sandbox):
@@ -209,6 +226,16 @@ class TestSimulate:
         body = [l for l in lines if not l.startswith("#")]
         assert body[0].startswith("episode,accuracy")
         assert len(body) == 1 + 2
+
+    @pytest.mark.parametrize("flag", ["--episodes", "--epochs"])
+    def test_zero_count_is_input_error(self, sandbox, flag):
+        ds = gen(sandbox)
+        argv = ["simulate", "--env", "env.json", "--dataset", str(ds),
+                "--controller", "random", "--episodes", "2", "--epochs", "10",
+                "--seed", "0", "--out", "r.csv"]
+        argv[argv.index(flag) + 1] = "0"
+        assert main(argv) == 2
+        assert not (sandbox / "r.csv").exists()
 
     def test_fixed_requires_mode_k(self, sandbox):
         ds = gen(sandbox)
@@ -238,6 +265,13 @@ class TestTrainDqn:
         assert (sandbox / "net.json").is_file()
         curve = (sandbox / "net.json.curve.csv").read_text().splitlines()
         assert curve[-1] == "step,eval_accuracy,loss"
+
+    @pytest.mark.parametrize("flag", ["--eval-every", "--eval-epochs"])
+    def test_zero_evaluation_schedule(self, sandbox, flag):
+        ds = gen(sandbox, n=200)
+        assert main(["train-dqn", "--env", "env.json", "--dataset", str(ds),
+                     "--steps", "100", flag, "0", "--seed", "0",
+                     "--out", "net.json"]) == 4
 
     def test_bad_learning_rate(self, sandbox):
         ds = gen(sandbox, n=200)
@@ -289,6 +323,15 @@ class TestExitProbs:
         assert "b=0,h=B,xi=0,tau=0" in capsys.readouterr().err
         assert not (sandbox / "eta.csv").exists()
 
+    def test_zero_rollouts_is_input_error(self, sandbox):
+        ds = gen(sandbox, n=200)
+        assert main(["train-dqn", "--env", "env.json", "--dataset", str(ds),
+                     "--steps", "0", "--seed", "0", "--out", "net.json"]) == 0
+        assert main(["exit-probs", "--env", "env.json", "--controller", "inc-dqn",
+                     "--checkpoint", "net.json", "--dataset", str(ds),
+                     "--rollouts", "0", "--seed", "0", "--out", "eta.csv"]) == 2
+        assert not (sandbox / "eta.csv").exists()
+
     def test_incompatible_policy_is_input_error(self, sandbox):
         ds = gen(sandbox)
         main(["solve", "--kind", "mms", "--env", "env.json",
@@ -337,6 +380,61 @@ class TestEnvBinding:
         assert "environment" in capsys.readouterr().err
 
 
+class TestPolicyKeys:
+    """Policy artifacts are read by key, not by the order of the file."""
+
+    def _solve_and_sort(self, sandbox, kind):
+        ds = gen(sandbox)
+        assert main(["solve", "--kind", kind, "--env", "env.json",
+                     "--dataset", str(ds), "--out", "p.json"]) == 0
+        payload = json.loads((sandbox / "p.json").read_text())
+        (sandbox / "sorted.json").write_text(json.dumps(payload, sort_keys=True))
+        return ds
+
+    def _simulate(self, ds, kind, policy, out):
+        return main(["simulate", "--env", "env.json", "--dataset", str(ds),
+                     "--controller", kind, "--policy", policy, "--episodes", "3",
+                     "--epochs", "200", "--seed", "4", "--out", out])
+
+    @pytest.mark.parametrize("kind", ["mms", "inc-iag"])
+    def test_sorted_file_simulates_identically(self, sandbox, kind):
+        ds = self._solve_and_sort(sandbox, kind)
+        assert self._simulate(ds, kind, "p.json", "a.csv") == 0
+        assert self._simulate(ds, kind, "sorted.json", "b.csv") == 0
+        assert sha(sandbox / "a.csv") == sha(sandbox / "b.csv")
+        for policy, out in (("p.json", "a_eta.csv"), ("sorted.json", "b_eta.csv")):
+            assert main(["exit-probs", "--env", "env.json", "--controller", kind,
+                         "--policy", policy, "--out", out]) == 0
+        assert sha(sandbox / "a_eta.csv") == sha(sandbox / "b_eta.csv")
+
+    @pytest.mark.parametrize("edit", ["missing", "foreign"])
+    @pytest.mark.parametrize("kind", ["mms", "inc-iag"])
+    def test_key_mismatch_is_input_error(self, sandbox, capsys, kind, edit):
+        ds = self._solve_and_sort(sandbox, kind)
+        payload = json.loads((sandbox / "p.json").read_text())
+        first = next(iter(payload["policy"]))
+        action = payload["policy"].pop(first)
+        if edit == "foreign":
+            payload["policy"][first.replace("h=G", "h=X")] = action
+        (sandbox / "bad.json").write_text(json.dumps(payload))
+        assert self._simulate(ds, kind, "bad.json", "r.csv") == 2
+        assert "policy keys" in capsys.readouterr().err
+        assert not (sandbox / "r.csv").exists()
+
+    @pytest.mark.parametrize("action", [None, 7])
+    def test_bad_action_is_input_error(self, sandbox, action):
+        ds = self._solve_and_sort(sandbox, "mms")
+        payload = json.loads((sandbox / "p.json").read_text())
+        payload["policy"]["b=3,h=G"] = action
+        (sandbox / "bad.json").write_text(json.dumps(payload))
+        assert self._simulate(ds, "mms", "bad.json", "r.csv") == 2
+
+    def test_mms_policy_as_inc_iag_is_input_error(self, sandbox, capsys):
+        ds = self._solve_and_sort(sandbox, "mms")
+        assert self._simulate(ds, "inc-iag", "p.json", "r.csv") == 2
+        assert "policy keys" in capsys.readouterr().err
+
+
 class TestCalibrate:
     def test_fit_needs_logits(self, sandbox):
         ds = gen(sandbox)   # no --logits
@@ -379,3 +477,14 @@ class TestSweep:
         assert main(["sweep", "--grid", str(grid), "--dataset", str(ds),
                      "--kinds", "IncIAwDQN", "--seed", "0",
                      "--out", "rows.csv"]) == 2
+
+    def test_zero_episodes_is_input_error(self, sandbox):
+        ds = gen(sandbox, n=300)
+        grid = sandbox / "grid.json"
+        grid.write_text(json.dumps({
+            "p_g": [0.9], "p_b": [0.5], "pe_g": [0.8], "pe_b": [0.0],
+            "b_max": [2], "episodes": 0, "epochs": 50}))
+        assert main(["sweep", "--grid", str(grid), "--dataset", str(ds),
+                     "--kinds", "RandomFeasible", "--seed", "0",
+                     "--out", "rows.csv"]) == 2
+        assert not (sandbox / "rows.csv").exists()

@@ -242,6 +242,13 @@ class TestTraining:
         with pytest.raises(ValueError):
             TrainConfig(eps_end=0.5, eps_start=0.1)
 
+    @pytest.mark.parametrize("field,value", [
+        ("eval_every", 0), ("eval_epochs", 0), ("train_every", 0), ("warmup", -1)])
+    def test_schedule_validation(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            TrainConfig(**{field: value})
+        TrainConfig(warmup=0)
+
     def test_exit_count_checked(self, setup):
         env, _ = setup
         spec = default_spec()

@@ -1,7 +1,6 @@
 import numpy as np
 import pytest
 
-from ehinfer import mdp as mdp_mod
 from ehinfer.confidence import (SyntheticSpec, default_spec, exit_accuracy,
                                 generate_synthetic)
 from ehinfer.dqn import QNetwork
@@ -15,8 +14,8 @@ from ehinfer.harness import (FixedModeController, IncDqnController,
                              exit_probability_mms, exit_probability_oracle,
                              read_results_csv, simulate, sweep,
                              write_eta_csv, write_results_csv)
-from ehinfer.mdp import (PolicyTable, build_inc_iag_mdp, build_mms_mdp,
-                         inc_state_index, policy_iteration, value_iteration)
+from ehinfer.mdp import (build_inc_iag_mdp, build_mms_mdp, inc_state_index,
+                         policy_iteration, value_iteration)
 from ehinfer.oracle import oracle_choice, solve_oracle
 from test_mdp import REFERENCE_ENVS, RHO
 
@@ -36,7 +35,7 @@ def reference_exit_probability_matrix(policy, env):
     A proceed the battery cannot pay for is charged anyway (the battery
     clips at 0); the library rejects such policies instead.
     """
-    actions = np.asarray(policy.actions)
+    actions = np.asarray(policy)
     k, t, n_bh = env.n_modes, env.epoch.T, env.n_states
     n = n_bh * k
 
@@ -88,7 +87,7 @@ def always_proceed_policy(env):
                     can = (xi < env.n_modes - 1
                            and env.battery.cost[xi + 1] - env.battery.cost[xi] <= b)
                     actions[inc_state_index(env, b, h, xi, tau)] = int(can)
-    return PolicyTable(actions=actions, state_keys=tuple(str(i) for i in range(n)))
+    return actions
 
 
 class TestControllers:
@@ -120,7 +119,7 @@ class TestControllers:
         _, pol = policy_iteration(build_mms_mdp(env, exit_accuracy(dataset)))
         ctrl = MmsController(pol, env)
         for b in range(6):
-            assert ctrl.decide(b, 0, None, 0.5) == pol.actions[env.state_index(b, 0)]
+            assert ctrl.decide(b, 0, None, 0.5) == pol[env.state_index(b, 0)]
 
     def test_oracle_controller_matches_regions(self, dataset):
         env = fig_env(b_max=5)
@@ -167,6 +166,22 @@ class TestIncompatibilities:
     def test_fixed_mode_out_of_range(self):
         with pytest.raises(IncompatibleController):
             FixedModeController(4, fig_env(b_max=5))
+
+    @pytest.mark.parametrize("episodes,epochs", [(0, 10), (1, 0), (-1, 10)])
+    def test_simulate_needs_an_epoch(self, dataset, episodes, epochs):
+        env = fig_env(b_max=3)
+        with pytest.raises(ValueError, match="at least 1"):
+            simulate(RandomFeasibleController(env), env, dataset, episodes, epochs, 0)
+
+    def test_monte_carlo_needs_a_rollout(self, dataset):
+        env = fig_env(b_max=3)
+        with pytest.raises(ValueError, match="rollouts"):
+            exit_probability_mc(RandomFeasibleController(env), env, dataset, (3, 0), 0, 0)
+
+    @pytest.mark.parametrize("field", ["episodes", "epochs"])
+    def test_sweep_grid_needs_an_epoch(self, field):
+        with pytest.raises(ValueError, match=field):
+            SweepGrid(**{field: 0})
 
 
 class TestSimulate:
@@ -261,9 +276,8 @@ class TestExitProbabilities:
     def test_infeasible_proceed_rejected(self):
         # proceeding from xi=0 at b=0 would be charged to an empty battery
         env = fig_env(b_max=3)
-        actions = always_proceed_policy(env).actions.copy()
-        actions[inc_state_index(env, 0, 1, 0, 0)] = 1
-        bad = PolicyTable(actions=actions, state_keys=mdp_mod.inc_state_keys(env))
+        bad = always_proceed_policy(env)
+        bad[inc_state_index(env, 0, 1, 0, 0)] = 1
         with pytest.raises(InfeasibleAction, match="b=0,h=B,xi=0,tau=0"):
             exit_probability_matrix(bad, env)
 

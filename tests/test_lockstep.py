@@ -22,7 +22,6 @@ from ehinfer.harness import (EpisodeResult, FixedModeController, IncDqnControlle
                              IncTableController, MmsController, OracleController,
                              OsDqnController, RandomFeasibleController,
                              exit_probability_mc, simulate)
-from ehinfer.mdp import PolicyTable
 from ehinfer.oracle import solve_oracle
 
 NEAR_TIE = 1e-12
@@ -173,10 +172,9 @@ def every_controller(env, dataset, rng):
     inc_b = np.repeat(b_of, k * t)
     inc_xi = np.tile(np.repeat(np.arange(k), t), n_s)
     inc = env.can_proceed(inc_b, inc_xi) & (rng.random(len(inc_b)) < 0.6)
-    keys = lambda n: tuple(str(i) for i in range(n))
     return [
-        MmsController(PolicyTable(mms, keys(n_s)), env),
-        IncTableController(PolicyTable(inc.astype(np.int64), keys(len(inc))), env),
+        MmsController(mms, env),
+        IncTableController(inc.astype(np.int64), env),
         OracleController(solve_oracle(env, dataset, eps=1e-3), env),
         RandomFeasibleController(env),
         FixedModeController(int(rng.integers(k)), env),

@@ -1,4 +1,5 @@
 import itertools
+import json
 import tracemalloc
 
 import numpy as np
@@ -6,14 +7,12 @@ import pytest
 
 from ehinfer.confidence import default_spec, generate_synthetic, exit_accuracy
 from ehinfer.env import two_state_env
-from ehinfer.mdp import (FiniteMdp, NotConverged, PolicyTable, QTable,
-                         ValueTable, build_inc_iag_mdp, build_mms_mdp,
-                         check_monotone, check_superadditive,
-                         dominance_margin, evaluate_policy,
-                         greedy_policy_from_values, inc_state_index,
-                         load_policy, load_values, mms_state_keys,
-                         policy_iteration, q_table, save_policy, save_values,
-                         value_iteration)
+from ehinfer.mdp import (FiniteMdp, NotConverged, ValueTable,
+                         build_inc_iag_mdp, build_mms_mdp, check_monotone,
+                         check_superadditive, dominance_margin,
+                         evaluate_policy, greedy_policy_from_values,
+                         inc_state_index, load_policy, policy_iteration,
+                         q_table, save_policy, state_keys, value_iteration)
 from test_acceptance import grid_sample, reference_env
 
 RHO = np.array([0.005, 0.53, 0.69, 0.83])
@@ -23,7 +22,7 @@ def single_state_mdp(gamma=0.9, reward=1.0):
     return FiniteMdp(transition=np.ones((1, 1, 1)),
                      reward=np.array([[reward]]),
                      feasible=np.ones((1, 1), dtype=bool),
-                     discount=gamma, state_keys=("s",))
+                     discount=gamma)
 
 
 class TestFiniteMdp:
@@ -36,7 +35,7 @@ class TestFiniteMdp:
         r = np.array([[0.2], [0.9]])
         mdp = FiniteMdp(transition=p, reward=r,
                         feasible=np.ones((2, 1), dtype=bool),
-                        discount=0.8, state_keys=("a", "b"))
+                        discount=0.8)
         expect = np.linalg.solve(np.eye(2) - 0.8 * p[0], r[:, 0])
         vt, _ = value_iteration(mdp, eps=1e-12)
         assert np.allclose(vt.values, expect, atol=1e-9)
@@ -55,29 +54,29 @@ class TestFiniteMdp:
             FiniteMdp(transition=np.full((1, 1, 1), 0.5),
                       reward=np.array([[1.0]]),
                       feasible=np.ones((1, 1), dtype=bool),
-                      discount=0.9, state_keys=("s",))
+                      discount=0.9)
 
     def test_reward_out_of_range_rejected(self):
         with pytest.raises(ValueError):
             FiniteMdp(transition=np.ones((1, 1, 1)),
                       reward=np.array([[1.5]]),
                       feasible=np.ones((1, 1), dtype=bool),
-                      discount=0.9, state_keys=("s",))
+                      discount=0.9)
 
     def test_every_state_needs_a_feasible_action(self):
         with pytest.raises(ValueError):
             FiniteMdp(transition=np.ones((1, 1, 1)),
                       reward=np.array([[1.0]]),
                       feasible=np.zeros((1, 1), dtype=bool),
-                      discount=0.9, state_keys=("s",))
+                      discount=0.9)
 
     def test_greedy_breaks_ties_to_smallest(self):
         p = np.ones((2, 1, 1))
         mdp = FiniteMdp(transition=p, reward=np.array([[0.5, 0.5]]),
                         feasible=np.ones((1, 2), dtype=bool),
-                        discount=0.5, state_keys=("s",))
+                        discount=0.5)
         vt, pol = value_iteration(mdp, eps=1e-10)
-        assert pol.actions[0] == 0
+        assert pol[0] == 0
         assert greedy_policy_from_values(mdp, vt.values)[0] == 0
 
     def test_infeasible_action_never_selected(self):
@@ -85,11 +84,11 @@ class TestFiniteMdp:
         p = np.ones((2, 1, 1))
         feas = np.array([[True, False]])
         mdp = FiniteMdp(transition=p, reward=np.array([[0.1, 1.0]]),
-                        feasible=feas, discount=0.5, state_keys=("s",))
+                        feasible=feas, discount=0.5)
         _, pol = value_iteration(mdp, eps=1e-10)
-        assert pol.actions[0] == 0
+        assert pol[0] == 0
         q = q_table(mdp, value_iteration(mdp, eps=1e-10)[0])
-        assert q.q[0, 1] == -np.inf
+        assert q[0, 1] == -np.inf
 
 
 class TestNotConverged:
@@ -116,7 +115,7 @@ class TestSolverAgreement:
         vt_vi, pol_vi = value_iteration(mdp, eps=1e-10)
         vt_pi, pol_pi = policy_iteration(mdp)
         assert np.allclose(vt_vi.values, vt_pi.values, atol=1e-7)
-        assert np.array_equal(pol_vi.actions, pol_pi.actions)
+        assert np.array_equal(pol_vi, pol_pi)
         assert vt_pi.iterations <= 20
 
 
@@ -131,7 +130,11 @@ class TestMmsMdp:
 
     def test_state_keys_labelled(self):
         env = two_state_env(0.9, 0.5, 0.8, 0.0, b_max=1)
-        assert mms_state_keys(env) == ("b=0,h=G", "b=0,h=B", "b=1,h=G", "b=1,h=B")
+        assert state_keys(env, False) == ["b=0,h=G", "b=0,h=B", "b=1,h=G", "b=1,h=B"]
+        keys = state_keys(env, True)
+        assert len(keys) == 2 * 2 * 4 * 3
+        assert keys[inc_state_index(env, 1, 1, 2, 0)] == "b=1,h=B,xi=2,tau=0"
+        assert keys[inc_state_index(env, 0, 1, 3, 2)] == "b=0,h=B,xi=3,tau=2"
 
     def test_no_arrival_spenddown_matches_enumeration(self):
         # without arrivals the battery decays monotonically; the optimum is
@@ -293,7 +296,7 @@ class TestSparseIncModel:
         # exact ties may break either way under a different summation order
         gap = np.abs(q_ref[:, 1] - q_ref[:, 0])
         decided = ~np.isfinite(gap) | (gap > 1e-12)
-        assert np.array_equal(pol.actions[decided], np.argmax(q_ref, axis=1)[decided])
+        assert np.array_equal(pol[decided], np.argmax(q_ref, axis=1)[decided])
 
     @pytest.mark.parametrize("env", REFERENCE_ENVS, ids=lambda e: e.fingerprint())
     def test_every_row_is_stochastic(self, env):
@@ -320,8 +323,7 @@ class TestStructureChecks:
         for b in range(4):
             for h in range(2):
                 actions[env.state_index(b, h)] = min(b, 3)
-        ok, witness = check_monotone(
-            PolicyTable(actions=actions, state_keys=mms_state_keys(env)), env)
+        ok, witness = check_monotone(actions, env)
         assert ok and witness is None
 
     def test_monotone_flags_planted_dip(self):
@@ -329,8 +331,7 @@ class TestStructureChecks:
         actions = np.zeros(env.n_states, dtype=int)
         actions[env.state_index(1, 1)] = 2
         actions[env.state_index(2, 1)] = 1     # dip: worse mode at more energy
-        ok, witness = check_monotone(
-            PolicyTable(actions=actions, state_keys=mms_state_keys(env)), env)
+        ok, witness = check_monotone(actions, env)
         assert not ok
         assert witness == ("B", 1)   # reported at the lower battery level
 
@@ -341,8 +342,7 @@ class TestStructureChecks:
         # plant it at b=1 vs b=2 so both actions are feasible at the lower b
         q[env.state_index(1, 0), :2] = (0.0, 0.5)
         q[env.state_index(2, 0), :2] = (0.0, 0.1)
-        qt = QTable(q=q, state_keys=mms_state_keys(env))
-        ok, worst = check_superadditive(qt, env)
+        ok, worst = check_superadditive(q, env)
         assert not ok
         assert worst >= 0.4 - 1e-12
 
@@ -354,32 +354,95 @@ class TestStructureChecks:
         assert ok and worst <= 1e-9
 
 
+def rewrite_sorted(src, dst):
+    """The same policy file re-serialized with its keys in sorted order."""
+    with open(src) as fh:
+        payload = json.load(fh)
+    with open(dst, "w") as fh:
+        json.dump(payload, fh, sort_keys=True)
+
+
+def rewrite_policy(src, dst, edit):
+    with open(src) as fh:
+        payload = json.load(fh)
+    edit(payload["policy"])
+    with open(dst, "w") as fh:
+        json.dump(payload, fh)
+
+
 class TestSerialization:
     def test_policy_roundtrip(self, tmp_path):
         env = two_state_env(0.9, 0.5, 0.8, 0.0, b_max=4)
         _, pol = policy_iteration(build_mms_mdp(env, RHO))
         path = tmp_path / "pol.json"
-        save_policy(pol, path, meta={"note": "mms"})
-        back, meta = load_policy(path)
-        assert np.array_equal(back.actions, pol.actions)
-        assert back.state_keys == tuple(pol.state_keys)
+        save_policy(pol, path, env, False, meta={"note": "mms"})
+        back, meta = load_policy(path, env, False)
+        assert np.array_equal(back, pol)
         assert meta["note"] == "mms"
-
-    def test_values_roundtrip(self, tmp_path):
-        env = two_state_env(0.9, 0.5, 0.8, 0.0, b_max=2)
-        vt, _ = value_iteration(build_mms_mdp(env, RHO), eps=1e-9)
-        path = tmp_path / "val.json"
-        save_values(vt, path)
-        back, _ = load_values(path)
-        assert np.allclose(back.values, vt.values, atol=0)
 
     def test_policy_file_is_stable(self, tmp_path):
         env = two_state_env(0.9, 0.5, 0.8, 0.0, b_max=3)
         _, pol = policy_iteration(build_mms_mdp(env, RHO))
         p1, p2 = tmp_path / "a.json", tmp_path / "b.json"
-        save_policy(pol, p1)
-        save_policy(pol, p2)
+        save_policy(pol, p1, env, False)
+        save_policy(pol, p2, env, False)
         assert p1.read_bytes() == p2.read_bytes()
+
+    def test_policy_file_layout(self, tmp_path):
+        # one key per state in state-index order, one space of indent
+        env = two_state_env(0.9, 0.5, 0.8, 0.0, b_max=1)
+        path = tmp_path / "pol.json"
+        save_policy(np.array([0, 0, 1, 0]), path, env, False, meta={"kind": "mms"})
+        assert path.read_text() == (
+            '{\n "meta": {\n  "kind": "mms"\n },\n "policy": {\n'
+            '  "b=0,h=G": 0,\n  "b=0,h=B": 0,\n  "b=1,h=G": 1,\n  "b=1,h=B": 0\n }\n}\n')
+
+    @pytest.mark.parametrize("incremental", [False, True])
+    def test_reordered_keys_load_the_same_policy(self, tmp_path, incremental):
+        env = two_state_env(0.9, 0.5, 0.8, 0.0, b_max=6)
+        build = build_inc_iag_mdp if incremental else build_mms_mdp
+        _, pol = value_iteration(build(env, RHO), eps=1e-8)
+        path, shuffled = tmp_path / "pol.json", tmp_path / "sorted.json"
+        save_policy(pol, path, env, incremental)
+        rewrite_sorted(path, shuffled)
+        assert list(json.loads(shuffled.read_text())["policy"]) != state_keys(env, incremental)
+        assert np.array_equal(load_policy(shuffled, env, incremental)[0], pol)
+
+    @pytest.mark.parametrize("edit", [
+        lambda m: m.pop("b=2,h=B"),
+        lambda m: m.update({"b=7,h=G": 0}),
+        lambda m: m.update({"b=2,h=Q": m.pop("b=2,h=B")}),
+    ], ids=["missing", "extra", "foreign"])
+    def test_key_mismatch_rejected(self, tmp_path, edit):
+        env = two_state_env(0.9, 0.5, 0.8, 0.0, b_max=6)
+        _, pol = policy_iteration(build_mms_mdp(env, RHO))
+        path, bad = tmp_path / "pol.json", tmp_path / "bad.json"
+        save_policy(pol, path, env, False)
+        rewrite_policy(path, bad, edit)
+        with pytest.raises(ValueError, match="policy keys"):
+            load_policy(bad, env, False)
+
+    @pytest.mark.parametrize("incremental,action", [(False, -1), (False, 4), (True, 2)])
+    def test_action_out_of_range_rejected(self, tmp_path, incremental, action):
+        # a negative index would silently pick the last mode in a gather
+        env = two_state_env(0.9, 0.5, 0.8, 0.0, b_max=3)
+        n = len(state_keys(env, incremental))
+        path, bad = tmp_path / "pol.json", tmp_path / "bad.json"
+        save_policy(np.zeros(n, dtype=int), path, env, incremental)
+        key = state_keys(env, incremental)[-1]
+        rewrite_policy(path, bad, lambda m: m.update({key: action}))
+        with pytest.raises(ValueError, match="actions must lie"):
+            load_policy(bad, env, incremental)
+
+    def test_table_kind_must_match(self, tmp_path):
+        env = two_state_env(0.9, 0.5, 0.8, 0.0, b_max=3)
+        _, pol = policy_iteration(build_mms_mdp(env, RHO))
+        path = tmp_path / "pol.json"
+        save_policy(pol, path, env, False)
+        with pytest.raises(ValueError, match="xi, tau"):
+            load_policy(path, env, True)
+        with pytest.raises(ValueError):
+            save_policy(pol, path, env, True)
 
 
 class TestAgainstSampledRho:

@@ -7,7 +7,7 @@ from ehinfer.env import two_state_env
 from ehinfer.mdp import NotConverged
 from ehinfer.oracle import (OracleSolution, approx_operator,
                             build_partition_matrices, dataset_fingerprint,
-                            load_solution, oracle_policy, region_inequalities,
+                            load_solution, oracle_choice, region_inequalities,
                             region_of, save_solution, solve_oracle)
 
 
@@ -148,11 +148,14 @@ class TestRegions:
     def test_empty_battery_claims_mode_zero(self, solution):
         assert region_of((0.0, 1.0, 1.0, 1.0), 0, 0, solution) == 0
 
-    def test_policy_callable(self, solution):
-        pol = oracle_policy(solution)
-        state = type("S", (), {"b": 5, "h": 0})()
+    def test_region_of_matches_batched_choice(self, solution):
+        # one state at a time, region_of picks what the simulator's batched
+        # oracle_choice picks for every (b, h) at once
+        env = solution.env
         z = np.array([0.9, 0.91, 0.92, 0.93])
-        assert pol(state, z) == region_of(z, 5, 0, solution)
+        b, h = np.divmod(np.arange(env.n_states), env.n_h)
+        batched = oracle_choice(solution, b, h, z)
+        assert [region_of(z, bi, hi, solution) for bi, hi in zip(b, h)] == batched.tolist()
 
     @settings(max_examples=30, deadline=None)
     @given(st.lists(st.floats(0.0, 1.0), min_size=4, max_size=4),
