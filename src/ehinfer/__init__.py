@@ -25,7 +25,6 @@ from .env import (
 )
 from .confidence import (
     ConfidenceDataset,
-    ConfidenceRecord,
     SyntheticSpec,
     default_spec,
     distort_calibration,

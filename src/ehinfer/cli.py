@@ -54,33 +54,28 @@ def _resolve_seed(value):
         raise CliExit(EXIT_INPUT, f"EH_INFER_SEED is not an integer: {fallback!r}")
 
 
-def _load_json(path, code):
+def _read_json(path):
+    with open(path) as fh:
+        return json.load(fh)
+
+
+def _read(path, what, parse=_read_json, code=EXIT_INPUT):
+    """parse(path) of an input file: missing exits with `code`, malformed with 2.
+
+    JSON syntax errors are ValueErrors, so they are malformed input too.
+    """
+    if not os.path.isfile(path):
+        raise CliExit(code, f"missing {what} file: {path}")
     try:
-        with open(path) as fh:
-            return json.load(fh)
-    except FileNotFoundError:
-        raise CliExit(code, f"missing input file: {path}")
-    except json.JSONDecodeError as ex:
-        raise CliExit(EXIT_INPUT, f"{path}: not valid JSON ({ex})")
+        return parse(path)
+    except (ValueError, KeyError, TypeError) as ex:
+        raise CliExit(EXIT_INPUT, f"{path}: bad {what} ({ex})")
 
 
 def _load_env(path, gamma=None, code=EXIT_INPUT):
-    cfg = _load_json(path, code)
-    if gamma is not None:
-        cfg = dict(cfg, gamma=gamma)
-    try:
-        return HarvestEnvironment.from_config(cfg)
-    except (KeyError, ValueError, TypeError) as ex:
-        raise CliExit(EXIT_INPUT, f"{path}: bad environment config ({ex})")
-
-
-def _load_dataset(path, code=EXIT_INPUT):
-    if not os.path.isfile(path):
-        raise CliExit(code, f"missing dataset file: {path}")
-    try:
-        return conf.load_jsonl(path)
-    except (ValueError, KeyError, json.JSONDecodeError) as ex:
-        raise CliExit(EXIT_INPUT, f"{path}: bad dataset ({ex})")
+    override = {} if gamma is None else {"gamma": gamma}
+    return _read(path, "environment config", lambda p: HarvestEnvironment.from_config(
+        dict(_read_json(p), **override)), code)
 
 
 def _write_json(payload, path):
@@ -97,7 +92,7 @@ def cmd_gen_data(args):
     if args.n <= 0:
         raise CliExit(EXIT_INPUT, "--n must be a positive record count")
     if args.spec is not None:
-        raw = _load_json(args.spec, EXIT_INPUT)
+        raw = _read(args.spec, "synthetic spec")
         try:
             spec = conf.SyntheticSpec(
                 accuracies=tuple(raw["accuracies"]),
@@ -135,7 +130,8 @@ def cmd_gen_data(args):
 
 def _rho_from_args(args):
     if args.dataset is not None:
-        return conf.exit_accuracy(_load_dataset(args.dataset)), args.dataset
+        ds = _read(args.dataset, "dataset", conf.load_jsonl)
+        return conf.exit_accuracy(ds), args.dataset
     if args.rho is not None:
         try:
             rho = tuple(float(x) for x in args.rho.split(","))
@@ -154,7 +150,7 @@ def cmd_solve(args):
         if args.kind == "oracle":
             if args.dataset is None:
                 raise CliExit(EXIT_INPUT, "kind=oracle requires --dataset")
-            ds = _load_dataset(args.dataset)
+            ds = _read(args.dataset, "dataset", conf.load_jsonl)
             sol = oracle_mod.solve_oracle(env, ds, eps=args.eps)
             oracle_mod.save_solution(sol, args.out, meta={"source": args.dataset})
             res = sol.residuals
@@ -168,8 +164,6 @@ def cmd_solve(args):
             })
         elif args.kind == "mms":
             rho, src = _rho_from_args(args)
-            if len(rho) != env.n_modes:
-                raise CliExit(EXIT_INPUT, "mode accuracy vector length mismatch")
             m = mdp_mod.build_mms_mdp(env, rho)
             vt, pol = mdp_mod.policy_iteration(m)
             qt = mdp_mod.q_table(m, vt)
@@ -185,8 +179,6 @@ def cmd_solve(args):
             })
         else:  # inc-iag
             rho, src = _rho_from_args(args)
-            if len(rho) != env.n_modes:
-                raise CliExit(EXIT_INPUT, "mode accuracy vector length mismatch")
             vt, pol = mdp_mod.value_iteration(
                 mdp_mod.build_inc_iag_mdp(env, rho), eps=args.eps)
             # the dominance margin compares against the one-shot model's values
@@ -217,7 +209,7 @@ def cmd_train_dqn(args):
     seed = _resolve_seed(args.seed)
     _check_writable(args.out)
     env = _load_env(args.env)
-    ds = _load_dataset(args.dataset)
+    ds = _read(args.dataset, "dataset", conf.load_jsonl)
     curve_path = args.curve or args.out + ".curve.csv"
     meta = {
         "mode": args.mode, "seed": seed, "steps": args.steps, "lr": args.lr,
@@ -255,22 +247,25 @@ def cmd_train_dqn(args):
 # ---------------------------------------------------------------- simulate
 
 def _build_controller(args, env, ds):
+    """The controller of --controller, built from its artifact; ds is the dataset."""
     kind = args.controller
-    need = lambda attr, flag: getattr(args, attr) or _missing_flag(flag, kind)
-    if kind == "mms":
-        return harness.MmsController(_load_policy(need("policy", "--policy"), env, False), env)
-    if kind == "inc-iag":
-        return harness.IncTableController(
-            _load_policy(need("policy", "--policy"), env, True), env)
+
+    def artifact(what, parse):
+        path = getattr(args, what) or _missing_flag("--" + what, kind)
+        return _read(path, what, parse, EXIT_MISSING)
+
+    if kind in ("mms", "inc-iag"):
+        inc = kind == "inc-iag"
+        pol = artifact("policy", lambda p: _for_env(p, mdp_mod.load_policy(p, env, inc), env))
+        return (harness.IncTableController if inc else harness.MmsController)(pol, env)
     if kind == "oracle":
-        sol = _load_solution(need("solution", "--solution"), env, ds)
+        fp = oracle_mod.dataset_fingerprint(ds)
+        sol = artifact("solution", lambda p: oracle_mod.load_solution(p, env, dataset_fp=fp))
         return harness.OracleController(sol, env)
-    if kind == "inc-dqn":
-        net = _load_checkpoint(need("checkpoint", "--checkpoint"), env)
-        return harness.IncDqnController(net, env)
-    if kind == "os-dqn":
-        net = _load_checkpoint(need("checkpoint", "--checkpoint"), env)
-        return harness.OsDqnController(net, env)
+    if kind in ("inc-dqn", "os-dqn"):
+        net = artifact("checkpoint", lambda p: _for_env(p, dqn_mod.load_checkpoint(p), env))
+        return (harness.IncDqnController if kind == "inc-dqn" else harness.OsDqnController)(
+            net, env)
     if kind == "random":
         return harness.RandomFeasibleController(env)
     if kind == "fixed":
@@ -284,50 +279,21 @@ def _missing_flag(flag, kind):
     raise CliExit(EXIT_INPUT, f"controller={kind} requires {flag}")
 
 
-def _check_env_binding(path, meta, env):
+def _for_env(path, loaded, env):
+    """The artifact of a loaded (artifact, meta) pair whose meta names env."""
+    artifact, meta = loaded
     found = meta.get("env_fingerprint")
     if found != env.fingerprint():
         raise CliExit(EXIT_INPUT, f"{path}: made for environment {found}, "
                                   f"not {env.fingerprint()}")
-
-
-def _load_policy(path, env, incremental):
-    if not os.path.isfile(path):
-        raise CliExit(EXIT_MISSING, f"missing policy artifact: {path}")
-    try:
-        pol, meta = mdp_mod.load_policy(path, env, incremental)
-    except (ValueError, KeyError, TypeError, json.JSONDecodeError) as ex:
-        raise CliExit(EXIT_INPUT, f"{path}: bad policy file ({ex})")
-    _check_env_binding(path, meta, env)
-    return pol
-
-
-def _load_solution(path, env, ds):
-    if not os.path.isfile(path):
-        raise CliExit(EXIT_MISSING, f"missing solution artifact: {path}")
-    try:
-        return oracle_mod.load_solution(
-            path, env, dataset_fp=oracle_mod.dataset_fingerprint(ds))
-    except (ValueError, KeyError, json.JSONDecodeError) as ex:
-        raise CliExit(EXIT_INPUT, f"{path}: bad solution file ({ex})")
-
-
-def _load_checkpoint(path, env):
-    if not os.path.isfile(path):
-        raise CliExit(EXIT_MISSING, f"missing checkpoint artifact: {path}")
-    try:
-        net, meta = dqn_mod.load_checkpoint(path)
-    except (ValueError, KeyError, json.JSONDecodeError) as ex:
-        raise CliExit(EXIT_INPUT, f"{path}: bad checkpoint file ({ex})")
-    _check_env_binding(path, meta, env)
-    return net
+    return artifact
 
 
 def cmd_simulate(args):
     seed = _resolve_seed(args.seed)
     _check_writable(args.out)
     env = _load_env(args.env, code=EXIT_MISSING)
-    ds = _load_dataset(args.dataset, code=EXIT_MISSING)
+    ds = _read(args.dataset, "dataset", conf.load_jsonl, EXIT_MISSING)
     try:
         controller = _build_controller(args, env, ds)
         results = harness.simulate(controller, env, ds, episodes=args.episodes,
@@ -365,10 +331,10 @@ def cmd_simulate(args):
 def cmd_sweep(args):
     seed = _resolve_seed(args.seed)
     _check_writable(args.out)
-    ds = _load_dataset(args.dataset, code=EXIT_MISSING)
+    ds = _read(args.dataset, "dataset", conf.load_jsonl, EXIT_MISSING)
     fields = {}
     if args.grid is not None:
-        raw = _load_json(args.grid, EXIT_INPUT)
+        raw = _read(args.grid, "sweep grid")
         tuple_keys = {"p_g", "p_b", "pe_g", "pe_b", "b_max", "seeds", "costs"}
         for key, val in raw.items():
             fields[key] = tuple(val) if key in tuple_keys else val
@@ -403,38 +369,26 @@ def cmd_exit_probs(args):
     _check_writable(args.out)
     kind = args.controller
     meta = {"controller": kind, "env_fingerprint": env.fingerprint()}
+    ds = None
+    if kind in ("oracle", "inc-dqn"):
+        if kind == "inc-dqn":
+            meta.update(seed=_resolve_seed(args.seed), rollouts=args.rollouts)
+        if args.dataset is None:
+            raise CliExit(EXIT_INPUT, f"controller={kind} requires --dataset")
+        ds = _read(args.dataset, "dataset", conf.load_jsonl, EXIT_MISSING)
+        meta["dataset_fingerprint"] = oracle_mod.dataset_fingerprint(ds)
     try:
+        ctl = _build_controller(args, env, ds)
         if kind == "mms":
-            pol = _load_policy(args.policy or _missing_flag("--policy", kind), env, False)
-            eta = harness.exit_probability_mms(pol, env)
+            eta = harness.exit_probability_mms(ctl.actions, env)
         elif kind == "inc-iag":
-            pol = _load_policy(args.policy or _missing_flag("--policy", kind), env, True)
-            eta = harness.exit_probability_matrix(pol, env)
+            eta = harness.exit_probability_matrix(ctl.actions, env)
         elif kind == "oracle":
-            if args.dataset is None:
-                raise CliExit(EXIT_INPUT, "controller=oracle requires --dataset")
-            ds = _load_dataset(args.dataset, code=EXIT_MISSING)
-            sol = _load_solution(
-                args.solution or _missing_flag("--solution", kind), env, ds)
-            eta = harness.exit_probability_oracle(sol, ds)
-            meta["dataset_fingerprint"] = oracle_mod.dataset_fingerprint(ds)
-        elif kind == "inc-dqn":
-            seed = _resolve_seed(args.seed)
-            if args.dataset is None:
-                raise CliExit(EXIT_INPUT, "controller=inc-dqn requires --dataset")
-            ds = _load_dataset(args.dataset, code=EXIT_MISSING)
-            net = _load_checkpoint(
-                args.checkpoint or _missing_flag("--checkpoint", kind), env)
-            ctl = harness.IncDqnController(net, env)
-            eta = np.zeros((env.n_states, env.n_modes))
-            for b in range(env.battery.b_max + 1):
-                for h in range(env.chain.n):
-                    eta[env.state_index(b, h)] = harness.exit_probability_mc(
-                        ctl, env, ds, (b, h), rollouts=args.rollouts, seed=seed)
-            meta.update(seed=seed, rollouts=args.rollouts,
-                        dataset_fingerprint=oracle_mod.dataset_fingerprint(ds))
-        else:
-            raise CliExit(EXIT_INPUT, f"unknown controller kind {kind!r}")
+            eta = harness.exit_probability_oracle(ctl.solution, ds)
+        else:   # inc-dqn: sampled epochs from every (b, h)
+            eta = np.array([
+                harness.exit_probability_mc(ctl, env, ds, bh, args.rollouts, meta["seed"])
+                for bh in zip(*env.state_coords())])
     except CliExit:
         raise
     except (harness.IncompatibleController, ValueError, IndexError) as ex:
@@ -448,7 +402,7 @@ def cmd_exit_probs(args):
 
 def cmd_calibrate(args):
     _check_writable(args.out)
-    ds = _load_dataset(args.dataset)
+    ds = _read(args.dataset, "dataset", conf.load_jsonl)
     _, ece_before = conf.reliability_report(ds)
     if args.fit:
         try:

@@ -23,14 +23,6 @@ class MissingLogits(ValueError):
     """Operation requires per-exit logits, which this dataset lacks."""
 
 
-@dataclass(frozen=True)
-class ConfidenceRecord:
-    z: np.ndarray            # (K,) confidence per exit
-    correct: np.ndarray      # (K,) 0/1 per exit
-    logits: np.ndarray | None = None   # (K-1, n_classes) for exits 1..K-1
-    label: int | None = None
-
-
 class ConfidenceDataset:
     """Column-oriented store of confidence records.
 
@@ -72,22 +64,6 @@ class ConfidenceDataset:
     @property
     def n_exits(self):
         return self.z.shape[1]
-
-    def record(self, i):
-        return ConfidenceRecord(
-            z=self.z[i],
-            correct=self.correct[i],
-            logits=None if self.logits is None else self.logits[i],
-            label=None if self.labels is None else int(self.labels[i]),
-        )
-
-    def take(self, indices):
-        return ConfidenceDataset(
-            self.z[indices],
-            self.correct[indices],
-            None if self.logits is None else self.logits[indices],
-            None if self.labels is None else self.labels[indices],
-        )
 
 
 @dataclass(frozen=True)

@@ -79,11 +79,6 @@ def _forward_cached(net, x):
     return acts
 
 
-def mac_count(net):
-    """Multiply-accumulates of one forward pass."""
-    return int(sum(w.shape[0] * w.shape[1] for w in net.weights))
-
-
 def encode_inc(env, b, h, xi, tau, z):
     """Incremental-mode input: one-hot b, one-hot h, one-hot xi, tau, z.
 
@@ -319,7 +314,7 @@ def train(env, dataset, cfg):
     h = int(np.searchsorted(np.cumsum(pi0), rng.random()))
     t = env.epoch.T
     k = env.n_modes
-    rec = dataset.record(int(rng.integers(len(dataset))))
+    z = dataset.z[int(rng.integers(len(dataset)))]
     xi, tau = 0, 0
     curve = []
     recent_losses = []
@@ -328,7 +323,7 @@ def train(env, dataset, cfg):
         eps = _epsilon(cfg, step)
         if inc:
             feas = _inc_feasible(env, b, xi)
-            x = encode_inc(env, b, h, xi, tau, rec.z[xi])
+            x = encode_inc(env, b, h, xi, tau, z[xi])
             if rng.random() < eps:
                 alpha = int(rng.integers(2)) if feas[1] else 0
             else:
@@ -336,31 +331,31 @@ def train(env, dataset, cfg):
             cost = env.battery.cost[xi + alpha] - env.battery.cost[xi]
             b2, h2 = _slot(env, rng, b, h, cost)
             if tau == t - 1:
-                reward = float(rec.z[xi + alpha])
-                rec = dataset.record(int(rng.integers(len(dataset))))
+                reward = float(z[xi + alpha])
+                z = dataset.z[int(rng.integers(len(dataset)))]
                 xi2, tau2 = 0, 0
             else:
                 reward = 0.0
                 xi2, tau2 = xi + alpha, tau + 1
             # continuing task: epoch ends reset (xi, tau) but the battery
             # carries over, so bootstrapping must cross the epoch boundary
-            x2 = encode_inc(env, b2, h2, xi2, tau2, rec.z[xi2])
+            x2 = encode_inc(env, b2, h2, xi2, tau2, z[xi2])
             buf.push(x, alpha, reward, x2, _inc_feasible(env, b2, xi2), False)
             b, h, xi, tau = b2, h2, xi2, tau2
         else:
             feas = env.affordable(b)
-            x = encode_os(env, b, h, rec.z)
+            x = encode_os(env, b, h, z)
             if rng.random() < eps:
                 choices = np.flatnonzero(feas)
                 a = int(choices[rng.integers(len(choices))])
             else:
                 a = greedy_action(net, x, feas)
-            reward = float(rec.z[a])
+            reward = float(z[a])
             b2, h2 = _slot(env, rng, b, h, env.battery.cost[a])
             for _ in range(t - 1):
                 b2, h2 = _slot(env, rng, b2, h2, 0)
-            rec = dataset.record(int(rng.integers(len(dataset))))
-            x2 = encode_os(env, b2, h2, rec.z)
+            z = dataset.z[int(rng.integers(len(dataset)))]
+            x2 = encode_os(env, b2, h2, z)
             buf.push(x, a, reward, x2, env.affordable(b2), False)
             b, h = b2, h2
 

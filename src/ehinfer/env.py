@@ -162,6 +162,7 @@ class HarvestEnvironment:
         if self.epoch.T < self.battery.n_modes - 1:
             raise ValueError("T must be at least K - 1")
         cost = np.asarray(self.battery.cost)
+        b, h = np.divmod(np.arange(self.n_states), self.n_h)
         # the last cumulative column is left out, so an inverse-cdf draw
         # never lands past the last state when rounding leaves it below 1
         tables = {
@@ -169,6 +170,8 @@ class HarvestEnvironment:
             "step_cost": np.append(np.diff(cost), np.iinfo(np.int64).max),
             "cum_chain": np.cumsum(self.chain.transition, axis=1)[:, :-1],
             "cum_arrivals": np.cumsum(self.arrivals.pmf_per_state, axis=1)[:, :-1],
+            "b": b,
+            "h": h,
         }
         for arr in tables.values():
             arr.setflags(write=False)
@@ -188,6 +191,10 @@ class HarvestEnvironment:
 
     def state_index(self, b, h):
         return b * self.chain.n + h
+
+    def state_coords(self):
+        """(b, h) of every state in state-index order, as read-only arrays."""
+        return self._tables["b"], self._tables["h"]
 
     def _kernel(self, key, build):
         """Kernel built once per environment and handed out read-only."""
@@ -356,9 +363,3 @@ def epoch_kernel(env, a):
         kernel = kernel @ idle
     return kernel
 
-
-def epoch_distribution(env, a, b, h):
-    """Row of the epoch kernel for epoch-start state (b, h); checks feasibility."""
-    if not env.affordable(b)[a]:
-        raise InfeasibleAction(f"mode {a} costs {env.battery.cost[a]} > battery {b}")
-    return env.epoch_kernel(a)[env.state_index(b, h)]

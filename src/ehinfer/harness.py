@@ -302,7 +302,7 @@ def exit_probability_matrix(policy, env):
     if len(bad):
         raise InfeasibleAction(f"policy proceeds at {mdp_mod.state_keys(env, True)[bad[0]]}")
     p_pi = model.transition[actions * n + idx]
-    b, h = np.divmod(np.arange(env.n_states), env.n_h)
+    b, h = env.state_coords()
     dist = sp.eye_array(n, format="csr")[mdp_mod.inc_state_index(env, b, h, 0, 0)]
     for _ in range(t - 1):
         dist = dist @ p_pi
@@ -316,7 +316,7 @@ def exit_probability_matrix(policy, env):
 def exit_probability_oracle(solution, dataset):
     """Fraction of records each (b, h) routes to every mode."""
     env = solution.env
-    b, h = np.divmod(np.arange(env.n_states), env.n_h)
+    b, h = env.state_coords()
     choice = oracle_mod.oracle_choice(solution, b, h, dataset.z[:, None, :])    # (D, S)
     counts = np.bincount((env.n_modes * np.arange(env.n_states) + choice).ravel(),
                          minlength=env.n_states * env.n_modes)
@@ -464,33 +464,6 @@ def write_results_csv(rows, path, n_modes, meta=None):
         fh.write(",".join(cols) + "\n")
         for row in rows:
             fh.write(",".join(_fmt(row[c]) for c in cols) + "\n")
-
-
-def read_results_csv(path):
-    rows = []
-    meta = {}
-    with open(path) as fh:
-        header = None
-        for line in fh:
-            line = line.rstrip("\n")
-            if line.startswith("#"):
-                key, _, val = line[1:].strip().partition("=")
-                meta[key] = val
-                continue
-            if header is None:
-                header = line.split(",")
-                continue
-            vals = line.split(",")
-            row = {}
-            for col, val in zip(header, vals):
-                if col == "controller":
-                    row[col] = val
-                elif col in ("b_max", "seed"):
-                    row[col] = int(val)
-                else:
-                    row[col] = float(val)
-            rows.append(row)
-    return rows, meta
 
 
 def write_eta_csv(eta, env, path, meta=None):

@@ -157,17 +157,29 @@ def evaluate_policy(mdp, policy):
         raise SingularEvaluation(str(ex)) from ex
 
 
+# an action whose Q is this close to the row max counts as a maximizer; float
+# noise between tied actions is orders of magnitude smaller
+_PI_TIE_TOL = 1e-12
+
+
 def policy_iteration(mdp, max_iter=10**4):
     """Howard policy iteration with exact evaluation.
 
-    Starts from the cheapest feasible action in every state; terminates
-    when policy improvement leaves the policy unchanged. Raises
+    Starts from the cheapest feasible action in every state. Improvement
+    keeps the current action wherever its Q is within _PI_TIE_TOL of the
+    row max and otherwise takes the cheapest maximizer (Puterman 1994,
+    sec. 6.4), so float-level ties cannot make the policy cycle; it
+    terminates when improvement leaves the policy unchanged. Raises
     NotConverged when that takes more than max_iter evaluations.
     """
     policy = np.argmax(mdp.feasible, axis=1)
+    idx = np.arange(mdp.n_states)
     for it in range(1, max_iter + 1):
         v = evaluate_policy(mdp, policy)
-        improved = greedy_policy_from_values(mdp, v)
+        q = _masked_q(mdp, v)
+        improved = np.argmax(q, axis=1)
+        keep = q[idx, policy] >= q.max(axis=1) - _PI_TIE_TOL
+        improved[keep] = policy[keep]
         if np.array_equal(improved, policy):
             break
         policy = improved
@@ -203,7 +215,7 @@ def build_mms_mdp(env, rho, gamma=None):
     n_a = env.n_modes
     transition = sp.vstack([sp.csr_array(env.epoch_kernel(a)) for a in range(n_a)])
     reward = np.tile(rho, (n_s, 1))
-    feasible = env.affordable(np.arange(n_s) // env.n_h)
+    feasible = env.affordable(env.state_coords()[0])
     return FiniteMdp(transition, reward, feasible, gamma)
 
 
@@ -227,7 +239,7 @@ def build_inc_iag_mdp(env, rho, gamma_slot=None):
     gamma_slot = env.epoch.discount_slot if gamma_slot is None else float(gamma_slot)
     k, t = env.n_modes, env.epoch.T
     n_s = env.n_states * k * t
-    b, h = np.divmod(np.arange(env.n_states), env.n_h)
+    b, h = env.state_coords()
     reward = np.zeros((n_s, 2))
     feasible = np.ones((n_s, 2), dtype=bool)
     triplets = []
@@ -310,7 +322,7 @@ def epoch_start_margin(env, v_inc, v_mms):
     confidence-blind models of env.
     """
     scale = env.epoch.discount_slot ** (env.epoch.T - 1)
-    b, h = np.divmod(np.arange(env.n_states), env.n_h)
+    b, h = env.state_coords()
     v_start = v_inc.values[inc_state_index(env, b, h, 0, 0)]
     return float((v_start - scale * v_mms.values).min())
 
@@ -334,7 +346,8 @@ def load_policy(path, env, incremental):
 
     Key order in the file does not matter. Raises ValueError unless the
     file's keys are exactly state_keys(env, incremental) and every action
-    is a mode (one-shot) or a pause/proceed choice (incremental).
+    is a JSON integer naming a mode (one-shot) or a pause/proceed choice
+    (incremental).
     """
     with open(path) as fh:
         payload = json.load(fh)
@@ -347,8 +360,11 @@ def load_policy(path, env, incremental):
         raise ValueError(f"policy keys are not the {kind} states of this environment: "
                          f"{len(missing)} missing, {len(extra)} unexpected "
                          f"(first {(missing or extra)[0]!r})")
-    actions = np.array([int(mapping[k]) for k in keys], dtype=np.int64)
     n_actions = 2 if incremental else env.n_modes
-    if np.any((actions < 0) | (actions >= n_actions)):
-        raise ValueError(f"policy actions must lie in 0..{n_actions - 1}")
-    return actions, payload.get("meta", {})
+    actions = [mapping[k] for k in keys]
+    # bool is a subclass of int, so the type is compared exactly
+    bad = [i for i, a in enumerate(actions) if type(a) is not int or not 0 <= a < n_actions]
+    if bad:
+        raise ValueError(f"policy actions must lie in 0..{n_actions - 1} as JSON integers; "
+                         f"{keys[bad[0]]!r} holds {actions[bad[0]]!r}")
+    return np.array(actions, dtype=np.int64), payload.get("meta", {})

@@ -87,9 +87,6 @@ class OracleSolution:
     residuals: tuple = field(compare=False)
     dataset_fp: str = ""
 
-    def v_bar_of(self, b, h):
-        return float(self.v_bar[self.env.state_index(b, h)])
-
     def delta_of(self, b, h):
         return self.delta[self.env.state_index(b, h)]
 
@@ -112,8 +109,7 @@ def approx_operator(v_bar, dataset, env, gamma):
     if dataset.n_exits != env.n_modes:
         raise ValueError("dataset exit count must match environment modes")
     cont = _continuation(env, gamma, v_bar)             # (A, S)
-    b_of = np.arange(env.n_states) // env.n_h
-    masked = np.where(env.affordable(b_of).T, cont, -np.inf)
+    masked = np.where(env.affordable(env.state_coords()[0]).T, cont, -np.inf)
     scores = dataset.z[:, :, None] + masked[None, :, :]  # (D, A, S)
     return scores.max(axis=1).mean(axis=0)
 

@@ -21,7 +21,7 @@ from ehinfer.dqn import (QNetwork, TrainConfig, encode_inc, greedy_action,
                          td_loss_and_grads, train, _inc_feasible)
 from ehinfer.env import (ArrivalModel, BatteryConfig, EpochConfig,
                          HarvestChain, HarvestEnvironment, battery_step,
-                         energy_rate, epoch_distribution, two_state_env)
+                         energy_rate, two_state_env)
 from ehinfer.harness import (IncDqnController, IncTableController,
                              MmsController, OracleController, SweepGrid,
                              exit_probability_matrix, exit_probability_mc,
@@ -95,7 +95,7 @@ def test_01_battery_and_kernel_physics():
         h = (rng.random(n)[:, None] > cum_chain[h]).sum(axis=1)
         b = np.clip(b - c + e, 0, env.battery.b_max)
     emp = np.bincount(b * env.chain.n + h, minlength=env.n_states) / n
-    expect = epoch_distribution(env, a, b0, h0)
+    expect = env.epoch_kernel(a)[env.state_index(b0, h0)]
     sigma = np.sqrt(np.maximum(expect * (1 - expect), 0.0) / n)
     mc_ok = np.abs(emp - expect) <= 3 * sigma + 1e-6
     assert mc_ok.all()
@@ -252,7 +252,7 @@ def test_06_empirical_operator(ds10k):
         feas = costs <= b
         expect = ds10k.z[:, feas].max(axis=1).mean()
         for h in range(2):
-            err0 = max(err0, abs(sol0.v_bar_of(b, h) - expect))
+            err0 = max(err0, abs(sol0.v_bar[env.state_index(b, h)] - expect))
     assert err0 <= 1e-12
     dt = time.monotonic() - t0
     assert dt < 60.0

@@ -128,8 +128,9 @@ class TestSolve:
                    "--rho", "0.005,0.53,0.69,0.83", "--out", "mms.json"])
         assert rc == 0
 
-    def test_rho_length_mismatch(self, sandbox):
-        assert main(["solve", "--kind", "mms", "--env", "env.json",
+    @pytest.mark.parametrize("kind", ["mms", "inc-iag"])
+    def test_rho_length_mismatch(self, sandbox, kind):
+        assert main(["solve", "--kind", kind, "--env", "env.json",
                      "--rho", "0.1,0.9", "--out", "x.json"]) == 2
 
     def test_oracle_requires_dataset(self, sandbox):
@@ -421,7 +422,7 @@ class TestPolicyKeys:
         assert "policy keys" in capsys.readouterr().err
         assert not (sandbox / "r.csv").exists()
 
-    @pytest.mark.parametrize("action", [None, 7])
+    @pytest.mark.parametrize("action", [None, 7, 2.9, True, "1"])
     def test_bad_action_is_input_error(self, sandbox, action):
         ds = self._solve_and_sort(sandbox, "mms")
         payload = json.loads((sandbox / "p.json").read_text())

@@ -89,13 +89,6 @@ class TestDatasetContainer:
         with pytest.raises(ValueError):
             ConfidenceDataset(np.full((2, 3), 0.5), correct)
 
-    def test_take_and_record(self, big_dataset):
-        sub = big_dataset.take(np.arange(10))
-        assert len(sub) == 10
-        rec = sub.record(3)
-        assert np.array_equal(rec.z, big_dataset.z[3])
-        assert np.array_equal(rec.correct, big_dataset.correct[3])
-
     def test_arrays_read_only(self, big_dataset):
         with pytest.raises(ValueError):
             big_dataset.z[0, 0] = 0.5

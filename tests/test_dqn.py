@@ -5,7 +5,7 @@ from ehinfer.confidence import default_spec, generate_synthetic
 from ehinfer.dqn import (Adam, DimensionMismatch, QNetwork, ReplayBuffer,
                          TrainConfig, encode_inc, encode_os, forward,
                          greedy_action, inc_input_dim, load_checkpoint,
-                         mac_count, os_input_dim, save_checkpoint, save_curve,
+                         os_input_dim, save_checkpoint, save_curve,
                          td_loss_and_grads, train)
 from ehinfer.env import two_state_env
 from ehinfer.harness import IncDqnController, OsDqnController, simulate
@@ -41,10 +41,6 @@ class TestForward:
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatch):
             forward(tiny_net(), np.zeros(3))
-
-    def test_mac_count_at_reference_width(self):
-        net = QNetwork.create(np.random.default_rng(0), 39, 2)
-        assert mac_count(net) == 39 * 64 + 64 * 64 + 64 * 2 == 6720
 
 
 class TestEncoding:

@@ -1,4 +1,7 @@
+import itertools
 import json
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -6,9 +9,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ehinfer.env import (ArrivalModel, BatteryConfig, EpochConfig,
-                         HarvestChain, HarvestEnvironment, InfeasibleAction,
+                         HarvestChain, HarvestEnvironment,
                          NonErgodicChain, battery_step, energy_rate,
-                         epoch_distribution, epoch_kernel, slot_kernel,
+                         epoch_kernel, slot_kernel,
                          stationary_distribution, two_state_env)
 
 
@@ -108,7 +111,7 @@ class TestKernels:
         # sampled slot step applied T times
         env = two_state_env(0.8, 0.4, 0.6, 0.1, b_max=3)
         a, b0, h0 = 2, 3, 0
-        row = epoch_distribution(env, a, b0, h0)
+        row = env.epoch_kernel(a)[env.state_index(b0, h0)]
         n = 20000
         rng = np.random.default_rng(5)
         b, h = np.full(n, b0), np.full(n, h0)
@@ -129,11 +132,6 @@ class TestKernels:
                          condition_on_next=True)
         assert np.abs(k1.sum(axis=1) - 1).max() <= 1e-9
         assert not np.allclose(k0, k1)
-
-    def test_infeasible_epoch_distribution(self):
-        env = fig5_env(3)
-        with pytest.raises(InfeasibleAction):
-            epoch_distribution(env, 3, 2, 0)   # cost 3 > battery 2
 
     @pytest.mark.parametrize("kind", ["slot_kernel", "epoch_kernel"])
     def test_cached_kernels_are_read_only(self, kind):
@@ -232,6 +230,32 @@ class TestSampling:
         arr = env.slot_step(np.array([b, 0]), np.array([h, 1]), c,
                             np.array([u_h, 0.5]), np.array([u_e, 0.5]))
         assert (arr[0][0], arr[1][0], arr[2][0]) == (b2, h2, spill)
+
+
+# "(b, h) of every state", the inverse of state_index, written out by hand
+INVERSE_LAYOUT = re.compile(r"np\.divmod\(np\.arange\(|np\.arange\([^)]*\)\s*//\s*[\w.]*n_h\b")
+
+
+class TestStateLayout:
+    def test_state_coords_invert_state_index(self):
+        env = HarvestEnvironment(
+            chain=HarvestChain(states=("G", "M", "B"), transition=np.full((3, 3), 1 / 3)),
+            arrivals=ArrivalModel(pmf_per_state=np.array([[0.2, 0.8], [0.5, 0.5], [1.0, 0.0]])),
+            battery=BatteryConfig(b_max=4, cost=(0, 1, 2)),
+            epoch=EpochConfig.from_epoch_discount(3, 0.9),
+        )
+        b, h = env.state_coords()
+        assert list(zip(b.tolist(), h.tolist())) == list(itertools.product(range(5), range(3)))
+        assert np.array_equal(env.state_index(b, h), np.arange(env.n_states))
+        assert not b.flags.writeable and not h.flags.writeable
+
+    def test_layout_lives_only_in_env(self):
+        # every other module asks the env for (b, h) instead of deriving it
+        src = Path(__file__).resolve().parent.parent / "src" / "ehinfer"
+        found = [f"{path.name}:{i}" for path in sorted(src.glob("*.py")) if path.name != "env.py"
+                 for i, line in enumerate(path.read_text().splitlines(), 1)
+                 if INVERSE_LAYOUT.search(line)]
+        assert found == []
 
 
 class TestAffordability:

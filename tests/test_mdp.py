@@ -305,6 +305,15 @@ class TestSparseIncModel:
         mdp = build_inc_iag_mdp(env, RHO[:env.n_modes])
         assert np.abs(mdp.transition.sum(axis=1) - 1.0).max() <= 1e-12
 
+    @pytest.mark.parametrize("env", REFERENCE_ENVS, ids=lambda e: e.fingerprint())
+    def test_policy_iteration_terminates(self, env):
+        # pause and proceed tie up to float noise in many states; taking the
+        # argmax at every improvement step made the policy cycle between them
+        mdp = build_inc_iag_mdp(env, RHO[:env.n_modes])
+        vt, _ = policy_iteration(mdp, max_iter=50)
+        v_ref, _ = value_iteration(mdp, eps=1e-10)
+        assert np.abs(vt.values - v_ref.values).max() <= 1e-8
+
     def test_build_stays_small_at_b_max_300(self):
         env = reference_env(b_max=300)      # dense tensor would be 835 MB
         tracemalloc.start()
@@ -422,7 +431,10 @@ class TestSerialization:
         with pytest.raises(ValueError, match="policy keys"):
             load_policy(bad, env, False)
 
-    @pytest.mark.parametrize("incremental,action", [(False, -1), (False, 4), (True, 2)])
+    @pytest.mark.parametrize("incremental,action", [
+        (False, -1), (False, 4), (True, 2),
+        (False, 2.9), (False, True), (False, "1"),     # JSON integers only
+    ])
     def test_action_out_of_range_rejected(self, tmp_path, incremental, action):
         # a negative index would silently pick the last mode in a gather
         env = two_state_env(0.9, 0.5, 0.8, 0.0, b_max=3)

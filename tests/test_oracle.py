@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ehinfer.confidence import SyntheticSpec, default_spec, generate_synthetic
+from ehinfer.confidence import (ConfidenceDataset, SyntheticSpec, default_spec,
+                                generate_synthetic)
 from ehinfer.env import two_state_env
 from ehinfer.mdp import NotConverged
 from ehinfer.oracle import (OracleSolution, approx_operator,
@@ -77,7 +78,7 @@ class TestSolve:
     def test_value_monotone_in_battery(self, solution):
         env = solution.env
         for h in range(2):
-            vals = [solution.v_bar_of(b, h) for b in range(6)]
+            vals = [solution.v_bar[env.state_index(b, h)] for b in range(6)]
             assert np.all(np.diff(vals) >= -1e-12)
 
     def test_fixed_point_property(self, solution, dataset):
@@ -89,7 +90,8 @@ class TestSolve:
         env = fig_env(b_max=3)
         perm = np.random.default_rng(5).permutation(len(dataset))
         a = solve_oracle(env, dataset, eps=1e-7)
-        b = solve_oracle(env, dataset.take(perm), eps=1e-7)
+        shuffled = ConfidenceDataset(dataset.z[perm], dataset.correct[perm])
+        b = solve_oracle(env, shuffled, eps=1e-7)
         assert np.allclose(a.v_bar, b.v_bar, atol=1e-10)
 
     def test_gamma_zero_is_mean_feasible_max(self, dataset):
@@ -99,7 +101,7 @@ class TestSolve:
         for b in (0, 1, 5):
             feas = [a for a in range(4) if env.battery.cost[a] <= b]
             expect = dataset.z[:, feas].max(axis=1).mean()
-            assert sol.v_bar_of(b, 0) == pytest.approx(expect, abs=1e-12)
+            assert sol.v_bar[env.state_index(b, 0)] == pytest.approx(expect, abs=1e-12)
 
     def test_not_converged_raises(self, dataset):
         with pytest.raises(NotConverged):
