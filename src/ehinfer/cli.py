@@ -10,6 +10,7 @@ Exit codes: 2 invalid input, 3 solver failure, 4 training configuration,
 """
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -55,8 +56,12 @@ def _resolve_seed(value):
 
 
 def _read_json(path):
+    """The JSON object in path; any other JSON value is a ValueError."""
     with open(path) as fh:
-        return json.load(fh)
+        raw = json.load(fh)
+    if not isinstance(raw, dict):
+        raise ValueError(f"expected a JSON object, got {type(raw).__name__}")
+    return raw
 
 
 def _read(path, what, parse=_read_json, code=EXIT_INPUT):
@@ -92,16 +97,7 @@ def cmd_gen_data(args):
     if args.n <= 0:
         raise CliExit(EXIT_INPUT, "--n must be a positive record count")
     if args.spec is not None:
-        raw = _read(args.spec, "synthetic spec")
-        try:
-            spec = conf.SyntheticSpec(
-                accuracies=tuple(raw["accuracies"]),
-                n_classes=int(raw.get("n_classes", 200)),
-                difficulty_correlation=float(raw.get("difficulty_correlation", 0.6)),
-                concentration=float(raw.get("concentration", 8.0)),
-            )
-        except (KeyError, ValueError, TypeError) as ex:
-            raise CliExit(EXIT_INPUT, f"{args.spec}: bad synthetic spec ({ex})")
+        spec = _read(args.spec, "synthetic spec", lambda p: conf.SyntheticSpec(**_read_json(p)))
     else:
         spec = conf.default_spec()
     rng = np.random.default_rng(seed)
@@ -114,12 +110,7 @@ def cmd_gen_data(args):
         "n_records": len(ds),
         "per_exit_accuracy": [float(a) for a in acc],
         "ece": [float(e) for e in ece],
-        "spec": {
-            "accuracies": list(spec.accuracies),
-            "n_classes": spec.n_classes,
-            "difficulty_correlation": spec.difficulty_correlation,
-            "concentration": spec.concentration,
-        },
+        "spec": dataclasses.asdict(spec),
     }, args.out + ".summary.json")
     print(f"wrote {args.out}: n={len(ds)} accuracies="
           + "/".join(f"{a:.4f}" for a in acc))
@@ -332,12 +323,7 @@ def cmd_sweep(args):
     seed = _resolve_seed(args.seed)
     _check_writable(args.out)
     ds = _read(args.dataset, "dataset", conf.load_jsonl, EXIT_MISSING)
-    fields = {}
-    if args.grid is not None:
-        raw = _read(args.grid, "sweep grid")
-        tuple_keys = {"p_g", "p_b", "pe_g", "pe_b", "b_max", "seeds", "costs"}
-        for key, val in raw.items():
-            fields[key] = tuple(val) if key in tuple_keys else val
+    fields = {} if args.grid is None else _read(args.grid, "sweep grid")
     fields.setdefault("seeds", (seed,))
     try:
         grid = harness.SweepGrid(**fields)
@@ -352,8 +338,7 @@ def cmd_sweep(args):
         "seed": seed, "kinds": "/".join(kinds),
         "dataset_fingerprint": oracle_mod.dataset_fingerprint(ds),
         "config_fingerprint": harness.config_fingerprint({
-            "grid": {k: list(v) if isinstance(v, tuple) else v
-                     for k, v in fields.items()},
+            "grid": {k: getattr(grid, k) for k in fields},
             "kinds": list(kinds), "seed": seed,
         }),
     }
@@ -460,16 +445,16 @@ def build_parser():
     p = sub.add_parser("train-dqn", help="train a Q-network controller")
     p.add_argument("--env", required=True)
     p.add_argument("--dataset", required=True)
-    p.add_argument("--mode", choices=("incremental", "oneshot"),
-                   default="incremental")
-    p.add_argument("--steps", type=int, default=300_000)
-    p.add_argument("--lr", type=float, default=1e-4)
-    p.add_argument("--batch-size", type=int, default=32)
-    p.add_argument("--buffer", type=int, default=10**5)
-    p.add_argument("--target-sync", type=int, default=1000)
-    p.add_argument("--eps-decay", type=int, default=50_000)
-    p.add_argument("--eval-every", type=int, default=10_000)
-    p.add_argument("--eval-epochs", type=int, default=500)
+    defaults = dqn_mod.TrainConfig
+    p.add_argument("--mode", choices=("incremental", "oneshot"), default=defaults.mode)
+    p.add_argument("--steps", type=int, default=defaults.total_steps)
+    p.add_argument("--lr", type=float, default=defaults.lr)
+    p.add_argument("--batch-size", type=int, default=defaults.batch_size)
+    p.add_argument("--buffer", type=int, default=defaults.buffer_capacity)
+    p.add_argument("--target-sync", type=int, default=defaults.target_sync)
+    p.add_argument("--eps-decay", type=int, default=defaults.eps_decay_steps)
+    p.add_argument("--eval-every", type=int, default=defaults.eval_every)
+    p.add_argument("--eval-epochs", type=int, default=defaults.eval_epochs)
     p.add_argument("--seed", type=int)
     p.add_argument("--curve", help="learning curve CSV path "
                                    "(default: <out>.curve.csv)")

@@ -70,10 +70,11 @@ class ConfidenceDataset:
 class SyntheticSpec:
     """Parameters of the synthetic confidence generator.
 
-    accuracies[k] is the target marginal accuracy of exit k; entry 0 must
-    equal 1/n_classes. difficulty_correlation is the latent pairwise
-    correlation across informed exits (hard inputs are hard everywhere),
-    concentration the Beta precision of each confidence marginal.
+    n_classes must be an integer >= 2. accuracies[k] is the target
+    marginal accuracy of exit k; entry 0 must equal 1/n_classes.
+    difficulty_correlation is the latent pairwise correlation across
+    informed exits (hard inputs are hard everywhere), concentration the
+    Beta precision of each confidence marginal.
     """
 
     accuracies: tuple
@@ -83,6 +84,11 @@ class SyntheticSpec:
 
     def __post_init__(self):
         object.__setattr__(self, "accuracies", tuple(float(a) for a in self.accuracies))
+        object.__setattr__(self, "difficulty_correlation", float(self.difficulty_correlation))
+        object.__setattr__(self, "concentration", float(self.concentration))
+        # bool is a subclass of int, so the type is compared exactly
+        if type(self.n_classes) is not int or self.n_classes < 2:
+            raise ValueError(f"n_classes must be an integer >= 2, not {self.n_classes!r}")
         if len(self.accuracies) < 2:
             raise ValueError("need the free exit plus at least one informed exit")
         if abs(self.accuracies[0] - 1.0 / self.n_classes) > 1e-12:
@@ -99,12 +105,12 @@ class SyntheticSpec:
         return len(self.accuracies)
 
 
-def default_spec(n_classes=200):
+def default_spec():
     """Four-exit profile used throughout the reference experiments."""
-    return SyntheticSpec(accuracies=(1.0 / n_classes, 0.53, 0.69, 0.83), n_classes=n_classes)
+    return SyntheticSpec(accuracies=(1.0 / SyntheticSpec.n_classes, 0.53, 0.69, 0.83))
 
 
-def generate_synthetic(rng, spec, n_records, with_logits=False, logit_scale=1.0):
+def generate_synthetic(rng, spec, n_records, with_logits=False):
     """Sample a calibrated dataset from a one-factor Gaussian copula.
 
     Informed exits share a latent difficulty factor with pairwise
@@ -114,8 +120,8 @@ def generate_synthetic(rng, spec, n_records, with_logits=False, logit_scale=1.0)
     by construction. Exit 0 is the constant 1/n_classes guess.
 
     with_logits additionally emits per-exit logit vectors whose softmax at
-    temperature logit_scale reproduces z at the predicted class, for
-    exercising temperature scaling.
+    temperature 1 reproduces z at the predicted class, for exercising
+    temperature scaling.
     """
     if n_records < 1:
         raise EmptyDataset("n_records must be >= 1")
@@ -151,7 +157,6 @@ def generate_synthetic(rng, spec, n_records, with_logits=False, logit_scale=1.0)
         rows = np.arange(n_records)[:, None]
         cols = np.arange(k_inf)[None, :]
         logits[rows, cols, peaks] = np.log(zi)
-        logits *= logit_scale
     return ConfidenceDataset(z, correct, logits, labels)
 
 
@@ -169,24 +174,25 @@ def _pooled_nll(logits, labels, tau):
     return -picked.mean()
 
 
-def temperature_scale(dataset, lo=0.05, hi=20.0, tol=1e-6):
+def temperature_scale(dataset):
     """Fit a single softmax temperature by pooled NLL over informed exits.
 
-    Golden-section search on [lo, hi]; the NLL is unimodal in the
-    temperature for softmax families. Returns (tau, rescaled dataset)
-    where the new confidences are the max softmax probability at tau.
+    Golden-section search on [0.05, 20] down to an interval of 1e-6; the
+    NLL is unimodal in the temperature for softmax families. Returns (tau,
+    rescaled dataset) where the new confidences are the max softmax
+    probability at tau.
     """
     if len(dataset) == 0:
         raise EmptyDataset("dataset has no records")
     if dataset.logits is None or dataset.labels is None:
         raise MissingLogits("temperature scaling needs logits and labels")
     inv_phi = (np.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
+    a, b = 0.05, 20.0
     c = b - inv_phi * (b - a)
     d = a + inv_phi * (b - a)
     fc = _pooled_nll(dataset.logits, dataset.labels, c)
     fd = _pooled_nll(dataset.logits, dataset.labels, d)
-    while b - a > tol:
+    while b - a > 1e-6:
         if fc < fd:
             b, d, fd = d, c, fc
             c = b - inv_phi * (b - a)
@@ -228,15 +234,16 @@ def distort_calibration(dataset, tau):
     return ConfidenceDataset(z, dataset.correct, dataset.logits, dataset.labels)
 
 
-def reliability_report(dataset, n_bins=10):
-    """Equal-width reliability bins and expected calibration error per exit.
+def reliability_report(dataset):
+    """Ten equal-width reliability bins and expected calibration error per exit.
 
-    Returns (bins, ece) with bins of shape (K, n_bins, 3) holding mean
+    Returns (bins, ece) with bins of shape (K, 10, 3) holding mean
     confidence, empirical accuracy, and count per bin (NaN stats for empty
     bins), and ece of shape (K,).
     """
     if len(dataset) == 0:
         raise EmptyDataset("dataset has no records")
+    n_bins = 10
     k_exits = dataset.n_exits
     bins = np.full((k_exits, n_bins, 3), np.nan)
     bins[:, :, 2] = 0.0

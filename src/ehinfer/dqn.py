@@ -58,16 +58,11 @@ def forward(net, x):
     x = np.asarray(x, dtype=float)
     if x.shape[-1] != net.sizes[0]:
         raise DimensionMismatch(f"expected input dim {net.sizes[0]}, got {x.shape[-1]}")
-    a = x
-    last = len(net.weights) - 1
-    for i, (w, b) in enumerate(zip(net.weights, net.biases)):
-        a = a @ w + b
-        if i < last:
-            a = np.maximum(a, 0.0)
-    return a
+    return _forward_cached(net, x)[-1]
 
 
 def _forward_cached(net, x):
+    """Activations of every layer, input first and Q-values last."""
     acts = [x]
     a = x
     last = len(net.weights) - 1
@@ -164,18 +159,15 @@ class ReplayBuffer:
 
 
 class Adam:
-    def __init__(self, params, lr, beta1=0.9, beta2=0.999, eps=1e-8):
+    def __init__(self, params, lr):
         self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.m = [np.zeros_like(p) for p in params]
         self.v = [np.zeros_like(p) for p in params]
         self.t = 0
 
     def step(self, params, grads):
         self.t += 1
-        b1, b2 = self.beta1, self.beta2
+        b1, b2 = 0.9, 0.999
         for p, g, m, v in zip(params, grads, self.m, self.v):
             m *= b1
             m += (1 - b1) * g
@@ -183,7 +175,7 @@ class Adam:
             v += (1 - b2) * g * g
             m_hat = m / (1 - b1**self.t)
             v_hat = v / (1 - b2**self.t)
-            p -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+            p -= self.lr * m_hat / (np.sqrt(v_hat) + 1e-8)
 
 
 def td_loss_and_grads(net, target_net, batch, gamma):
@@ -226,39 +218,35 @@ def grad_step(net, target_net, batch, optimizer, gamma):
 
 @dataclass(frozen=True)
 class TrainConfig:
+    """Schedule of `train`: one gradient step per environment step after warmup."""
+
     mode: str = "incremental"          # or "oneshot"
     lr: float = 1e-4
     batch_size: int = 32
     buffer_capacity: int = 10**5
     target_sync: int = 1000
-    eps_start: float = 1.0
-    eps_end: float = 0.05
     eps_decay_steps: int = 50_000
     total_steps: int = 300_000
     warmup: int = 1000
-    train_every: int = 1
     eval_every: int = 10_000
     eval_epochs: int = 500
-    gamma: float | None = None         # default: slot/epoch discount per mode
     seed: int = 0
 
     def __post_init__(self):
         if self.mode not in ("incremental", "oneshot"):
             raise ValueError("mode must be 'incremental' or 'oneshot'")
         for name in ("lr", "batch_size", "buffer_capacity", "target_sync",
-                     "eps_decay_steps", "total_steps", "train_every", "eval_every",
-                     "eval_epochs"):
+                     "eps_decay_steps", "total_steps", "eval_every", "eval_epochs"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
         if self.warmup < 0:
             raise ValueError("warmup must be nonnegative")
-        if not (0 <= self.eps_end <= self.eps_start <= 1):
-            raise ValueError("need 0 <= eps_end <= eps_start <= 1")
 
 
 def _epsilon(cfg, step):
+    """Exploration rate, decaying linearly from 1 to 0.05 over cfg.eps_decay_steps."""
     frac = min(1.0, step / cfg.eps_decay_steps)
-    return cfg.eps_start + frac * (cfg.eps_end - cfg.eps_start)
+    return 1.0 + frac * (0.05 - 1.0)
 
 
 def _inc_feasible(env, b, xi):
@@ -286,8 +274,9 @@ def train(env, dataset, cfg):
     """Deep Q-learning against the sampled environment and dataset.
 
     Incremental mode steps once per slot with reward equal to the reached
-    mode's confidence at the last slot of each epoch; one-shot mode steps
-    once per epoch with reward equal to the chosen mode's confidence.
+    mode's confidence at the last slot of each epoch, discounted by
+    env.epoch.discount_slot; one-shot mode steps once per epoch with reward
+    equal to the chosen mode's confidence, discounted by discount_epoch.
     Both are continuing tasks (the battery carries across epochs), so no
     transition is terminal. Returns the trained network and a learning
     curve of (env step, greedy accuracy, mean recent loss) rows; each
@@ -301,9 +290,7 @@ def train(env, dataset, cfg):
     inc = cfg.mode == "incremental"
     dim = inc_input_dim(env) if inc else os_input_dim(env)
     n_actions = 2 if inc else env.n_modes
-    gamma = cfg.gamma
-    if gamma is None:
-        gamma = env.epoch.discount_slot if inc else env.epoch.discount_epoch
+    gamma = env.epoch.discount_slot if inc else env.epoch.discount_epoch
     net = QNetwork.create(rng, dim, n_actions)
     target = net.copy()
     buf = ReplayBuffer(cfg.buffer_capacity, dim, n_actions)
@@ -359,7 +346,7 @@ def train(env, dataset, cfg):
             buf.push(x, a, reward, x2, env.affordable(b2), False)
             b, h = b2, h2
 
-        if buf.size >= max(cfg.warmup, cfg.batch_size) and step % cfg.train_every == 0:
+        if buf.size >= max(cfg.warmup, cfg.batch_size):
             batch = buf.sample(rng, cfg.batch_size)
             loss = grad_step(net, target, batch, opt, gamma)
             recent_losses.append(loss)

@@ -116,27 +116,25 @@ class BatteryConfig:
 
 @dataclass(frozen=True)
 class EpochConfig:
-    """Slots per decision epoch and the two discount factors.
+    """Slots per decision epoch and the per-epoch discount.
 
-    The per-slot discount must satisfy discount_slot**T == discount_epoch
-    so one-shot and incremental returns line up.
+    The per-slot discount is derived, discount_epoch**(1/T), so that T
+    slots discount as much as one epoch and one-shot and incremental
+    returns line up.
     """
 
     T: int
     discount_epoch: float
-    discount_slot: float
 
     def __post_init__(self):
         if self.T < 1:
             raise ValueError("T must be >= 1")
         if not (0 < self.discount_epoch < 1):
             raise ValueError("discount_epoch must lie in (0, 1)")
-        if abs(self.discount_slot**self.T - self.discount_epoch) > 1e-12:
-            raise ValueError("discount_slot**T must equal discount_epoch")
 
-    @classmethod
-    def from_epoch_discount(cls, T, gamma):
-        return cls(T=T, discount_epoch=gamma, discount_slot=gamma ** (1.0 / T))
+    @property
+    def discount_slot(self):
+        return self.discount_epoch ** (1.0 / self.T)
 
 
 @dataclass(frozen=True)
@@ -255,7 +253,7 @@ class HarvestEnvironment:
             chain=HarvestChain(states=tuple(cfg["states"]), transition=np.asarray(cfg["transition"])),
             arrivals=ArrivalModel(pmf_per_state=np.asarray(cfg["arrival_pmfs"])),
             battery=BatteryConfig(b_max=int(cfg["b_max"]), cost=tuple(cfg["costs"])),
-            epoch=EpochConfig.from_epoch_discount(int(cfg["T"]), float(cfg["gamma"])),
+            epoch=EpochConfig(int(cfg["T"]), float(cfg["gamma"])),
             condition_on_next=bool(cfg.get("condition_arrivals_on_next_state", False)),
         )
 
@@ -275,7 +273,7 @@ def two_state_env(p_g, p_b, pe_g, pe_b, b_max, costs=(0, 1, 2, 3), T=3, gamma=0.
         chain=HarvestChain(states=("G", "B"), transition=np.array([[p_g, 1 - p_g], [1 - p_b, p_b]])),
         arrivals=ArrivalModel(pmf_per_state=np.array([[1 - pe_g, pe_g], [1 - pe_b, pe_b]])),
         battery=BatteryConfig(b_max=b_max, cost=costs),
-        epoch=EpochConfig.from_epoch_discount(T, gamma),
+        epoch=EpochConfig(T, gamma),
         condition_on_next=condition_on_next,
     )
 
@@ -285,11 +283,12 @@ def battery_step(b, u, e, b_max):
     return np.minimum(np.maximum(b - u + e, 0), b_max)
 
 
-def stationary_distribution(chain, tol=1e-12, max_iter=10**6):
+def stationary_distribution(chain):
     """Limiting distribution of an irreducible aperiodic chain.
 
-    Raises NonErgodicChain when the chain is reducible or periodic, or if
-    power iteration fails to converge within max_iter sweeps.
+    Power iteration stops once successive iterates differ by at most 1e-12
+    in l1. Raises NonErgodicChain when the chain is reducible or periodic,
+    or if power iteration fails to converge within 10**6 sweeps.
     """
     n = chain.n
     if n == 1:
@@ -304,12 +303,12 @@ def stationary_distribution(chain, tol=1e-12, max_iter=10**6):
     if not power.all():
         raise NonErgodicChain("chain is reducible or periodic")
     pi = np.full(n, 1.0 / n)
-    for _ in range(max_iter):
+    for _ in range(10**6):
         nxt = pi @ chain.transition
-        if np.abs(nxt - pi).sum() <= tol:
+        if np.abs(nxt - pi).sum() <= 1e-12:
             return nxt / nxt.sum()
         pi = nxt
-    raise NonErgodicChain(f"power iteration did not converge within {max_iter} sweeps")
+    raise NonErgodicChain("power iteration did not converge within 10**6 sweeps")
 
 
 def energy_rate(chain, arrivals, T):

@@ -361,8 +361,9 @@ class SweepGrid:
     gamma: float = 0.9
 
     def __post_init__(self):
-        for name in ("p_g", "p_b", "pe_g", "pe_b", "b_max", "seeds"):
-            if len(getattr(self, name)) == 0:
+        for name in ("p_g", "p_b", "pe_g", "pe_b", "b_max", "seeds", "costs"):
+            object.__setattr__(self, name, tuple(getattr(self, name)))
+            if not getattr(self, name):
                 raise ValueError(f"{name} must be nonempty")
         _check_counts(episodes=self.episodes, epochs=self.epochs)
 

@@ -115,6 +115,25 @@ def greedy_policy_from_values(mdp, v):
     return np.argmax(_masked_q(mdp, v), axis=1)
 
 
+def fixed_point(operator, n, eps, max_iter, what):
+    """Iterate v <- operator(v) from zeros(n) until the sup-norm residual is <= eps.
+
+    Returns (v, residuals), one residual per sweep. Raises NotConverged
+    naming `what` when max_iter sweeps do not reach eps.
+    """
+    if eps <= 0:
+        raise ValueError("eps must be positive")
+    v = np.zeros(n)
+    residuals = []
+    for _ in range(max_iter):
+        v_new = operator(v)
+        residuals.append(float(np.abs(v_new - v).max()))
+        v = v_new
+        if residuals[-1] <= eps:
+            return v, tuple(residuals)
+    raise NotConverged(f"{what} did not reach eps={eps} in {max_iter} sweeps")
+
+
 def value_iteration(mdp, eps=1e-8, max_iter=10**6):
     """Classic value iteration to sup-norm residual eps.
 
@@ -123,21 +142,9 @@ def value_iteration(mdp, eps=1e-8, max_iter=10**6):
     action index per state. Raises NotConverged when max_iter sweeps do not
     reach eps.
     """
-    if eps <= 0:
-        raise ValueError("eps must be positive")
-    v = np.zeros(mdp.n_states)
-    residuals = []
-    for it in range(1, max_iter + 1):
-        q = _masked_q(mdp, v)
-        v_new = q.max(axis=1)
-        res = float(np.abs(v_new - v).max())
-        residuals.append(res)
-        v = v_new
-        if res <= eps:
-            break
-    else:
-        raise NotConverged(f"value iteration did not reach eps={eps} in {max_iter} sweeps")
-    vt = ValueTable(values=v, residuals=tuple(residuals), iterations=it)
+    v, residuals = fixed_point(lambda v: _masked_q(mdp, v).max(axis=1), mdp.n_states,
+                               eps, max_iter, "value iteration")
+    vt = ValueTable(values=v, residuals=residuals, iterations=len(residuals))
     return vt, greedy_policy_from_values(mdp, v)
 
 
@@ -201,8 +208,8 @@ def state_keys(env, incremental):
             for bh in keys for xi in range(env.n_modes) for tau in range(env.epoch.T)]
 
 
-def build_mms_mdp(env, rho, gamma=None):
-    """One-shot model-selection MDP over (b, h).
+def build_mms_mdp(env, rho):
+    """One-shot model-selection MDP over (b, h), discounted per epoch.
 
     Action k runs mode k for the whole epoch; reward is its average
     accuracy rho[k]; feasible iff its full cost fits the battery.
@@ -210,13 +217,12 @@ def build_mms_mdp(env, rho, gamma=None):
     rho = np.asarray(rho, dtype=float)
     if rho.shape != (env.n_modes,):
         raise ValueError("rho length must match the number of modes")
-    gamma = env.epoch.discount_epoch if gamma is None else float(gamma)
     n_s = env.n_states
     n_a = env.n_modes
     transition = sp.vstack([sp.csr_array(env.epoch_kernel(a)) for a in range(n_a)])
     reward = np.tile(rho, (n_s, 1))
     feasible = env.affordable(env.state_coords()[0])
-    return FiniteMdp(transition, reward, feasible, gamma)
+    return FiniteMdp(transition, reward, feasible, env.epoch.discount_epoch)
 
 
 def inc_state_index(env, b, h, xi, tau):
@@ -224,8 +230,8 @@ def inc_state_index(env, b, h, xi, tau):
     return (env.state_index(b, h) * env.n_modes + xi) * env.epoch.T + tau
 
 
-def build_inc_iag_mdp(env, rho, gamma_slot=None):
-    """Incremental confidence-blind MDP over (b, h, xi, tau).
+def build_inc_iag_mdp(env, rho):
+    """Incremental confidence-blind MDP over (b, h, xi, tau), discounted per slot.
 
     Sub-action 1 advances one mode at the incremental cost
     cost[xi+1] - cost[xi]; sub-action 0 idles. Leaving the final slot
@@ -236,7 +242,6 @@ def build_inc_iag_mdp(env, rho, gamma_slot=None):
     rho = np.asarray(rho, dtype=float)
     if rho.shape != (env.n_modes,):
         raise ValueError("rho length must match the number of modes")
-    gamma_slot = env.epoch.discount_slot if gamma_slot is None else float(gamma_slot)
     k, t = env.n_modes, env.epoch.T
     n_s = env.n_states * k * t
     b, h = env.state_coords()
@@ -266,7 +271,7 @@ def build_inc_iag_mdp(env, rho, gamma_slot=None):
                 triplets.append((alpha * n_s + rows[i][keep], cols[j][keep], slot[i, j][keep]))
     r, c, p = (np.concatenate(x) for x in zip(*triplets))
     transition = sp.coo_array((p, (r, c)), shape=(2 * n_s, n_s))
-    return FiniteMdp(transition, reward, feasible, gamma_slot)
+    return FiniteMdp(transition, reward, feasible, env.epoch.discount_slot)
 
 
 def check_monotone(policy, env):

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .confidence import EmptyDataset
-from .mdp import NotConverged, state_keys
+from .mdp import fixed_point, state_keys
 
 
 @dataclass(frozen=True)
@@ -119,21 +119,10 @@ def solve_oracle(env, dataset, gamma=None, eps=1e-6, max_iter=10**5):
 
     Raises NotConverged when max_iter sweeps do not reach eps.
     """
-    if eps <= 0:
-        raise ValueError("eps must be positive")
     gamma = env.epoch.discount_epoch if gamma is None else float(gamma)
-    v = np.zeros(env.n_states)
-    residuals = []
-    for _ in range(max_iter):
-        v_new = approx_operator(v, dataset, env, gamma)
-        res = float(np.abs(v_new - v).max())
-        residuals.append(res)
-        v = v_new
-        if res <= eps:
-            break
-    else:
-        raise NotConverged(f"operator iteration did not reach eps={eps} in {max_iter} sweeps")
-    return _solution(env, gamma, v, tuple(residuals), dataset_fingerprint(dataset))
+    v, residuals = fixed_point(lambda v: approx_operator(v, dataset, env, gamma),
+                               env.n_states, eps, max_iter, "operator iteration")
+    return _solution(env, gamma, v, residuals, dataset_fingerprint(dataset))
 
 
 def _solution(env, gamma, v_bar, residuals, dataset_fp):

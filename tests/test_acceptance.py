@@ -365,7 +365,7 @@ def toy_env():
     chain = HarvestChain(states=("S",), transition=np.array([[1.0]]))
     arr = ArrivalModel(pmf_per_state=np.array([[0.5, 0.5]]))
     bat = BatteryConfig(b_max=2, cost=(0, 1, 2))
-    ep = EpochConfig.from_epoch_discount(2, 0.9)
+    ep = EpochConfig(2, 0.9)
     return HarvestEnvironment(chain=chain, arrivals=arr, battery=bat, epoch=ep)
 
 

@@ -1,13 +1,15 @@
 import hashlib
 import json
 import os
+from dataclasses import asdict
 
 import numpy as np
 import pytest
 
 from ehinfer import mdp as mdp_mod
-from ehinfer.cli import main
-from ehinfer.confidence import load_jsonl
+from ehinfer.cli import build_parser, main
+from ehinfer.confidence import default_spec, load_jsonl
+from ehinfer.dqn import TrainConfig
 from ehinfer.env import NonErgodicChain, two_state_env
 from ehinfer.mdp import dominance_margin
 
@@ -85,6 +87,21 @@ class TestGenData:
             {"accuracies": [0.01, 0.5, 0.9], "n_classes": 100}))
         gen(sandbox, "three.jsonl", extra=("--spec", str(spec)))
         assert load_jsonl(sandbox / "three.jsonl").n_exits == 3
+
+    @pytest.mark.parametrize("raw,match", [
+        ({"accuracies": [0.5, 0.6], "n_classes": 0}, "n_classes"),
+        ({"accuracies": [0.5, 0.6], "n_classes": 2.0}, "n_classes"),
+        ({"accuracies": [0.005, 0.5, 0.7], "concentraton": 4.0}, "concentraton"),
+        ({"n_classes": 200}, "accuracies"),
+        ([0.005, 0.5], "JSON object"),
+    ])
+    def test_malformed_spec_is_input_error(self, sandbox, capsys, raw, match):
+        spec = sandbox / "spec.json"
+        spec.write_text(json.dumps(raw))
+        assert main(["gen-data", "--n", "10", "--seed", "1",
+                     "--spec", str(spec), "--out", "x.jsonl"]) == 2
+        assert match in capsys.readouterr().err
+        assert not (sandbox / "x.jsonl").exists()
 
 
 class TestSolve:
@@ -185,6 +202,13 @@ class TestSolve:
                    "--episodes", "1", "--epochs", "10", "--seed", "0",
                    "--out", "r.csv"])
         assert rc == 2
+
+    def test_epoch_without_slots_is_input_error(self, sandbox, capsys):
+        env = json.loads((sandbox / "env.json").read_text())
+        (sandbox / "env.json").write_text(json.dumps(dict(env, T=0)))
+        assert main(["solve", "--kind", "mms", "--env", "env.json",
+                     "--rho", "0.005,0.5,0.7,0.8", "--out", "p.json"]) == 2
+        assert "T must be >= 1" in capsys.readouterr().err
 
     def test_missing_env_file(self, sandbox):
         assert main(["solve", "--kind", "mms", "--env", "nope.json",
@@ -479,6 +503,21 @@ class TestSweep:
                      "--kinds", "IncIAwDQN", "--seed", "0",
                      "--out", "rows.csv"]) == 2
 
+    @pytest.mark.parametrize("raw,match", [
+        ([1, 2], "JSON object"),
+        ({"b_max": 3}, "not iterable"),
+        ({"b_max": [2], "episodez": 2}, "episodez"),
+    ])
+    def test_malformed_grid_is_input_error(self, sandbox, capsys, raw, match):
+        ds = gen(sandbox, n=50)
+        grid = sandbox / "grid.json"
+        grid.write_text(json.dumps(raw))
+        assert main(["sweep", "--grid", str(grid), "--dataset", str(ds),
+                     "--kinds", "RandomFeasible", "--seed", "0",
+                     "--out", "rows.csv"]) == 2
+        assert match in capsys.readouterr().err
+        assert not (sandbox / "rows.csv").exists()
+
     def test_zero_episodes_is_input_error(self, sandbox):
         ds = gen(sandbox, n=300)
         grid = sandbox / "grid.json"
@@ -489,3 +528,23 @@ class TestSweep:
                      "--kinds", "RandomFeasible", "--seed", "0",
                      "--out", "rows.csv"]) == 2
         assert not (sandbox / "rows.csv").exists()
+
+
+class TestLibraryDefaults:
+    """The CLI reads its defaults from the library instead of restating them."""
+
+    def test_train_dqn_defaults_are_train_config_defaults(self):
+        args = build_parser().parse_args(
+            ["train-dqn", "--env", "e.json", "--dataset", "d.jsonl", "--out", "n.json"])
+        fields = {"mode": "mode", "steps": "total_steps", "lr": "lr",
+                  "batch_size": "batch_size", "buffer": "buffer_capacity",
+                  "target_sync": "target_sync", "eps_decay": "eps_decay_steps",
+                  "eval_every": "eval_every", "eval_epochs": "eval_epochs"}
+        defaults = TrainConfig()
+        for dest, field in fields.items():
+            assert getattr(args, dest) == getattr(defaults, field), dest
+
+    def test_gen_data_summary_holds_the_default_spec(self, sandbox):
+        gen(sandbox, n=50)
+        summary = json.loads((sandbox / "ds.jsonl.summary.json").read_text())
+        assert summary["spec"] == json.loads(json.dumps(asdict(default_spec())))

@@ -68,6 +68,23 @@ class TestGenerator:
         with pytest.raises(ValueError):
             SyntheticSpec(accuracies=(0.5, 0.6, 0.7), n_classes=200)
 
+    # accuracies[0] is 1/n_classes wherever that is defined, so only the
+    # n_classes check itself can reject the spec
+    @pytest.mark.parametrize("n_classes,chance", [
+        (0, 0.5), (1, 1.0), (-3, -1 / 3), (200.0, 0.005), (True, 1.0), ("200", 0.005),
+        (None, 0.5)])
+    def test_spec_n_classes_must_be_an_integer_of_at_least_two(self, n_classes, chance):
+        with pytest.raises(ValueError, match="n_classes must be an integer"):
+            SyntheticSpec(accuracies=(chance, 0.6), n_classes=n_classes)
+
+    def test_spec_coerces_float_fields(self):
+        spec = SyntheticSpec(accuracies=(0.5, 0.6), n_classes=2,
+                             difficulty_correlation=0, concentration=8)
+        assert type(spec.difficulty_correlation) is float
+        assert type(spec.concentration) is float
+        with pytest.raises(ValueError):
+            SyntheticSpec(accuracies=(0.5, 0.6), n_classes=2, concentration="dense")
+
 
 class TestDatasetContainer:
     def test_empty_rejected(self):

@@ -235,11 +235,9 @@ class TestTraining:
             TrainConfig(lr=-1e-4)
         with pytest.raises(ValueError):
             TrainConfig(mode="tabular")
-        with pytest.raises(ValueError):
-            TrainConfig(eps_end=0.5, eps_start=0.1)
 
     @pytest.mark.parametrize("field,value", [
-        ("eval_every", 0), ("eval_epochs", 0), ("train_every", 0), ("warmup", -1)])
+        ("eval_every", 0), ("eval_epochs", 0), ("warmup", -1)])
     def test_schedule_validation(self, field, value):
         with pytest.raises(ValueError, match=field):
             TrainConfig(**{field: value})

@@ -161,10 +161,17 @@ class TestConfigs:
             BatteryConfig(b_max=5, cost=(0, 2, 1))
 
     def test_discount_pair_consistency(self):
-        with pytest.raises(ValueError):
-            EpochConfig(T=3, discount_epoch=0.9, discount_slot=0.9)
-        cfg = EpochConfig.from_epoch_discount(3, 0.9)
+        cfg = EpochConfig(3, 0.9)
         assert cfg.discount_slot ** 3 == pytest.approx(0.9, abs=1e-12)
+        assert cfg.discount_slot == 0.9 ** (1.0 / 3)
+
+    @pytest.mark.parametrize("t", [0, -1])
+    def test_epoch_without_slots_rejected(self, t):
+        with pytest.raises(ValueError, match="T must be >= 1"):
+            EpochConfig(t, 0.9)
+        cfg = dict(fig5_env(3).to_config(), T=t)
+        with pytest.raises(ValueError, match="T must be >= 1"):
+            HarvestEnvironment.from_config(cfg)
 
     def test_t_shorter_than_mode_ladder_rejected(self):
         chain = HarvestChain(states=("G", "B"),
@@ -173,7 +180,7 @@ class TestConfigs:
         bat = BatteryConfig(b_max=5, cost=(0, 1, 2, 3))
         with pytest.raises(ValueError):
             HarvestEnvironment(chain=chain, arrivals=arr, battery=bat,
-                               epoch=EpochConfig.from_epoch_discount(2, 0.9))
+                               epoch=EpochConfig(2, 0.9))
 
     def test_arrival_pmf_rows_must_match_chain(self):
         chain = HarvestChain(states=("G", "B"),
@@ -182,7 +189,7 @@ class TestConfigs:
         with pytest.raises(ValueError):
             HarvestEnvironment(chain=chain, arrivals=arr,
                                battery=BatteryConfig(b_max=5, cost=(0, 1)),
-                               epoch=EpochConfig.from_epoch_discount(3, 0.9))
+                               epoch=EpochConfig(3, 0.9))
 
 
 class TestSerialization:
@@ -242,7 +249,7 @@ class TestStateLayout:
             chain=HarvestChain(states=("G", "M", "B"), transition=np.full((3, 3), 1 / 3)),
             arrivals=ArrivalModel(pmf_per_state=np.array([[0.2, 0.8], [0.5, 0.5], [1.0, 0.0]])),
             battery=BatteryConfig(b_max=4, cost=(0, 1, 2)),
-            epoch=EpochConfig.from_epoch_discount(3, 0.9),
+            epoch=EpochConfig(3, 0.9),
         )
         b, h = env.state_coords()
         assert list(zip(b.tolist(), h.tolist())) == list(itertools.product(range(5), range(3)))

@@ -185,6 +185,12 @@ class TestIncompatibilities:
         with pytest.raises(ValueError, match=field):
             SweepGrid(**{field: 0})
 
+    def test_sweep_grid_axes_are_tuples(self):
+        grid = SweepGrid(p_g=[0.9], b_max=[2, 3], seeds=[0], costs=[0, 1])
+        assert (grid.p_g, grid.b_max, grid.seeds, grid.costs) == ((0.9,), (2, 3), (0,), (0, 1))
+        with pytest.raises(TypeError):
+            SweepGrid(b_max=3)
+
 
 class TestSimulate:
     def test_same_seed_reproduces(self, dataset):

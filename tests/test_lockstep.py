@@ -157,7 +157,7 @@ def small_envs(draw):
                            transition=rng.dirichlet(np.ones(n_h), size=n_h)),
         arrivals=ArrivalModel(pmf_per_state=pmf),
         battery=BatteryConfig(b_max=b_max, cost=costs),
-        epoch=EpochConfig.from_epoch_discount(t, 0.9),
+        epoch=EpochConfig(t, 0.9),
         condition_on_next=draw(st.booleans()),
     )
     return env, rng
