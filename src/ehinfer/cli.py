@@ -331,7 +331,7 @@ def cmd_sweep(args):
         raise CliExit(EXIT_INPUT, f"bad sweep grid: {ex}")
     kinds = tuple(args.kinds.split(",")) if args.kinds else harness._SWEEP_KINDS
     try:
-        rows = harness.sweep(grid, kinds, ds, oracle_eps=args.eps, jobs=args.jobs)
+        rows = harness.sweep(grid, kinds, ds, eps=args.eps, jobs=args.jobs)
     except ValueError as ex:
         raise CliExit(EXIT_INPUT, f"sweep rejected: {ex}")
     meta = {

@@ -249,11 +249,21 @@ class HarvestEnvironment:
 
     @classmethod
     def from_config(cls, cfg):
+        """Environment of a to_config dict, as read from JSON.
+
+        T and b_max must be integers and gamma a number; anything else,
+        a bool or a numeric string included, raises ValueError.
+        """
+        # bool is a subclass of int, so the type is compared exactly
+        for key, types, what in (("T", (int,), "an integer"), ("b_max", (int,), "an integer"),
+                                 ("gamma", (int, float), "a number")):
+            if type(cfg[key]) not in types:
+                raise ValueError(f"{key} must be {what}, got {cfg[key]!r}")
         return cls(
             chain=HarvestChain(states=tuple(cfg["states"]), transition=np.asarray(cfg["transition"])),
             arrivals=ArrivalModel(pmf_per_state=np.asarray(cfg["arrival_pmfs"])),
-            battery=BatteryConfig(b_max=int(cfg["b_max"]), cost=tuple(cfg["costs"])),
-            epoch=EpochConfig(int(cfg["T"]), float(cfg["gamma"])),
+            battery=BatteryConfig(b_max=cfg["b_max"], cost=tuple(cfg["costs"])),
+            epoch=EpochConfig(cfg["T"], float(cfg["gamma"])),
             condition_on_next=bool(cfg.get("condition_arrivals_on_next_state", False)),
         )
 

@@ -314,12 +314,18 @@ def exit_probability_matrix(policy, env):
 
 
 def exit_probability_oracle(solution, dataset):
-    """Fraction of records each (b, h) routes to every mode."""
+    """Fraction of records each (b, h) routes to every mode.
+
+    Records are routed oracle.RECORD_BLOCK at a time, so no (D, S, K)
+    score tensor is held.
+    """
     env = solution.env
     b, h = env.state_coords()
-    choice = oracle_mod.oracle_choice(solution, b, h, dataset.z[:, None, :])    # (D, S)
-    counts = np.bincount((env.n_modes * np.arange(env.n_states) + choice).ravel(),
-                         minlength=env.n_states * env.n_modes)
+    cells = env.n_modes * np.arange(env.n_states)
+    counts = np.zeros(env.n_states * env.n_modes, dtype=np.int64)
+    for blk in oracle_mod.record_blocks(len(dataset)):
+        choice = oracle_mod.oracle_choice(solution, b, h, dataset.z[blk, None, :])  # (B, S)
+        counts += np.bincount((cells + choice).ravel(), minlength=len(counts))
     return counts.reshape(env.n_states, env.n_modes) / len(dataset)
 
 
@@ -375,7 +381,7 @@ _SWEEP_KINDS = ("MmS", "IncIAgEE", "OsIAwOracle", "RandomFeasible")
 
 
 def _sweep_cell(args):
-    grid, cell, kinds, z, correct, oracle_eps = args
+    grid, cell, kinds, z, correct, eps = args
     from .confidence import ConfidenceDataset
 
     dataset = ConfidenceDataset(z, correct)
@@ -390,10 +396,10 @@ def _sweep_cell(args):
             _, pol = mdp_mod.policy_iteration(mdp_mod.build_mms_mdp(env, rho))
             controllers[kind] = MmsController(pol, env)
         elif kind == "IncIAgEE":
-            _, pol = mdp_mod.value_iteration(mdp_mod.build_inc_iag_mdp(env, rho), eps=1e-8)
+            _, pol = mdp_mod.value_iteration(mdp_mod.build_inc_iag_mdp(env, rho), eps=eps)
             controllers[kind] = IncTableController(pol, env)
         elif kind == "OsIAwOracle":
-            sol = oracle_mod.solve_oracle(env, dataset, eps=oracle_eps)
+            sol = oracle_mod.solve_oracle(env, dataset, eps=eps)
             controllers[kind] = OracleController(sol, env)
         elif kind == "RandomFeasible":
             controllers[kind] = RandomFeasibleController(env)
@@ -423,15 +429,17 @@ def _sweep_cell(args):
     return rows
 
 
-def sweep(grid, kinds, dataset, oracle_eps=1e-6, jobs=1):
+def sweep(grid, kinds, dataset, eps=1e-6, jobs=1):
     """Simulate every controller kind over the whole environment grid.
 
-    Network-based kinds are rejected: a sweep would have to train one
-    network per cell, which is out of scope here. Cells run independently
-    (optionally in parallel); row order is deterministic in cell order.
+    eps is the solver tolerance of both IncIAgEE value iteration and the
+    oracle, as in `solve`. Network-based kinds are rejected: a sweep would
+    have to train one network per cell, which is out of scope here. Cells
+    run independently (optionally in parallel); row order is deterministic
+    in cell order.
     """
     cells = grid.cells()
-    args = [(grid, cell, tuple(kinds), dataset.z, dataset.correct, oracle_eps)
+    args = [(grid, cell, tuple(kinds), dataset.z, dataset.correct, eps)
             for cell in cells]
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:

@@ -157,9 +157,17 @@ def evaluate_policy(mdp, policy):
     n = mdp.n_states
     idx = np.arange(n)
     p_pi = mdp.transition[np.asarray(policy) * n + idx].toarray()
-    r_pi = mdp.reward[idx, policy]
+    return solve_affine_value(p_pi, mdp.reward[idx, policy], mdp.discount)
+
+
+def solve_affine_value(p_pi, r_pi, discount):
+    """v solving (I - discount * p_pi) v = r_pi by one dense solve.
+
+    p_pi is the (S, S) transition matrix and r_pi the (S,) expected reward
+    of a fixed policy. Raises SingularEvaluation when the system is singular.
+    """
     try:
-        return np.linalg.solve(np.eye(n) - mdp.discount * p_pi, r_pi)
+        return np.linalg.solve(np.eye(len(r_pi)) - discount * p_pi, r_pi)
     except np.linalg.LinAlgError as ex:
         raise SingularEvaluation(str(ex)) from ex
 

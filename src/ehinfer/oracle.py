@@ -5,8 +5,11 @@ mode a earns z^(a) now plus a continuation that depends only on (b, h).
 Confidence space is partitioned into polyhedral decision regions
 Z_j = {z : M_j z >= F_j delta}, where delta collects the continuation
 gaps of each mode against mode 0. The mean value v_bar over the
-confidence distribution is found by fixed-point iteration of an
-empirical Bellman operator averaged over a dataset of confidence draws.
+confidence distribution is the fixed point of an empirical Bellman
+operator averaged over a dataset of confidence draws. Fixing every
+record's decision region makes that operator affine, so v_bar is found
+by Howard policy iteration over per-record choices; plain iteration of
+the operator (`approx_operator`) is the slow reference.
 """
 
 from __future__ import annotations
@@ -18,7 +21,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .confidence import EmptyDataset
-from .mdp import fixed_point, state_keys
+from .mdp import _PI_TIE_TOL, NotConverged, solve_affine_value, state_keys
+
+# records scored together by the policy-improvement step and the oracle exit
+# counts, so no (D, S, K) score tensor is held however large the dataset is
+RECORD_BLOCK = 256
 
 
 @dataclass(frozen=True)
@@ -84,16 +91,31 @@ class OracleSolution:
     continuation: np.ndarray          # (A, S) discounted expected next value
     delta: np.ndarray                 # (S, K-1) gaps vs mode 0
     matrices: PartitionMatrices
-    residuals: tuple = field(compare=False)
+    residuals: tuple = field(compare=False)   # Bellman residual after each evaluation
     dataset_fp: str = ""
 
     def delta_of(self, b, h):
         return self.delta[self.env.state_index(b, h)]
 
 
+def record_blocks(n):
+    """Slices covering n records in order, RECORD_BLOCK records each."""
+    return [slice(i, i + RECORD_BLOCK) for i in range(0, n, RECORD_BLOCK)]
+
+
+def _kernels(env):
+    return np.stack([env.epoch_kernel(a) for a in range(env.n_modes)])     # (A, S, S)
+
+
 def _continuation(env, gamma, v_bar):
-    kernels = np.stack([env.epoch_kernel(a) for a in range(env.n_modes)])
-    return gamma * (kernels @ v_bar)
+    return gamma * (_kernels(env) @ v_bar)
+
+
+def _check_dataset(dataset, env):
+    if len(dataset) == 0:
+        raise EmptyDataset("empirical operator needs at least one record")
+    if dataset.n_exits != env.n_modes:
+        raise ValueError("dataset exit count must match environment modes")
 
 
 def approx_operator(v_bar, dataset, env, gamma):
@@ -104,10 +126,7 @@ def approx_operator(v_bar, dataset, env, gamma):
     evaluation of the region-indicator form: each record contributes the
     affine piece of the region it falls in.
     """
-    if len(dataset) == 0:
-        raise EmptyDataset("empirical operator needs at least one record")
-    if dataset.n_exits != env.n_modes:
-        raise ValueError("dataset exit count must match environment modes")
+    _check_dataset(dataset, env)
     cont = _continuation(env, gamma, v_bar)             # (A, S)
     masked = np.where(env.affordable(env.state_coords()[0]).T, cont, -np.inf)
     scores = dataset.z[:, :, None] + masked[None, :, :]  # (D, A, S)
@@ -115,14 +134,69 @@ def approx_operator(v_bar, dataset, env, gamma):
 
 
 def solve_oracle(env, dataset, gamma=None, eps=1e-6, max_iter=10**5):
-    """Iterate the empirical operator from zero until sup-norm residual eps.
+    """Mean value v_bar of the empirical operator by Howard policy iteration.
 
-    Raises NotConverged when max_iter sweeps do not reach eps.
+    A policy fixes the mode of every record d at every (b, h): a (D, S)
+    array of choices a_d(s). The operator restricted to it is affine, so
+    its value is one dense solve of (I - gamma P_pi) v = r_pi, with
+    r_pi(s) = mean_d z_d[a_d(s)] and P_pi(s) = sum_a freq(a|s) P_a(s).
+    Improvement is the oracle_choice argmax at the latest v (ties to the
+    cheaper mode), keeping each current choice whose score is within the
+    tie tolerance of the max (Puterman 1994, sec. 6.4). The first policy
+    improves mode 0 everywhere at v = 0: the masked argmax of z. After each
+    evaluation the Bellman residual sup|Tv - v| of approx_operator is
+    recorded in residuals; the solve stops once it is <= eps, or when
+    improvement changes no choice. Raises NotConverged after max_iter
+    evaluations.
     """
+    if eps <= 0:
+        raise ValueError("eps must be positive")
+    _check_dataset(dataset, env)
     gamma = env.epoch.discount_epoch if gamma is None else float(gamma)
-    v, residuals = fixed_point(lambda v: approx_operator(v, dataset, env, gamma),
-                               env.n_states, eps, max_iter, "operator iteration")
-    return _solution(env, gamma, v, residuals, dataset_fingerprint(dataset))
+    choices = np.zeros((len(dataset), env.n_states), dtype=np.min_scalar_type(env.n_modes - 1))
+    reward, freq, _ = _improve(env, dataset.z, np.zeros((env.n_modes, env.n_states)), choices)
+    residuals = []
+    for _ in range(max_iter):
+        v = solve_affine_value(np.einsum("as,ast->st", freq, _kernels(env)), reward, gamma)
+        residuals.append(float(np.abs(approx_operator(v, dataset, env, gamma) - v).max()))
+        if residuals[-1] <= eps:
+            break
+        reward, freq, changed = _improve(env, dataset.z, _continuation(env, gamma, v), choices)
+        if not changed:
+            break
+    else:
+        raise NotConverged(f"oracle policy iteration did not reach eps={eps} "
+                           f"in {max_iter} evaluations")
+    return _solution(env, gamma, v, tuple(residuals), dataset_fingerprint(dataset))
+
+
+def _improve(env, z, continuation, choices):
+    """Improve the choices (D, S) of the records z (D, K) against continuation (A, S).
+
+    Works one block of records at a time and writes in place. A choice
+    changes only where its score falls more than _PI_TIE_TOL below the
+    max, and then to the cheapest maximizer. Returns r_pi (S,), freq(a|s)
+    (A, S) and the number of changed choices.
+    """
+    b, h = env.state_coords()
+    n_s, k = env.n_states, env.n_modes
+    cells = k * np.arange(n_s)
+    reward = np.zeros(n_s)
+    counts = np.zeros(n_s * k, dtype=np.int64)
+    changed = 0
+    for blk in record_blocks(len(z)):
+        scores = _scores(env, continuation, b, h, z[blk, None, :])     # (B, S, K)
+        best = scores.argmax(axis=-1)
+        current = choices[blk]
+        held, top = (np.take_along_axis(scores, a[..., None], axis=-1)[..., 0]
+                     for a in (current, best))
+        stay = held >= top - _PI_TIE_TOL
+        best[stay] = current[stay]
+        changed += np.count_nonzero(best != current)
+        choices[blk] = best
+        reward += np.take_along_axis(z[blk], best, axis=1).sum(axis=0)
+        counts += np.bincount((cells + best).ravel(), minlength=n_s * k)
+    return reward / len(z), counts.reshape(n_s, k).T / len(z), changed
 
 
 def _solution(env, gamma, v_bar, residuals, dataset_fp):
@@ -150,10 +224,14 @@ def oracle_choice(solution, b, h, z):
     Ties go to the cheaper mode. b and h broadcast together, and z has one
     trailing axis of K confidences that broadcasts against them.
     """
-    env = solution.env
-    scores = z + solution.continuation.T[env.state_index(b, h)]
+    return _scores(solution.env, solution.continuation, b, h, z).argmax(axis=-1)
+
+
+def _scores(env, continuation, b, h, z):
+    """z^(a) plus the continuation (A, S) of (b, h); -inf where b cannot pay for a."""
+    scores = z + continuation.T[env.state_index(b, h)]
     np.copyto(scores, -np.inf, where=~env.affordable(b))
-    return scores.argmax(axis=-1)
+    return scores
 
 
 def region_of(z, b, h, solution):

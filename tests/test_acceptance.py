@@ -28,9 +28,10 @@ from ehinfer.harness import (IncDqnController, IncTableController,
                              exit_probability_mms, simulate, sweep)
 from ehinfer.mdp import (FiniteMdp, build_inc_iag_mdp, build_mms_mdp,
                          check_monotone, check_superadditive,
-                         dominance_margin, evaluate_policy, policy_iteration,
-                         q_table, value_iteration)
-from ehinfer.oracle import (build_partition_matrices, region_of, solve_oracle)
+                         dominance_margin, evaluate_policy, fixed_point,
+                         policy_iteration, q_table, value_iteration)
+from ehinfer.oracle import (approx_operator, build_partition_matrices, region_of,
+                            solve_oracle)
 
 RICH_ROWS = [(0.2, 0.1), (0.4, 0.2), (0.7, 0.35), (0.9, 0.55),
              (1.0, 0.75), (1.0, 1.0)]
@@ -227,11 +228,15 @@ def test_05_three_mode_decision_geometry():
 def test_06_empirical_operator(ds10k):
     t0 = time.monotonic()
     env = reference_env(b_max=5)
-    # contraction of the recorded residual sequence; the 1e-2 stopping
-    # point keeps every residual far above the float noise floor of the
-    # averaged maxima (about 3e-12 absolute)
-    sol = solve_oracle(env, ds10k, eps=1e-2)
-    res = np.array(sol.residuals)
+    # contraction of the operator's residual sequence, iterated from zero
+    # (solve_oracle's policy iteration records Bellman residuals, which
+    # would not test the operator); the 1e-2 stopping point keeps every
+    # residual far above the float noise floor of the averaged maxima
+    # (about 3e-12 absolute)
+    gamma = env.epoch.discount_epoch
+    _, res = fixed_point(lambda v: approx_operator(v, ds10k, env, gamma),
+                         env.n_states, 1e-2, 10**5, "operator iteration")
+    res = np.array(res)
     ratios = res[1:] / res[:-1]
     worst_ratio = float(ratios.max()) if len(ratios) else 0.0
     assert worst_ratio <= 0.9 + 1e-9

@@ -210,6 +210,14 @@ class TestSolve:
                      "--rho", "0.005,0.5,0.7,0.8", "--out", "p.json"]) == 2
         assert "T must be >= 1" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("key,value", [("T", 3.7), ("b_max", "3"), ("gamma", "0.9")])
+    def test_non_numeric_env_field_is_input_error(self, sandbox, capsys, key, value):
+        env = json.loads((sandbox / "env.json").read_text())
+        (sandbox / "env.json").write_text(json.dumps(dict(env, **{key: value})))
+        assert main(["solve", "--kind", "mms", "--env", "env.json",
+                     "--rho", "0.005,0.5,0.7,0.8", "--out", "p.json"]) == 2
+        assert f"{key} must be" in capsys.readouterr().err
+
     def test_missing_env_file(self, sandbox):
         assert main(["solve", "--kind", "mms", "--env", "nope.json",
                      "--rho", "0.1,0.2,0.3,0.4", "--out", "x.json"]) == 2

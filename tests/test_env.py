@@ -173,6 +173,14 @@ class TestConfigs:
         with pytest.raises(ValueError, match="T must be >= 1"):
             HarvestEnvironment.from_config(cfg)
 
+    @pytest.mark.parametrize("key,value", [
+        ("T", 3.7), ("T", "3"), ("T", True), ("b_max", "3"), ("b_max", 3.0),
+        ("b_max", False), ("gamma", "0.9"), ("gamma", True), ("gamma", None)])
+    def test_config_fields_must_be_json_numbers(self, key, value):
+        cfg = dict(fig5_env(3).to_config(), **{key: value})
+        with pytest.raises(ValueError, match=f"{key} must be an? (integer|number)"):
+            HarvestEnvironment.from_config(cfg)
+
     def test_t_shorter_than_mode_ladder_rejected(self):
         chain = HarvestChain(states=("G", "B"),
                              transition=np.array([[0.9, 0.1], [0.5, 0.5]]))

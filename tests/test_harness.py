@@ -3,8 +3,10 @@ import csv
 import numpy as np
 import pytest
 
-from ehinfer.confidence import (SyntheticSpec, default_spec, exit_accuracy,
-                                generate_synthetic)
+from ehinfer import mdp as mdp_mod
+from ehinfer import oracle as oracle_mod
+from ehinfer.confidence import (ConfidenceDataset, SyntheticSpec, default_spec,
+                                exit_accuracy, generate_synthetic)
 from ehinfer.dqn import QNetwork
 from ehinfer.env import InfeasibleAction, two_state_env
 from ehinfer.harness import (FixedModeController, IncDqnController,
@@ -18,7 +20,7 @@ from ehinfer.harness import (FixedModeController, IncDqnController,
                              write_eta_csv, write_results_csv)
 from ehinfer.mdp import (build_inc_iag_mdp, build_mms_mdp, inc_state_index,
                          policy_iteration, value_iteration)
-from ehinfer.oracle import oracle_choice, solve_oracle
+from ehinfer.oracle import RECORD_BLOCK, oracle_choice, solve_oracle
 from test_mdp import REFERENCE_ENVS, RHO
 
 
@@ -76,6 +78,16 @@ def reference_exit_probability_oracle(solution, dataset):
     for s in range(env.n_states):
         eta[s] = np.bincount(choice[:, s], minlength=env.n_modes)
     return eta / len(dataset)
+
+
+def one_shot_exit_probability_oracle(solution, dataset):
+    """Reference: every record routed at once, one bincount over all states."""
+    env = solution.env
+    b, h = env.state_coords()
+    choice = oracle_choice(solution, b, h, dataset.z[:, None, :])    # (D, S)
+    counts = np.bincount((env.n_modes * np.arange(env.n_states) + choice).ravel(),
+                         minlength=env.n_states * env.n_modes)
+    return counts.reshape(env.n_states, env.n_modes) / len(dataset)
 
 
 def always_proceed_policy(env):
@@ -307,6 +319,14 @@ class TestExitProbabilities:
         assert eta[env.state_index(5, 0), 0] < 0.05
         assert np.array_equal(eta, reference_exit_probability_oracle(sol, dataset))
 
+    @pytest.mark.parametrize("n", [1, RECORD_BLOCK, RECORD_BLOCK + 1, 4000])
+    def test_oracle_blocks_match_one_shot(self, dataset, n):
+        env = fig_env(b_max=30)
+        sol = solve_oracle(env, dataset, eps=1e-6)
+        part = ConfidenceDataset(dataset.z[:n], dataset.correct[:n])
+        assert np.array_equal(exit_probability_oracle(sol, part),
+                              one_shot_exit_probability_oracle(sol, part))
+
 
 class TestSweep:
     def test_single_cell_matches_direct_simulate(self, dataset):
@@ -331,6 +351,22 @@ class TestSweep:
         key = lambda r: (r["p_e_G"], r["controller"], r["seed"])
         for a, b in zip(sorted(rows1, key=key), sorted(rows2, key=key)):
             assert a["accuracy"] == b["accuracy"]
+
+    def test_eps_reaches_both_solvers(self, dataset, monkeypatch):
+        seen = []
+
+        def spy(solver):
+            def call(*args, eps, **kwargs):
+                seen.append((solver.__name__, eps))
+                return solver(*args, eps=eps, **kwargs)
+            return call
+
+        monkeypatch.setattr(mdp_mod, "value_iteration", spy(mdp_mod.value_iteration))
+        monkeypatch.setattr(oracle_mod, "solve_oracle", spy(oracle_mod.solve_oracle))
+        grid = SweepGrid(p_g=(0.9,), p_b=(0.5,), pe_g=(0.8,), pe_b=(0.0,),
+                         b_max=(3,), seeds=(0,), episodes=1, epochs=10)
+        sweep(grid, ("IncIAgEE", "OsIAwOracle"), dataset, eps=1e-5)
+        assert seen == [("value_iteration", 1e-5), ("solve_oracle", 1e-5)]
 
     def test_unknown_kind_rejected(self, dataset):
         grid = SweepGrid(p_g=(0.9,), p_b=(0.5,), pe_g=(0.8,), pe_b=(0.0,),

@@ -5,7 +5,7 @@ from hypothesis import given, settings, strategies as st
 from ehinfer.confidence import (ConfidenceDataset, SyntheticSpec, default_spec,
                                 generate_synthetic)
 from ehinfer.env import two_state_env
-from ehinfer.mdp import NotConverged
+from ehinfer.mdp import NotConverged, fixed_point
 from ehinfer.oracle import (OracleSolution, approx_operator,
                             build_partition_matrices, dataset_fingerprint,
                             load_solution, oracle_choice, region_inequalities,
@@ -116,6 +116,30 @@ class TestSolve:
         ds3 = generate_synthetic(np.random.default_rng(0), spec3, 500)
         with pytest.raises(ValueError):
             solve_oracle(fig_env(), ds3, eps=1e-4)
+
+
+def operator_iteration(env, dataset, gamma, eps):
+    """Reference: plain iteration of the empirical operator from zero."""
+    v, _ = fixed_point(lambda v: approx_operator(v, dataset, env, gamma),
+                       env.n_states, eps, 10**5, "operator iteration")
+    return v
+
+
+class TestPolicyIteration:
+    @pytest.mark.parametrize("condition_on_next", [False, True])
+    @pytest.mark.parametrize("gamma", [0.5, 0.9])
+    @pytest.mark.parametrize("b_max", [0, 1, 3, 5, 30])
+    def test_matches_operator_iteration(self, dataset, b_max, gamma, condition_on_next):
+        env = two_state_env(0.9, 0.5, 0.8, 0.0, b_max=b_max,
+                            condition_on_next=condition_on_next)
+        sol = solve_oracle(env, dataset, gamma=gamma, eps=1e-10)
+        assert sol.residuals[-1] <= 1e-10
+        ref = operator_iteration(env, dataset, gamma, 1e-10)
+        assert np.abs(sol.v_bar - ref).max() <= 1e-8
+
+    def test_few_evaluations(self, dataset):
+        # operator iteration takes 130 sweeps here
+        assert len(solve_oracle(fig_env(b_max=30), dataset).residuals) <= 10
 
 
 class TestRegions:
