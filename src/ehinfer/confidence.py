@@ -14,6 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import betaincinv, log_softmax, ndtr
 
+from .env import json_number
+
 
 class EmptyDataset(ValueError):
     """Operation requires at least one record."""
@@ -83,9 +85,10 @@ class SyntheticSpec:
     concentration: float = 8.0
 
     def __post_init__(self):
-        object.__setattr__(self, "accuracies", tuple(float(a) for a in self.accuracies))
-        object.__setattr__(self, "difficulty_correlation", float(self.difficulty_correlation))
-        object.__setattr__(self, "concentration", float(self.concentration))
+        object.__setattr__(self, "accuracies",
+                           tuple(float(json_number("each accuracy", a)) for a in self.accuracies))
+        for name in ("difficulty_correlation", "concentration"):
+            object.__setattr__(self, name, float(json_number(name, getattr(self, name))))
         # bool is a subclass of int, so the type is compared exactly
         if type(self.n_classes) is not int or self.n_classes < 2:
             raise ValueError(f"n_classes must be an integer >= 2, not {self.n_classes!r}")

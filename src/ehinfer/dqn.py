@@ -6,14 +6,17 @@ learns either the incremental per-slot pause/proceed choice from
 (b, h, full confidence vector). Replay buffer, target network, epsilon-
 greedy exploration, and the adaptive-moment optimizer are implemented
 directly on numpy arrays so gradients can be checked against finite
-differences. Training evaluates the greedy network as a harness controller
-through `harness.simulate`, the same rollout every controller runs on.
+differences. All of a network's weights and biases are views into one flat
+vector; a training step writes its gradient into a preallocated network of
+the same layout and Adam updates the flat vector in place. Training
+evaluates the greedy network as a harness controller through
+`harness.simulate`, the same rollout every controller runs on.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -26,28 +29,38 @@ class DimensionMismatch(ValueError):
 
 @dataclass
 class QNetwork:
-    """Fully connected rectifier network; weights[i] maps layer i to i+1."""
+    """Fully connected rectifier network; weights[i] maps layer i to i+1.
+
+    All weights, then all biases (`parameters()` order), live in one flat
+    float vector `flat`, and weights[i], biases[i] are views into it.
+    Construction copies the arrays in; it raises ValueError unless each layer
+    has one (sizes[i], sizes[i+1]) weight and one (sizes[i+1],) bias.
+    """
 
     sizes: tuple
     weights: list
     biases: list
+    flat: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self):
+        self.sizes, n = tuple(self.sizes), len(self.weights)
+        shapes = [*zip(self.sizes, self.sizes[1:]), *((k,) for k in self.sizes[1:])]
+        arrays = [np.asarray(a, dtype=float) for a in (*self.weights, *self.biases)]
+        if n != len(self.sizes) - 1 or [a.shape for a in arrays] != shapes:
+            raise ValueError(f"layer arrays do not fit sizes {self.sizes}")
+        self.flat = np.concatenate([a.ravel() for a in arrays])
+        ends = np.cumsum([0] + [a.size for a in arrays])
+        views = [self.flat[i:j].reshape(a.shape) for i, j, a in zip(ends, ends[1:], arrays)]
+        self.weights, self.biases = views[:n], views[n:]
 
     @classmethod
     def create(cls, rng, input_dim, n_actions, hidden=(64, 64)):
         sizes = (input_dim, *hidden, n_actions)
-        weights, biases = [], []
-        for fan_in, fan_out in zip(sizes, sizes[1:]):
-            scale = np.sqrt(2.0 / fan_in)
-            weights.append(rng.standard_normal((fan_in, fan_out)) * scale)
-            biases.append(np.zeros(fan_out))
-        return cls(sizes=sizes, weights=weights, biases=biases)
+        weights = [rng.standard_normal(s) * np.sqrt(2.0 / s[0]) for s in zip(sizes, sizes[1:])]
+        return cls(sizes, weights, [np.zeros(o) for o in sizes[1:]])
 
     def copy(self):
-        return QNetwork(
-            sizes=self.sizes,
-            weights=[w.copy() for w in self.weights],
-            biases=[b.copy() for b in self.biases],
-        )
+        return QNetwork(self.sizes, self.weights, self.biases)
 
     def parameters(self):
         return self.weights + self.biases
@@ -67,9 +80,10 @@ def _forward_cached(net, x):
     a = x
     last = len(net.weights) - 1
     for i, (w, b) in enumerate(zip(net.weights, net.biases)):
-        a = a @ w + b
+        a = a @ w
+        a += b
         if i < last:
-            a = np.maximum(a, 0.0)
+            np.maximum(a, 0.0, out=a)
         acts.append(a)
     return acts
 
@@ -159,30 +173,34 @@ class ReplayBuffer:
 
 
 class Adam:
+    """Adaptive moments (Kingma & Ba 2015), in place on one flat parameter vector."""
+
     def __init__(self, params, lr):
         self.lr = lr
-        self.m = [np.zeros_like(p) for p in params]
-        self.v = [np.zeros_like(p) for p in params]
+        self.m, self.v, self._s, self._u = (np.zeros_like(params) for _ in range(4))
         self.t = 0
 
     def step(self, params, grads):
         self.t += 1
         b1, b2 = 0.9, 0.999
-        for p, g, m, v in zip(params, grads, self.m, self.v):
-            m *= b1
-            m += (1 - b1) * g
-            v *= b2
-            v += (1 - b2) * g * g
-            m_hat = m / (1 - b1**self.t)
-            v_hat = v / (1 - b2**self.t)
-            p -= self.lr * m_hat / (np.sqrt(v_hat) + 1e-8)
+        m, v, s, u = self.m, self.v, self._s, self._u
+        m *= b1                     # textbook order: bit-identical to a per-array update
+        m += np.multiply(1 - b1, grads, out=s)
+        v *= b2
+        v += np.multiply(np.multiply(1 - b2, grads, out=s), grads, out=s)
+        np.divide(m, 1 - b1**self.t, out=s)
+        s *= self.lr                # lr * m_hat
+        np.sqrt(np.divide(v, 1 - b2**self.t, out=u), out=u)
+        u += 1e-8
+        params -= np.divide(s, u, out=s)
 
 
-def td_loss_and_grads(net, target_net, batch, gamma):
+def td_loss_and_grads(net, target_net, batch, gamma, out=None):
     """Mean squared TD error and gradients w.r.t. every parameter.
 
     Targets use the lagged network with infeasible next actions masked out;
-    terminal transitions bootstrap nothing.
+    terminal transitions bootstrap nothing. Gradients are written into `out`,
+    a QNetwork of net's sizes (new when None), and returned as its parameters.
     """
     x, action, reward, x2, feasible2, terminal = batch
     n = len(action)
@@ -191,28 +209,25 @@ def td_loss_and_grads(net, target_net, batch, gamma):
     target = reward + np.where(terminal, 0.0, gamma * q2.max(axis=1))
     acts = _forward_cached(net, x)
     q = acts[-1]
-    picked = q[np.arange(n), action]
-    err = picked - target
-    loss = float(np.mean(err**2))
+    err = q[np.arange(n), action] - target
+    loss = float(np.add.reduce(err * err) / n)    # np.mean(err**2), bit for bit
 
     d_out = np.zeros_like(q)
     d_out[np.arange(n), action] = 2.0 * err / n
-    grads_w, grads_b = [], []
+    out = net.copy() if out is None else out
     delta = d_out
     for i in range(len(net.weights) - 1, -1, -1):
-        a_prev = acts[i]
-        grads_w.append(a_prev.T @ delta)
-        grads_b.append(delta.sum(axis=0))
+        np.matmul(acts[i].T, delta, out=out.weights[i])
+        np.add.reduce(delta, axis=0, out=out.biases[i])
         if i > 0:
             delta = (delta @ net.weights[i].T) * (acts[i] > 0)
-    grads_w.reverse()
-    grads_b.reverse()
-    return loss, grads_w + grads_b
+    return loss, out.parameters()
 
 
-def grad_step(net, target_net, batch, optimizer, gamma):
-    loss, grads = td_loss_and_grads(net, target_net, batch, gamma)
-    optimizer.step(net.parameters(), grads)
+def grad_step(net, target_net, batch, optimizer, gamma, grads):
+    """One optimizer step on net; grads is a reused QNetwork gradient buffer."""
+    loss, _ = td_loss_and_grads(net, target_net, batch, gamma, grads)
+    optimizer.step(net.flat, grads.flat)
     return loss
 
 
@@ -294,23 +309,23 @@ def train(env, dataset, cfg):
     net = QNetwork.create(rng, dim, n_actions)
     target = net.copy()
     buf = ReplayBuffer(cfg.buffer_capacity, dim, n_actions)
-    opt = Adam(net.parameters(), lr=cfg.lr)
+    opt = Adam(net.flat, lr=cfg.lr)
+    grads = net.copy()
     pi0 = stationary_distribution(env.chain)
 
     b = env.battery.b_max
     h = int(np.searchsorted(np.cumsum(pi0), rng.random()))
     t = env.epoch.T
-    k = env.n_modes
     z = dataset.z[int(rng.integers(len(dataset)))]
     xi, tau = 0, 0
+    if inc:
+        x, feas = encode_inc(env, b, h, xi, tau, z[xi]), _inc_feasible(env, b, xi)
     curve = []
     recent_losses = []
     grad_steps = 0
     for step in range(1, cfg.total_steps + 1):
         eps = _epsilon(cfg, step)
         if inc:
-            feas = _inc_feasible(env, b, xi)
-            x = encode_inc(env, b, h, xi, tau, z[xi])
             if rng.random() < eps:
                 alpha = int(rng.integers(2)) if feas[1] else 0
             else:
@@ -326,9 +341,9 @@ def train(env, dataset, cfg):
                 xi2, tau2 = xi + alpha, tau + 1
             # continuing task: epoch ends reset (xi, tau) but the battery
             # carries over, so bootstrapping must cross the epoch boundary
-            x2 = encode_inc(env, b2, h2, xi2, tau2, z[xi2])
-            buf.push(x, alpha, reward, x2, _inc_feasible(env, b2, xi2), False)
-            b, h, xi, tau = b2, h2, xi2, tau2
+            x2, feas2 = encode_inc(env, b2, h2, xi2, tau2, z[xi2]), _inc_feasible(env, b2, xi2)
+            buf.push(x, alpha, reward, x2, feas2, False)
+            b, h, xi, tau, x, feas = b2, h2, xi2, tau2, x2, feas2
         else:
             feas = env.affordable(b)
             x = encode_os(env, b, h, z)
@@ -348,7 +363,7 @@ def train(env, dataset, cfg):
 
         if buf.size >= max(cfg.warmup, cfg.batch_size):
             batch = buf.sample(rng, cfg.batch_size)
-            loss = grad_step(net, target, batch, opt, gamma)
+            loss = grad_step(net, target, batch, opt, gamma, grads)
             recent_losses.append(loss)
             grad_steps += 1
             if grad_steps % cfg.target_sync == 0:
@@ -382,12 +397,9 @@ def load_checkpoint(path):
     with open(path) as fh:
         payload = json.load(fh)
     sizes = tuple(payload["sizes"])
-    weights = [
-        np.asarray(w, dtype=float).reshape(fan_in, fan_out)
-        for w, fan_in, fan_out in zip(payload["weights"], sizes, sizes[1:])
-    ]
-    biases = [np.asarray(b, dtype=float) for b in payload["biases"]]
-    return QNetwork(sizes=sizes, weights=weights, biases=biases), payload.get("meta", {})
+    # zipped with all of sizes, so an extra weight entry reaches the shape check
+    weights = [np.reshape(w, (fan_in, -1)) for w, fan_in in zip(payload["weights"], sizes)]
+    return QNetwork(sizes, weights, payload["biases"]), payload.get("meta", {})
 
 
 def save_curve(curve, path, meta=None):

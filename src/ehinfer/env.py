@@ -33,6 +33,14 @@ def _as_readonly(a, dtype=float):
     return arr
 
 
+def json_number(name, value, integer=False):
+    """value if it is a JSON integer, or unless `integer` a JSON number; else ValueError."""
+    # bool is a subclass of int, so the type is compared exactly
+    if type(value) not in ((int,) if integer else (int, float)):
+        raise ValueError(f"{name} must be {'an integer' if integer else 'a number'}, got {value!r}")
+    return value
+
+
 def _check_rows_stochastic(mat, what, tol=1e-12):
     if np.any(mat < -tol) or np.any(mat > 1 + tol):
         raise ValueError(f"{what}: entries must lie in [0, 1]")
@@ -254,11 +262,8 @@ class HarvestEnvironment:
         T and b_max must be integers and gamma a number; anything else,
         a bool or a numeric string included, raises ValueError.
         """
-        # bool is a subclass of int, so the type is compared exactly
-        for key, types, what in (("T", (int,), "an integer"), ("b_max", (int,), "an integer"),
-                                 ("gamma", (int, float), "a number")):
-            if type(cfg[key]) not in types:
-                raise ValueError(f"{key} must be {what}, got {cfg[key]!r}")
+        for key in ("T", "b_max", "gamma"):
+            json_number(key, cfg[key], integer=key != "gamma")
         return cls(
             chain=HarvestChain(states=tuple(cfg["states"]), transition=np.asarray(cfg["transition"])),
             arrivals=ArrivalModel(pmf_per_state=np.asarray(cfg["arrival_pmfs"])),

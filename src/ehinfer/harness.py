@@ -28,7 +28,7 @@ from . import dqn as dqn_mod
 from . import mdp as mdp_mod
 from . import oracle as oracle_mod
 from .confidence import exit_accuracy
-from .env import InfeasibleAction, energy_rate, stationary_distribution, two_state_env
+from .env import InfeasibleAction, energy_rate, json_number, stationary_distribution, two_state_env
 
 
 class IncompatibleController(ValueError):
@@ -371,6 +371,11 @@ class SweepGrid:
             object.__setattr__(self, name, tuple(getattr(self, name)))
             if not getattr(self, name):
                 raise ValueError(f"{name} must be nonempty")
+        integers = ("b_max", "seeds", "costs", "T", "episodes", "epochs")
+        for name in ("p_g", "p_b", "pe_g", "pe_b", "gamma") + integers:
+            value = getattr(self, name)
+            for v in value if type(value) is tuple else (value,):
+                json_number(name, v, integer=name in integers)
         _check_counts(episodes=self.episodes, epochs=self.epochs)
 
     def cells(self):

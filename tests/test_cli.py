@@ -94,6 +94,10 @@ class TestGenData:
         ({"accuracies": [0.005, 0.5, 0.7], "concentraton": 4.0}, "concentraton"),
         ({"n_classes": 200}, "accuracies"),
         ([0.005, 0.5], "JSON object"),
+        ({"accuracies": [0.005, 0.5, 0.7], "concentration": "8"}, "concentration"),
+        ({"accuracies": [0.005, 0.5, 0.7], "difficulty_correlation": False},
+         "difficulty_correlation"),
+        ({"accuracies": [0.005, "0.5", 0.7]}, "accuracy"),
     ])
     def test_malformed_spec_is_input_error(self, sandbox, capsys, raw, match):
         spec = sandbox / "spec.json"
@@ -326,6 +330,25 @@ class TestTrainDqn:
         assert rc == 0
 
 
+    @pytest.mark.parametrize("damage", ["short_bias", "extra_weights"])
+    def test_misshapen_checkpoint_is_input_error(self, sandbox, capsys, damage):
+        ds = gen(sandbox, n=200)
+        assert main(["train-dqn", "--env", "env.json", "--dataset", str(ds),
+                     "--steps", "0", "--seed", "0", "--out", "net.json"]) == 0
+        raw = json.loads((sandbox / "net.json").read_text())
+        if damage == "short_bias":
+            raw["biases"][0] = [0.5]    # broadcast over the whole layer before
+        else:
+            raw["weights"].append(raw["weights"][-1])    # dropped by a zip before
+        (sandbox / "bad.json").write_text(json.dumps(raw))
+        assert main(["simulate", "--env", "env.json", "--dataset", str(ds),
+                     "--controller", "inc-dqn", "--checkpoint", "bad.json",
+                     "--episodes", "1", "--epochs", "10", "--seed", "0",
+                     "--out", "r.csv"]) == 2
+        assert "bad checkpoint" in capsys.readouterr().err
+        assert not (sandbox / "r.csv").exists()
+
+
 class TestExitProbs:
     def test_mms_rows_are_one_hot(self, sandbox):
         ds = gen(sandbox)
@@ -515,6 +538,14 @@ class TestSweep:
         ([1, 2], "JSON object"),
         ({"b_max": 3}, "not iterable"),
         ({"b_max": [2], "episodez": 2}, "episodez"),
+        ({"b_max": [3.0]}, "b_max"),
+        ({"b_max": [2], "seeds": [True]}, "seeds"),
+        ({"b_max": [2], "costs": [0, 1, 2, 2.5]}, "costs"),
+        ({"b_max": [2], "T": 3.0}, "T"),
+        ({"b_max": [2], "episodes": 2.0}, "episodes"),
+        ({"b_max": [2], "epochs": "50"}, "epochs"),
+        ({"b_max": [2], "p_g": ["0.9"]}, "p_g"),
+        ({"b_max": [2], "gamma": True}, "gamma"),
     ])
     def test_malformed_grid_is_input_error(self, sandbox, capsys, raw, match):
         ds = gen(sandbox, n=50)

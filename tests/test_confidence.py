@@ -85,6 +85,16 @@ class TestGenerator:
         with pytest.raises(ValueError):
             SyntheticSpec(accuracies=(0.5, 0.6), n_classes=2, concentration="dense")
 
+    @pytest.mark.parametrize("field,value", [
+        ("concentration", "8"), ("concentration", True), ("concentration", None),
+        ("difficulty_correlation", "0.5"), ("difficulty_correlation", False),
+        ("accuracies", (0.5, "0.6")), ("accuracies", (0.5, True)),
+    ])
+    def test_spec_fields_must_be_json_numbers(self, field, value):
+        fields = {"accuracies": (0.5, 0.6), "n_classes": 2, field: value}
+        with pytest.raises(ValueError, match="must be a number"):
+            SyntheticSpec(**fields)
+
 
 class TestDatasetContainer:
     def test_empty_rejected(self):

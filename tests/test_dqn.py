@@ -1,10 +1,16 @@
+import hashlib
+import json
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ehinfer.confidence import default_spec, generate_synthetic
 from ehinfer.dqn import (Adam, DimensionMismatch, QNetwork, ReplayBuffer,
                          TrainConfig, encode_inc, encode_os, forward,
-                         greedy_action, inc_input_dim, load_checkpoint,
+                         grad_step, greedy_action, inc_input_dim, load_checkpoint,
                          os_input_dim, save_checkpoint, save_curve,
                          td_loss_and_grads, train)
 from ehinfer.env import two_state_env
@@ -12,12 +18,88 @@ from ehinfer.harness import IncDqnController, OsDqnController, simulate
 
 
 def tiny_net():
+    # weights and biases are views into net.flat, so they are written through
     net = QNetwork.create(np.random.default_rng(0), 2, 2, hidden=(3,))
-    net.weights[0] = np.array([[1.0, 0.0, -1.0], [0.0, 1.0, 1.0]])
-    net.biases[0] = np.array([0.0, -1.0, 0.5])
-    net.weights[1] = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
-    net.biases[1] = np.array([0.1, -0.1])
+    net.weights[0][:] = np.array([[1.0, 0.0, -1.0], [0.0, 1.0, 1.0]])
+    net.biases[0][:] = np.array([0.0, -1.0, 0.5])
+    net.weights[1][:] = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
+    net.biases[1][:] = np.array([0.1, -0.1])
     return net
+
+
+# The per-array optimizer and list-allocating backward pass that the flat
+# versions replaced, kept as the slow reference they must match bit for bit.
+class ReferenceAdam:
+    def __init__(self, params, lr):
+        self.lr = lr
+        self.m = [np.zeros_like(p) for p in params]
+        self.v = [np.zeros_like(p) for p in params]
+        self.t = 0
+
+    def step(self, params, grads):
+        self.t += 1
+        b1, b2 = 0.9, 0.999
+        for p, g, m, v in zip(params, grads, self.m, self.v):
+            m *= b1
+            m += (1 - b1) * g
+            v *= b2
+            v += (1 - b2) * g * g
+            m_hat = m / (1 - b1**self.t)
+            v_hat = v / (1 - b2**self.t)
+            p -= self.lr * m_hat / (np.sqrt(v_hat) + 1e-8)
+
+
+def reference_forward_cached(net, x):
+    acts = [x]
+    a = x
+    last = len(net.weights) - 1
+    for i, (w, b) in enumerate(zip(net.weights, net.biases)):
+        a = a @ w + b
+        if i < last:
+            a = np.maximum(a, 0.0)
+        acts.append(a)
+    return acts
+
+
+def reference_td_loss_and_grads(net, target_net, batch, gamma):
+    x, action, reward, x2, feasible2, terminal = batch
+    n = len(action)
+    q2 = reference_forward_cached(target_net, x2)[-1]
+    q2 = np.where(feasible2, q2, -np.inf)
+    target = reward + np.where(terminal, 0.0, gamma * q2.max(axis=1))
+    acts = reference_forward_cached(net, x)
+    q = acts[-1]
+    picked = q[np.arange(n), action]
+    err = picked - target
+    loss = float(np.mean(err**2))
+
+    d_out = np.zeros_like(q)
+    d_out[np.arange(n), action] = 2.0 * err / n
+    grads_w, grads_b = [], []
+    delta = d_out
+    for i in range(len(net.weights) - 1, -1, -1):
+        a_prev = acts[i]
+        grads_w.append(a_prev.T @ delta)
+        grads_b.append(delta.sum(axis=0))
+        if i > 0:
+            delta = (delta @ net.weights[i].T) * (acts[i] > 0)
+    grads_w.reverse()
+    grads_b.reverse()
+    return loss, grads_w + grads_b
+
+
+def separate_arrays(net):
+    """A copy of net as independent per-layer arrays, as the reference keeps them."""
+    return SimpleNamespace(weights=[w.copy() for w in net.weights],
+                           biases=[b.copy() for b in net.biases])
+
+
+def random_batch(rng, n, d, k):
+    """n random transitions with at least one feasible next action each."""
+    feasible2 = rng.random((n, k)) < 0.7
+    feasible2[np.arange(n), rng.integers(0, k, size=n)] = True
+    return (rng.random((n, d)), rng.integers(0, k, size=n), rng.random(n),
+            rng.random((n, d)), feasible2, rng.random(n) < 0.2)
 
 
 class TestForward:
@@ -127,12 +209,68 @@ class TestGradients:
         batch = (rng.random((1, 4)), np.array([1]), np.array([0.55]),
                  rng.random((1, 4)), np.ones((1, 2), dtype=bool),
                  np.array([True]))
-        opt = Adam(net.parameters(), lr=1e-2)
+        opt = Adam(net.flat, lr=1e-2)
+        grads = net.copy()
         for _ in range(500):
-            loss, grads = td_loss_and_grads(net, target, batch, 0.9)
-            opt.step(net.parameters(), grads)
+            td_loss_and_grads(net, target, batch, 0.9, grads)
+            opt.step(net.flat, grads.flat)
         q = forward(net, batch[0][0])
         assert q[1] == pytest.approx(0.55, abs=1e-3)
+
+
+class TestFlatLayout:
+    def test_parameters_are_views_of_flat_in_order(self):
+        net = QNetwork.create(np.random.default_rng(3), 4, 2, hidden=(5, 3))
+        assert net.flat.shape == (4 * 5 + 5 * 3 + 3 * 2 + 5 + 3 + 2,)
+        assert np.array_equal(net.flat, np.concatenate([p.ravel() for p in net.parameters()]))
+        for p in net.parameters():
+            assert np.shares_memory(p, net.flat) and p.flags.c_contiguous
+        net.flat[:] = np.arange(net.flat.size)
+        assert net.weights[0][0, 1] == 1.0 and net.biases[0][0] == 4 * 5 + 5 * 3 + 3 * 2
+
+    def test_copy_is_independent(self):
+        net = QNetwork.create(np.random.default_rng(3), 4, 2, hidden=(5,))
+        twin = net.copy()
+        twin.weights[0][:] = 0.0
+        assert not np.shares_memory(twin.flat, net.flat)
+        assert np.any(net.weights[0] != 0.0)
+
+    @pytest.mark.parametrize("weights,biases", [
+        ([np.zeros((2, 3)), np.zeros((3, 2))], [np.zeros(1), np.zeros(2)]),       # short bias
+        ([np.zeros((2, 3)), np.zeros((3, 2)), np.zeros((2, 2))],
+         [np.zeros(3), np.zeros(2)]),                                            # extra weight
+        ([np.zeros((3, 2)), np.zeros((3, 2))], [np.zeros(3), np.zeros(2)]),       # transposed
+        ([np.zeros((2, 3))], [np.zeros(3)]),                                     # missing layer
+        ([np.zeros((2, 3)), np.zeros((3, 2))], [np.zeros(3), np.zeros((1, 2))]),  # 2-D bias
+    ])
+    def test_construction_checks_shapes(self, weights, biases):
+        with pytest.raises(ValueError, match="do not fit sizes"):
+            QNetwork((2, 3, 2), weights, biases)
+
+
+@settings(max_examples=40, deadline=None)
+@given(sizes=st.lists(st.integers(1, 12), min_size=2, max_size=4),
+       n=st.integers(1, 9), gamma=st.floats(0.0, 0.99), lr=st.floats(1e-4, 1e-1),
+       seed=st.integers(0, 2**16))
+def test_flat_step_matches_reference_bit_for_bit(sizes, n, gamma, lr, seed):
+    rng = np.random.default_rng(seed)
+    net = QNetwork.create(rng, sizes[0], sizes[-1] + 1, hidden=tuple(sizes[1:-1]))
+    target = QNetwork.create(rng, sizes[0], sizes[-1] + 1, hidden=tuple(sizes[1:-1]))
+    ref, ref_target = separate_arrays(net), separate_arrays(target)
+    opt, grads = Adam(net.flat, lr), net.copy()
+    ref_opt = ReferenceAdam(ref.weights + ref.biases, lr)
+    for _ in range(4):
+        batch = random_batch(rng, n, sizes[0], sizes[-1] + 1)
+        ref_loss, ref_grads = reference_td_loss_and_grads(ref, ref_target, batch, gamma)
+        loss, flat_grads = td_loss_and_grads(net, target, batch, gamma)
+        assert loss == ref_loss
+        assert all(np.array_equal(g, r) for g, r in zip(flat_grads, ref_grads, strict=True))
+        assert grad_step(net, target, batch, opt, gamma, grads) == ref_loss
+        ref_opt.step(ref.weights + ref.biases, ref_grads)
+        assert all(np.array_equal(p, r) for p, r in
+                   zip(net.parameters(), ref.weights + ref.biases, strict=True))
+        x = rng.random((n, sizes[0]))
+        assert np.array_equal(forward(net, x), reference_forward_cached(ref, x)[-1])
 
 
 class TestReplay:
@@ -167,12 +305,12 @@ class TestReplay:
 
 class TestAdam:
     def test_constant_gradient_moves_at_learning_rate(self):
-        p = [np.array([1.0])]
+        p = np.array([1.0])
         opt = Adam(p, lr=0.1)
-        opt.step(p, [np.array([0.5])])
-        assert p[0][0] == pytest.approx(0.9, abs=1e-7)
-        opt.step(p, [np.array([0.5])])
-        assert p[0][0] == pytest.approx(0.8, abs=1e-7)
+        opt.step(p, np.array([0.5]))
+        assert p[0] == pytest.approx(0.9, abs=1e-7)
+        opt.step(p, np.array([0.5]))
+        assert p[0] == pytest.approx(0.8, abs=1e-7)
 
 
 class TestGreedy:
@@ -205,6 +343,23 @@ class TestTraining:
         for w1, w2 in zip(net1.parameters(), net2.parameters()):
             assert np.array_equal(w1, w2)
         assert curve1 == curve2
+
+    # SHA-256 of the trained parameters and the curve, recorded before
+    # training moved to the flat parameter vector
+    GOLDEN = {
+        "incremental": "45965c37ac96e27570258edd809c93d899aebf5791b2e9d8eebcaa4bff1f8c3b",
+        "oneshot": "6252df64a9fde890be04a0b102c6dbb442793e76e7d80220e80a9e09b6cd9fd4",
+    }
+
+    @pytest.mark.parametrize("mode", ["incremental", "oneshot"])
+    def test_seeded_run_matches_golden_hash(self, setup, mode):
+        env, ds = setup
+        net, curve = train(env, ds, self.smoke_cfg(mode))
+        digest = hashlib.sha256()
+        for p in net.parameters():
+            digest.update(np.ascontiguousarray(p).tobytes())
+        digest.update(repr(curve).encode())
+        assert digest.hexdigest() == self.GOLDEN[mode]
 
     def test_seed_changes_run(self, setup):
         env, ds = setup
@@ -263,6 +418,19 @@ class TestCheckpoints:
         assert meta["mode"] == "oneshot"
         x = np.random.default_rng(5).random(10)
         assert np.allclose(forward(back, x), forward(net, x), atol=1e-12)
+
+    @pytest.mark.parametrize("damage", ["short_bias", "extra_weights"])
+    def test_misshapen_checkpoint_rejected(self, tmp_path, damage):
+        path = tmp_path / "net.json"
+        save_checkpoint(QNetwork.create(np.random.default_rng(4), 10, 3), path)
+        raw = json.loads(path.read_text())
+        if damage == "short_bias":
+            raw["biases"][0] = [0.5]
+        else:
+            raw["weights"].append(raw["weights"][-1])
+        path.write_text(json.dumps(raw))
+        with pytest.raises(ValueError, match="do not fit sizes"):
+            load_checkpoint(path)
 
     def test_curve_csv(self, tmp_path):
         path = tmp_path / "curve.csv"

@@ -203,6 +203,15 @@ class TestIncompatibilities:
         with pytest.raises(TypeError):
             SweepGrid(b_max=3)
 
+    @pytest.mark.parametrize("field,value", [
+        ("b_max", (3.0,)), ("b_max", (True,)), ("seeds", ("0",)), ("costs", (0, 1, 2, 2.5)),
+        ("T", 3.0), ("episodes", True), ("epochs", "50"),
+        ("p_g", ("0.9",)), ("pe_b", (None,)), ("gamma", "0.9"), ("gamma", False),
+    ])
+    def test_sweep_grid_axes_must_be_json_numbers(self, field, value):
+        with pytest.raises(ValueError, match=f"{field} must be an? (integer|number)"):
+            SweepGrid(**{field: value})
+
 
 class TestSimulate:
     def test_same_seed_reproduces(self, dataset):
