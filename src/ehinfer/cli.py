@@ -77,10 +77,9 @@ def _read(path, what, parse=_read_json, code=EXIT_INPUT):
         raise CliExit(EXIT_INPUT, f"{path}: bad {what} ({ex})")
 
 
-def _load_env(path, gamma=None, code=EXIT_INPUT):
-    override = {} if gamma is None else {"gamma": gamma}
-    return _read(path, "environment config", lambda p: HarvestEnvironment.from_config(
-        dict(_read_json(p), **override)), code)
+def _load_env(path, code=EXIT_INPUT):
+    return _read(path, "environment config",
+                 lambda p: HarvestEnvironment.from_config(_read_json(p)), code)
 
 
 def _write_json(payload, path):
@@ -133,7 +132,7 @@ def _rho_from_args(args):
 
 
 def cmd_solve(args):
-    env = _load_env(args.env, gamma=args.gamma)
+    env = _load_env(args.env)
     meta = {"env_fingerprint": env.fingerprint(), "kind": args.kind,
             "gamma": env.epoch.discount_epoch}
     report = dict(meta)
@@ -437,7 +436,6 @@ def build_parser():
     p.add_argument("--dataset")
     p.add_argument("--rho", help="comma list of per-mode accuracies "
                                  "(alternative to --dataset)")
-    p.add_argument("--gamma", type=float, help="override the config discount")
     p.add_argument("--eps", type=float, default=1e-6)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_solve)

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .env import stationary_distribution
+from .env import json_number, stationary_distribution
 
 
 class DimensionMismatch(ValueError):
@@ -318,48 +318,40 @@ def train(env, dataset, cfg):
     t = env.epoch.T
     z = dataset.z[int(rng.integers(len(dataset)))]
     xi, tau = 0, 0
-    if inc:
-        x, feas = encode_inc(env, b, h, xi, tau, z[xi]), _inc_feasible(env, b, xi)
+    x, feas = ((encode_inc(env, b, h, xi, tau, z[xi]), _inc_feasible(env, b, xi)) if inc
+               else (encode_os(env, b, h, z), env.affordable(b)))
     curve = []
     recent_losses = []
     grad_steps = 0
     for step in range(1, cfg.total_steps + 1):
-        eps = _epsilon(cfg, step)
+        if rng.random() < _epsilon(cfg, step):
+            # one feasible action uniformly; rng.integers(1) draws no bits
+            choices = np.flatnonzero(feas)
+            a = int(choices[rng.integers(len(choices))])
+        else:
+            a = greedy_action(net, x, feas)
         if inc:
-            if rng.random() < eps:
-                alpha = int(rng.integers(2)) if feas[1] else 0
-            else:
-                alpha = greedy_action(net, x, feas)
-            cost = env.battery.cost[xi + alpha] - env.battery.cost[xi]
+            cost = env.battery.cost[xi + a] - env.battery.cost[xi]
             b2, h2 = _slot(env, rng, b, h, cost)
             if tau == t - 1:
-                reward = float(z[xi + alpha])
+                reward = float(z[xi + a])
                 z = dataset.z[int(rng.integers(len(dataset)))]
-                xi2, tau2 = 0, 0
+                xi, tau = 0, 0
             else:
                 reward = 0.0
-                xi2, tau2 = xi + alpha, tau + 1
+                xi, tau = xi + a, tau + 1
             # continuing task: epoch ends reset (xi, tau) but the battery
             # carries over, so bootstrapping must cross the epoch boundary
-            x2, feas2 = encode_inc(env, b2, h2, xi2, tau2, z[xi2]), _inc_feasible(env, b2, xi2)
-            buf.push(x, alpha, reward, x2, feas2, False)
-            b, h, xi, tau, x, feas = b2, h2, xi2, tau2, x2, feas2
+            x2, feas2 = encode_inc(env, b2, h2, xi, tau, z[xi]), _inc_feasible(env, b2, xi)
         else:
-            feas = env.affordable(b)
-            x = encode_os(env, b, h, z)
-            if rng.random() < eps:
-                choices = np.flatnonzero(feas)
-                a = int(choices[rng.integers(len(choices))])
-            else:
-                a = greedy_action(net, x, feas)
             reward = float(z[a])
             b2, h2 = _slot(env, rng, b, h, env.battery.cost[a])
             for _ in range(t - 1):
                 b2, h2 = _slot(env, rng, b2, h2, 0)
             z = dataset.z[int(rng.integers(len(dataset)))]
-            x2 = encode_os(env, b2, h2, z)
-            buf.push(x, a, reward, x2, env.affordable(b2), False)
-            b, h = b2, h2
+            x2, feas2 = encode_os(env, b2, h2, z), env.affordable(b2)
+        buf.push(x, a, reward, x2, feas2, False)
+        b, h, x, feas = b2, h2, x2, feas2
 
         if buf.size >= max(cfg.warmup, cfg.batch_size):
             batch = buf.sample(rng, cfg.batch_size)
@@ -394,8 +386,12 @@ def save_checkpoint(net, path, meta=None):
 
 
 def load_checkpoint(path):
+    """(QNetwork, meta) of a save_checkpoint file; ValueError unless it holds JSON numbers."""
     with open(path) as fh:
         payload = json.load(fh)
+    for arr in (*payload["weights"], *payload["biases"]):
+        for x in arr:
+            json_number("each weight and bias", x)
     sizes = tuple(payload["sizes"])
     # zipped with all of sizes, so an extra weight entry reaches the shape check
     weights = [np.reshape(w, (fan_in, -1)) for w, fan_in in zip(payload["weights"], sizes)]

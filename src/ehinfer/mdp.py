@@ -110,9 +110,31 @@ def q_table(mdp, values):
     return _masked_q(mdp, np.asarray(values.values))
 
 
-def greedy_policy_from_values(mdp, v):
-    # np.argmax picks the first maximizer, i.e. the cheapest action on ties
-    return np.argmax(_masked_q(mdp, v), axis=1)
+def action_max(q):
+    """q.max(axis=-1) as a running maximum, several times faster on a short action axis."""
+    top = np.maximum(q[..., 0], q[..., -1])
+    for a in range(1, q.shape[-1] - 1):
+        np.maximum(top, q[..., a], out=top)
+    return top
+
+
+# Qs this close to the max tie; float noise between tied actions is far smaller
+TIE_TOL = 1e-12
+
+
+def greedy(q, current=None):
+    """The one tie rule of every solver: an action index along q's last axis.
+
+    Keeps `current` (q without its last axis) where its Q is within TIE_TOL
+    of the max (Howard's rule, Puterman 1994, sec. 6.4: policy iteration
+    cannot cycle on float ties), else takes the cheapest action that is.
+    """
+    bar = action_max(q) - TIE_TOL
+    best = (q >= bar[..., None]).argmax(axis=-1)
+    if current is not None:
+        held = np.take_along_axis(q, current[..., None], axis=-1)[..., 0]
+        np.copyto(best, current, where=held >= bar)
+    return best
 
 
 def fixed_point(operator, n, eps, max_iter, what):
@@ -137,15 +159,14 @@ def fixed_point(operator, n, eps, max_iter, what):
 def value_iteration(mdp, eps=1e-8, max_iter=10**6):
     """Classic value iteration to sup-norm residual eps.
 
-    Greedy ties break toward the smallest action index. The residual
-    sequence is recorded on the returned ValueTable; the policy is an
-    action index per state. Raises NotConverged when max_iter sweeps do not
-    reach eps.
+    The policy is `greedy` at the returned values, an action index per
+    state. The residual sequence is recorded on the returned ValueTable.
+    Raises NotConverged when max_iter sweeps do not reach eps.
     """
     v, residuals = fixed_point(lambda v: _masked_q(mdp, v).max(axis=1), mdp.n_states,
                                eps, max_iter, "value iteration")
     vt = ValueTable(values=v, residuals=residuals, iterations=len(residuals))
-    return vt, greedy_policy_from_values(mdp, v)
+    return vt, greedy(_masked_q(mdp, v))
 
 
 def evaluate_policy(mdp, policy):
@@ -172,35 +193,25 @@ def solve_affine_value(p_pi, r_pi, discount):
         raise SingularEvaluation(str(ex)) from ex
 
 
-# an action whose Q is this close to the row max counts as a maximizer; float
-# noise between tied actions is orders of magnitude smaller
-_PI_TIE_TOL = 1e-12
-
-
 def policy_iteration(mdp, max_iter=10**4):
     """Howard policy iteration with exact evaluation.
 
-    Starts from the cheapest feasible action in every state. Improvement
-    keeps the current action wherever its Q is within _PI_TIE_TOL of the
-    row max and otherwise takes the cheapest maximizer (Puterman 1994,
-    sec. 6.4), so float-level ties cannot make the policy cycle; it
-    terminates when improvement leaves the policy unchanged. Raises
+    Starts from the cheapest feasible action in every state; improvement is
+    `greedy` with the current policy, until it changes nothing. Returns that
+    policy's values and, as value_iteration does, `greedy` at them. Raises
     NotConverged when that takes more than max_iter evaluations.
     """
     policy = np.argmax(mdp.feasible, axis=1)
-    idx = np.arange(mdp.n_states)
     for it in range(1, max_iter + 1):
         v = evaluate_policy(mdp, policy)
         q = _masked_q(mdp, v)
-        improved = np.argmax(q, axis=1)
-        keep = q[idx, policy] >= q.max(axis=1) - _PI_TIE_TOL
-        improved[keep] = policy[keep]
+        improved = greedy(q, policy)
         if np.array_equal(improved, policy):
             break
         policy = improved
     else:
         raise NotConverged(f"policy iteration still improving after {max_iter} steps")
-    return ValueTable(values=v, iterations=it), policy
+    return ValueTable(values=v, iterations=it), greedy(q)
 
 
 def state_keys(env, incremental):

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .confidence import EmptyDataset
-from .mdp import _PI_TIE_TOL, NotConverged, solve_affine_value, state_keys
+from .mdp import NotConverged, action_max, greedy, solve_affine_value, state_keys
 
 # records scored together by the policy-improvement step and the oracle exit
 # counts, so no (D, S, K) score tensor is held however large the dataset is
@@ -127,10 +127,9 @@ def approx_operator(v_bar, dataset, env, gamma):
     affine piece of the region it falls in.
     """
     _check_dataset(dataset, env)
-    cont = _continuation(env, gamma, v_bar)             # (A, S)
-    masked = np.where(env.affordable(env.state_coords()[0]).T, cont, -np.inf)
-    scores = dataset.z[:, :, None] + masked[None, :, :]  # (D, A, S)
-    return scores.max(axis=1).mean(axis=0)
+    b, h = env.state_coords()
+    scores = _scores(env, _continuation(env, gamma, v_bar), b, h, dataset.z[:, None, :])
+    return action_max(scores).mean(axis=0)      # scores: (D, S, K)
 
 
 def solve_oracle(env, dataset, gamma=None, eps=1e-6, max_iter=10**5):
@@ -140,9 +139,9 @@ def solve_oracle(env, dataset, gamma=None, eps=1e-6, max_iter=10**5):
     array of choices a_d(s). The operator restricted to it is affine, so
     its value is one dense solve of (I - gamma P_pi) v = r_pi, with
     r_pi(s) = mean_d z_d[a_d(s)] and P_pi(s) = sum_a freq(a|s) P_a(s).
-    Improvement is the oracle_choice argmax at the latest v (ties to the
-    cheaper mode), keeping each current choice whose score is within the
-    tie tolerance of the max (Puterman 1994, sec. 6.4). The first policy
+    Improvement is `mdp.greedy` of the oracle_choice scores at the latest
+    v with each record's current choice, the tie rule of the table
+    solvers (Puterman 1994, sec. 6.4). The first policy
     improves mode 0 everywhere at v = 0: the masked argmax of z. After each
     evaluation the Bellman residual sup|Tv - v| of approx_operator is
     recorded in residuals; the solve stops once it is <= eps, or when
@@ -173,10 +172,9 @@ def solve_oracle(env, dataset, gamma=None, eps=1e-6, max_iter=10**5):
 def _improve(env, z, continuation, choices):
     """Improve the choices (D, S) of the records z (D, K) against continuation (A, S).
 
-    Works one block of records at a time and writes in place. A choice
-    changes only where its score falls more than _PI_TIE_TOL below the
-    max, and then to the cheapest maximizer. Returns r_pi (S,), freq(a|s)
-    (A, S) and the number of changed choices.
+    Works one block of records at a time and writes in place: each choice
+    becomes `greedy` of its scores with the current choice. Returns r_pi
+    (S,), freq(a|s) (A, S) and the number of changed choices.
     """
     b, h = env.state_coords()
     n_s, k = env.n_states, env.n_modes
@@ -185,14 +183,8 @@ def _improve(env, z, continuation, choices):
     counts = np.zeros(n_s * k, dtype=np.int64)
     changed = 0
     for blk in record_blocks(len(z)):
-        scores = _scores(env, continuation, b, h, z[blk, None, :])     # (B, S, K)
-        best = scores.argmax(axis=-1)
-        current = choices[blk]
-        held, top = (np.take_along_axis(scores, a[..., None], axis=-1)[..., 0]
-                     for a in (current, best))
-        stay = held >= top - _PI_TIE_TOL
-        best[stay] = current[stay]
-        changed += np.count_nonzero(best != current)
+        best = greedy(_scores(env, continuation, b, h, z[blk, None, :]), choices[blk])
+        changed += np.count_nonzero(best != choices[blk])
         choices[blk] = best
         reward += np.take_along_axis(z[blk], best, axis=1).sum(axis=0)
         counts += np.bincount((cells + best).ravel(), minlength=n_s * k)
@@ -229,7 +221,10 @@ def oracle_choice(solution, b, h, z):
 
 def _scores(env, continuation, b, h, z):
     """z^(a) plus the continuation (A, S) of (b, h); -inf where b cannot pay for a."""
-    scores = z + continuation.T[env.state_index(b, h)]
+    cont = continuation.T[env.state_index(b, h)]
+    scores = np.empty(np.broadcast_shapes(np.shape(z), cont.shape))
+    for a in range(env.n_modes):    # one broadcast add over the few modes is 2x slower
+        np.add(z[..., a], cont[..., a], out=scores[..., a])
     np.copyto(scores, -np.inf, where=~env.affordable(b))
     return scores
 

@@ -222,6 +222,16 @@ class TestSolve:
                      "--rho", "0.005,0.5,0.7,0.8", "--out", "p.json"]) == 2
         assert f"{key} must be" in capsys.readouterr().err
 
+    def test_gamma_override_is_a_usage_error(self, sandbox, capsys):
+        # the discount has one source, env.json: an overridden solve wrote
+        # artifacts that simulate and exit-probs refused for their env
+        with pytest.raises(SystemExit) as ex:
+            main(["solve", "--kind", "mms", "--env", "env.json", "--gamma", "0.5",
+                  "--rho", "0.005,0.5,0.7,0.8", "--out", "p.json"])
+        assert ex.value.code == 2
+        assert "--gamma" in capsys.readouterr().err
+        assert not (sandbox / "p.json").exists()
+
     def test_missing_env_file(self, sandbox):
         assert main(["solve", "--kind", "mms", "--env", "nope.json",
                      "--rho", "0.1,0.2,0.3,0.4", "--out", "x.json"]) == 2
@@ -330,7 +340,8 @@ class TestTrainDqn:
         assert rc == 0
 
 
-    @pytest.mark.parametrize("damage", ["short_bias", "extra_weights"])
+    @pytest.mark.parametrize("damage", ["short_bias", "extra_weights", "string_weight",
+                                        "bool_bias"])
     def test_misshapen_checkpoint_is_input_error(self, sandbox, capsys, damage):
         ds = gen(sandbox, n=200)
         assert main(["train-dqn", "--env", "env.json", "--dataset", str(ds),
@@ -338,8 +349,12 @@ class TestTrainDqn:
         raw = json.loads((sandbox / "net.json").read_text())
         if damage == "short_bias":
             raw["biases"][0] = [0.5]    # broadcast over the whole layer before
-        else:
+        elif damage == "extra_weights":
             raw["weights"].append(raw["weights"][-1])    # dropped by a zip before
+        elif damage == "string_weight":
+            raw["weights"][0][0] = "0.25"   # loaded as 0.25 before
+        else:
+            raw["biases"][-1][0] = True     # loaded as 1.0 before
         (sandbox / "bad.json").write_text(json.dumps(raw))
         assert main(["simulate", "--env", "env.json", "--dataset", str(ds),
                      "--controller", "inc-dqn", "--checkpoint", "bad.json",

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ehinfer import dqn as dqn_mod
 from ehinfer.confidence import default_spec, generate_synthetic
 from ehinfer.dqn import (Adam, DimensionMismatch, QNetwork, ReplayBuffer,
                          TrainConfig, encode_inc, encode_os, forward,
@@ -361,6 +362,19 @@ class TestTraining:
         digest.update(repr(curve).encode())
         assert digest.hexdigest() == self.GOLDEN[mode]
 
+    def test_oneshot_encodes_each_state_once(self, setup, monkeypatch):
+        # the next state's encoding is carried into the following step: one
+        # encoding per step plus the first state and one per evaluation epoch
+        env, ds = setup
+        calls = []
+        encode = dqn_mod.encode_os
+        monkeypatch.setattr(dqn_mod, "encode_os", lambda *a: calls.append(a) or encode(*a))
+        cfg = TrainConfig(mode="oneshot", total_steps=200, warmup=32, buffer_capacity=500,
+                          eps_decay_steps=100, target_sync=50, eval_every=200,
+                          eval_epochs=5, lr=1e-3)
+        train(env, ds, cfg)
+        assert len(calls) == 1 + cfg.total_steps + cfg.eval_epochs
+
     def test_seed_changes_run(self, setup):
         env, ds = setup
         net1, _ = train(env, ds, self.smoke_cfg("incremental", seed=0))
@@ -430,6 +444,17 @@ class TestCheckpoints:
             raw["weights"].append(raw["weights"][-1])
         path.write_text(json.dumps(raw))
         with pytest.raises(ValueError, match="do not fit sizes"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("value", ["0.25", True])
+    def test_non_number_parameter_rejected(self, tmp_path, value):
+        # a float dtype used to turn "0.25" into 0.25 and true into 1.0
+        path = tmp_path / "net.json"
+        save_checkpoint(QNetwork.create(np.random.default_rng(4), 10, 3), path)
+        raw = json.loads(path.read_text())
+        raw["weights"][1][0] = raw["biases"][0][0] = value
+        path.write_text(json.dumps(raw))
+        with pytest.raises(ValueError, match="weight and bias must be a number"):
             load_checkpoint(path)
 
     def test_curve_csv(self, tmp_path):

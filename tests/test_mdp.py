@@ -10,8 +10,7 @@ from ehinfer.env import two_state_env
 from ehinfer.mdp import (FiniteMdp, NotConverged, ValueTable,
                          build_inc_iag_mdp, build_mms_mdp, check_monotone,
                          check_superadditive, dominance_margin,
-                         evaluate_policy, greedy_policy_from_values,
-                         inc_state_index, load_policy, policy_iteration,
+                         evaluate_policy, greedy, inc_state_index, load_policy, policy_iteration,
                          q_table, save_policy, state_keys, value_iteration)
 from test_acceptance import grid_sample, reference_env
 
@@ -77,7 +76,15 @@ class TestFiniteMdp:
                         discount=0.5)
         vt, pol = value_iteration(mdp, eps=1e-10)
         assert pol[0] == 0
-        assert greedy_policy_from_values(mdp, vt.values)[0] == 0
+        assert greedy(q_table(mdp, vt))[0] == 0
+
+    def test_greedy_tie_rule(self):
+        # actions within TIE_TOL of the max tie: the current one stays,
+        # otherwise the cheapest wins; an infeasible (-inf) action never does
+        q = np.array([[0.5, 0.5 + 1e-13, 0.2], [0.1, 0.3, 0.3 + 1e-9], [-np.inf, 0.0, 0.0]])
+        assert greedy(q).tolist() == [0, 2, 1]
+        assert greedy(q, np.array([1, 1, 2])).tolist() == [1, 2, 2]
+        assert greedy(q, np.array([2, 0, 0])).tolist() == [0, 2, 1]
 
     def test_infeasible_action_never_selected(self):
         # action 1 pays more but is infeasible; greedy must ignore it
@@ -293,10 +300,7 @@ class TestSparseIncModel:
         v_ref, q_ref = dense_value_iteration(trans, reward, feasible, mdp.discount, 1e-8)
         vt, pol = value_iteration(mdp, eps=1e-8)
         assert np.abs(vt.values - v_ref).max() <= 1e-12
-        # exact ties may break either way under a different summation order
-        gap = np.abs(q_ref[:, 1] - q_ref[:, 0])
-        decided = ~np.isfinite(gap) | (gap > 1e-12)
-        assert np.array_equal(pol[decided], np.argmax(q_ref, axis=1)[decided])
+        assert np.array_equal(pol, greedy(q_ref))
 
     @pytest.mark.parametrize("env", REFERENCE_ENVS, ids=lambda e: e.fingerprint())
     def test_every_row_is_stochastic(self, env):
@@ -309,10 +313,13 @@ class TestSparseIncModel:
     def test_policy_iteration_terminates(self, env):
         # pause and proceed tie up to float noise in many states; taking the
         # argmax at every improvement step made the policy cycle between them
-        mdp = build_inc_iag_mdp(env, RHO[:env.n_modes])
-        vt, _ = policy_iteration(mdp, max_iter=50)
-        v_ref, _ = value_iteration(mdp, eps=1e-10)
-        assert np.abs(vt.values - v_ref.values).max() <= 1e-8
+        for build in (build_inc_iag_mdp, build_mms_mdp):
+            mdp = build(env, RHO[:env.n_modes])
+            vt, pol = policy_iteration(mdp, max_iter=50)
+            v_ref, pol_ref = value_iteration(mdp, eps=1e-10)
+            assert np.abs(vt.values - v_ref.values).max() <= 1e-8
+            # one tie rule: the saved policy does not depend on the solver
+            assert np.array_equal(pol, pol_ref), build.__name__
 
     def test_build_stays_small_at_b_max_300(self):
         env = reference_env(b_max=300)      # dense tensor would be 835 MB
