@@ -11,13 +11,12 @@ Exit codes: 2 invalid input, 3 solver failure, 4 training configuration,
 
 import argparse
 import dataclasses
-import json
 import os
 import sys
 
 import numpy as np
 
-from .env import HarvestEnvironment, NonErgodicChain
+from .env import HarvestEnvironment, NonErgodicChain, read_json, write_csv, write_json
 from . import confidence as conf
 from . import mdp as mdp_mod
 from . import oracle as oracle_mod
@@ -55,16 +54,7 @@ def _resolve_seed(value):
         raise CliExit(EXIT_INPUT, f"EH_INFER_SEED is not an integer: {fallback!r}")
 
 
-def _read_json(path):
-    """The JSON object in path; any other JSON value is a ValueError."""
-    with open(path) as fh:
-        raw = json.load(fh)
-    if not isinstance(raw, dict):
-        raise ValueError(f"expected a JSON object, got {type(raw).__name__}")
-    return raw
-
-
-def _read(path, what, parse=_read_json, code=EXIT_INPUT):
+def _read(path, what, parse=read_json, code=EXIT_INPUT):
     """parse(path) of an input file: missing exits with `code`, malformed with 2.
 
     JSON syntax errors are ValueErrors, so they are malformed input too.
@@ -79,13 +69,7 @@ def _read(path, what, parse=_read_json, code=EXIT_INPUT):
 
 def _load_env(path, code=EXIT_INPUT):
     return _read(path, "environment config",
-                 lambda p: HarvestEnvironment.from_config(_read_json(p)), code)
-
-
-def _write_json(payload, path):
-    with open(path, "w") as fh:
-        json.dump(payload, fh, indent=1, sort_keys=True)
-        fh.write("\n")
+                 lambda p: HarvestEnvironment.from_config(read_json(p)), code)
 
 
 # ---------------------------------------------------------------- gen-data
@@ -96,7 +80,7 @@ def cmd_gen_data(args):
     if args.n <= 0:
         raise CliExit(EXIT_INPUT, "--n must be a positive record count")
     if args.spec is not None:
-        spec = _read(args.spec, "synthetic spec", lambda p: conf.SyntheticSpec(**_read_json(p)))
+        spec = _read(args.spec, "synthetic spec", lambda p: conf.SyntheticSpec(**read_json(p)))
     else:
         spec = conf.default_spec()
     rng = np.random.default_rng(seed)
@@ -104,13 +88,13 @@ def cmd_gen_data(args):
     conf.save_jsonl(ds, args.out)
     acc = conf.exit_accuracy(ds)
     _, ece = conf.reliability_report(ds)
-    _write_json({
+    write_json(args.out + ".summary.json", {
         "seed": seed,
         "n_records": len(ds),
         "per_exit_accuracy": [float(a) for a in acc],
         "ece": [float(e) for e in ece],
         "spec": dataclasses.asdict(spec),
-    }, args.out + ".summary.json")
+    }, indent=1, sort_keys=True)
     print(f"wrote {args.out}: n={len(ds)} accuracies="
           + "/".join(f"{a:.4f}" for a in acc))
     return 0
@@ -186,7 +170,7 @@ def cmd_solve(args):
         raise CliExit(EXIT_SOLVER, f"solver failed: {ex}")
     except ValueError as ex:
         raise CliExit(EXIT_INPUT, f"solve rejected: {ex}")
-    _write_json(report, args.out + ".report.json")
+    write_json(args.out + ".report.json", report, indent=1, sort_keys=True)
     line = ", ".join(f"{k}={report[k]}" for k in sorted(report)
                      if k not in ("env_fingerprint", "dataset_fingerprint"))
     print(f"wrote {args.out} ({line})")
@@ -215,7 +199,7 @@ def cmd_train_dqn(args):
                                           env.n_modes)
         print("warning: 0 training steps requested, writing an untrained "
               "network", file=sys.stderr)
-        dqn_mod.save_checkpoint(net, args.out, meta=meta)
+        dqn_mod.save_checkpoint(net, args.out, env, meta=meta)
         dqn_mod.save_curve([], curve_path, meta=meta)
         return 0
     try:
@@ -228,7 +212,7 @@ def cmd_train_dqn(args):
     except ValueError as ex:
         raise CliExit(EXIT_TRAINING, f"bad training configuration: {ex}")
     net, curve = dqn_mod.train(env, ds, cfg)
-    dqn_mod.save_checkpoint(net, args.out, meta=meta)
+    dqn_mod.save_checkpoint(net, args.out, env, meta=meta)
     dqn_mod.save_curve(curve, curve_path, meta=meta)
     print(f"wrote {args.out}: final eval accuracy {curve[-1][1]:.4f}")
     return 0
@@ -236,8 +220,8 @@ def cmd_train_dqn(args):
 
 # ---------------------------------------------------------------- simulate
 
-def _build_controller(args, env, ds):
-    """The controller of --controller, built from its artifact; ds is the dataset."""
+def _build_controller(args, env):
+    """The controller of --controller, built from its artifact for env."""
     kind = args.controller
 
     def artifact(what, parse):
@@ -246,14 +230,13 @@ def _build_controller(args, env, ds):
 
     if kind in ("mms", "inc-iag"):
         inc = kind == "inc-iag"
-        pol = artifact("policy", lambda p: _for_env(p, mdp_mod.load_policy(p, env, inc), env))
+        pol, _ = artifact("policy", lambda p: mdp_mod.load_policy(p, env, inc))
         return (harness.IncTableController if inc else harness.MmsController)(pol, env)
     if kind == "oracle":
-        fp = oracle_mod.dataset_fingerprint(ds)
-        sol = artifact("solution", lambda p: oracle_mod.load_solution(p, env, dataset_fp=fp))
+        sol = artifact("solution", lambda p: oracle_mod.load_solution(p, env))
         return harness.OracleController(sol, env)
     if kind in ("inc-dqn", "os-dqn"):
-        net = artifact("checkpoint", lambda p: _for_env(p, dqn_mod.load_checkpoint(p), env))
+        net, _ = artifact("checkpoint", lambda p: dqn_mod.load_checkpoint(p, env))
         return (harness.IncDqnController if kind == "inc-dqn" else harness.OsDqnController)(
             net, env)
     if kind == "random":
@@ -269,23 +252,13 @@ def _missing_flag(flag, kind):
     raise CliExit(EXIT_INPUT, f"controller={kind} requires {flag}")
 
 
-def _for_env(path, loaded, env):
-    """The artifact of a loaded (artifact, meta) pair whose meta names env."""
-    artifact, meta = loaded
-    found = meta.get("env_fingerprint")
-    if found != env.fingerprint():
-        raise CliExit(EXIT_INPUT, f"{path}: made for environment {found}, "
-                                  f"not {env.fingerprint()}")
-    return artifact
-
-
 def cmd_simulate(args):
     seed = _resolve_seed(args.seed)
     _check_writable(args.out)
     env = _load_env(args.env, code=EXIT_MISSING)
     ds = _read(args.dataset, "dataset", conf.load_jsonl, EXIT_MISSING)
     try:
-        controller = _build_controller(args, env, ds)
+        controller = _build_controller(args, env)
         results = harness.simulate(controller, env, ds, episodes=args.episodes,
                                    epochs=args.epochs, seed=seed)
     except CliExit:
@@ -303,15 +276,11 @@ def cmd_simulate(args):
             "episodes": args.episodes, "epochs": args.epochs, "seed": seed,
         }),
     }
-    with open(args.out, "w") as fh:
-        for key, val in meta.items():
-            fh.write(f"# {key}={val}\n")
-        exits = ",".join(f"exit_{k}" for k in range(env.n_modes))
-        fh.write(f"episode,accuracy,{exits},energy_used,overflow,outage,epochs\n")
-        for i, r in enumerate(results):
-            hist = ",".join(str(int(c)) for c in r.exit_hist)
-            fh.write(f"{i},{r.accuracy:.10g},{hist},{r.energy_used},"
-                     f"{r.overflow},{r.outage},{r.epochs}\n")
+    columns = ["episode", "accuracy", *(f"exit_{k}" for k in range(env.n_modes)),
+               "energy_used", "overflow", "outage", "epochs"]
+    write_csv(args.out, meta, columns, (
+        (i, f"{r.accuracy:.10g}", *map(int, r.exit_hist), r.energy_used, r.overflow,
+         r.outage, r.epochs) for i, r in enumerate(results)))
     print(f"wrote {args.out}: mean accuracy {mean:.4f} [{lo:.4f}, {hi:.4f}]")
     return 0
 
@@ -362,7 +331,7 @@ def cmd_exit_probs(args):
         ds = _read(args.dataset, "dataset", conf.load_jsonl, EXIT_MISSING)
         meta["dataset_fingerprint"] = oracle_mod.dataset_fingerprint(ds)
     try:
-        ctl = _build_controller(args, env, ds)
+        ctl = _build_controller(args, env)
         if kind == "mms":
             eta = harness.exit_probability_mms(ctl.actions, env)
         elif kind == "inc-iag":
@@ -399,12 +368,12 @@ def cmd_calibrate(args):
         tau, out_ds = args.tau, conf.distort_calibration(ds, args.tau)
     conf.save_jsonl(out_ds, args.out)
     _, ece_after = conf.reliability_report(out_ds)
-    _write_json({
+    write_json(args.out + ".summary.json", {
         "mode": "fit" if args.fit else "distort",
         "tau": float(tau),
         "ece_before": [float(e) for e in ece_before],
         "ece_after": [float(e) for e in ece_after],
-    }, args.out + ".summary.json")
+    }, indent=1, sort_keys=True)
     print(f"wrote {args.out}: tau={tau:.6g} "
           f"ece {np.mean(ece_before):.4f} -> {np.mean(ece_after):.4f}")
     return 0

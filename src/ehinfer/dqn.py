@@ -15,12 +15,11 @@ evaluates the greedy network as a harness controller through
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .env import json_number, stationary_distribution
+from .env import json_number, read_artifact, stationary_distribution, write_csv, write_json
 
 
 class DimensionMismatch(ValueError):
@@ -372,37 +371,30 @@ def train(env, dataset, cfg):
     return net, curve
 
 
-def save_checkpoint(net, path, meta=None):
-    """Checkpoint JSON: layer sizes plus row-major weight and bias arrays."""
+def save_checkpoint(net, path, env, meta=None):
+    """Checkpoint JSON: env-stamped metadata, layer sizes, row-major weights and biases."""
     payload = {
-        "meta": dict(meta or {}),
+        "meta": dict(meta or {}, env_fingerprint=env.fingerprint()),
         "sizes": list(net.sizes),
         "weights": [w.ravel().tolist() for w in net.weights],
         "biases": [b.tolist() for b in net.biases],
     }
-    with open(path, "w") as fh:
-        json.dump(payload, fh)
-        fh.write("\n")
+    write_json(path, payload)
 
 
-def load_checkpoint(path):
-    """(QNetwork, meta) of a save_checkpoint file; ValueError unless it holds JSON numbers."""
-    with open(path) as fh:
-        payload = json.load(fh)
+def load_checkpoint(path, env):
+    """(QNetwork, meta) of a save_checkpoint file for env; ValueError unless all JSON numbers."""
+    payload, meta = read_artifact(path, env)
     for arr in (*payload["weights"], *payload["biases"]):
         for x in arr:
             json_number("each weight and bias", x)
     sizes = tuple(payload["sizes"])
     # zipped with all of sizes, so an extra weight entry reaches the shape check
     weights = [np.reshape(w, (fan_in, -1)) for w, fan_in in zip(payload["weights"], sizes)]
-    return QNetwork(sizes, weights, payload["biases"]), payload.get("meta", {})
+    return QNetwork(sizes, weights, payload["biases"]), meta
 
 
 def save_curve(curve, path, meta=None):
     """Learning curve CSV: step, eval accuracy, loss."""
-    with open(path, "w") as fh:
-        for key, val in (meta or {}).items():
-            fh.write(f"# {key}={val}\n")
-        fh.write("step,eval_accuracy,loss\n")
-        for step, acc, loss in curve:
-            fh.write(f"{step},{acc:.10g},{loss:.10g}\n")
+    write_csv(path, meta, ("step", "eval_accuracy", "loss"),
+              ((step, f"{acc:.10g}", f"{loss:.10g}") for step, acc, loss in curve))

@@ -8,12 +8,17 @@ slotwise as ``b' = min(max(b - u + e, 0), b_max)``.
 All types are immutable after construction. Sampling takes uniforms the
 caller drew from its own ``numpy.random.Generator``; there is no hidden
 global state.
+
+Every artifact but the JSONL datasets is read and written here: JSON
+objects, solved tables among them stamped with the environment's
+fingerprint, and CSVs with ``# key=value`` header lines.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -35,17 +40,59 @@ def _as_readonly(a, dtype=float):
 
 def json_number(name, value, integer=False):
     """value if it is a JSON integer, or unless `integer` a JSON number; else ValueError."""
-    # bool is a subclass of int, so the type is compared exactly
-    if type(value) not in ((int,) if integer else (int, float)):
+    # bool is a subclass of int, so the type is compared exactly; NaN and Infinity are not JSON
+    if type(value) not in ((int,) if integer else (int, float)) or not -math.inf < value < math.inf:
         raise ValueError(f"{name} must be {'an integer' if integer else 'a number'}, got {value!r}")
     return value
 
 
+def read_json(path):
+    """The JSON object in path; any other JSON value is a ValueError."""
+    with open(path) as fh:
+        raw = json.load(fh)
+    if not isinstance(raw, dict):
+        raise ValueError(f"expected a JSON object, got {type(raw).__name__}")
+    return raw
+
+
+def write_json(path, payload, indent=None, sort_keys=False):
+    """payload as one newline-terminated JSON document in path."""
+    with open(path, "w") as fh:
+        json.dump(payload, fh, indent=indent, sort_keys=sort_keys)
+        fh.write("\n")
+
+
+def read_artifact(path, env):
+    """(payload, meta) of a JSON artifact made for env, else ValueError.
+
+    Solutions keep env_fingerprint at the top level, policies and checkpoints in meta.
+    """
+    payload = read_json(path)
+    meta = payload.get("meta", {})
+    if not isinstance(meta, dict):
+        raise ValueError(f"meta must be a JSON object, got {type(meta).__name__}")
+    found = payload.get("env_fingerprint", meta.get("env_fingerprint"))
+    if found != env.fingerprint():
+        raise ValueError(f"made for environment {found}, not {env.fingerprint()}")
+    return payload, meta
+
+
+def write_csv(path, meta, columns, rows):
+    """CSV of one '# key=value' line per meta item, the columns, then the rows of cells."""
+    with open(path, "w") as fh:
+        for key, val in (meta or {}).items():
+            fh.write(f"# {key}={val}\n")
+        fh.write(",".join(columns) + "\n")
+        for row in rows:
+            fh.write(",".join(map(str, row)) + "\n")
+
+
 def _check_rows_stochastic(mat, what, tol=1e-12):
-    if np.any(mat < -tol) or np.any(mat > 1 + tol):
+    # written as not-all-ok, so NaN entries, which compare False, fail too
+    if not np.all((mat >= -tol) & (mat <= 1 + tol)):
         raise ValueError(f"{what}: entries must lie in [0, 1]")
     err = np.abs(mat.sum(axis=-1) - 1.0)
-    if np.any(err > tol):
+    if not np.all(err <= tol):
         raise ValueError(f"{what}: rows must sum to 1 (max error {err.max():.3e})")
 
 
@@ -259,15 +306,19 @@ class HarvestEnvironment:
     def from_config(cls, cfg):
         """Environment of a to_config dict, as read from JSON.
 
-        T and b_max must be integers and gamma a number; anything else,
-        a bool or a numeric string included, raises ValueError.
+        T, b_max and each cost must be integers, gamma and each transition
+        and arrival_pmfs entry numbers. Anything else, a bool or a numeric
+        string included, raises ValueError.
         """
         for key in ("T", "b_max", "gamma"):
             json_number(key, cfg[key], integer=key != "gamma")
+        mat = {key: [[json_number(key, x) for x in row] for row in cfg[key]]
+               for key in ("transition", "arrival_pmfs")}
         return cls(
-            chain=HarvestChain(states=tuple(cfg["states"]), transition=np.asarray(cfg["transition"])),
-            arrivals=ArrivalModel(pmf_per_state=np.asarray(cfg["arrival_pmfs"])),
-            battery=BatteryConfig(b_max=cfg["b_max"], cost=tuple(cfg["costs"])),
+            chain=HarvestChain(states=tuple(cfg["states"]), transition=np.asarray(mat["transition"])),
+            arrivals=ArrivalModel(pmf_per_state=np.asarray(mat["arrival_pmfs"])),
+            battery=BatteryConfig(b_max=cfg["b_max"], cost=tuple(
+                json_number("costs", c, integer=True) for c in cfg["costs"])),
             epoch=EpochConfig(cfg["T"], float(cfg["gamma"])),
             condition_on_next=bool(cfg.get("condition_arrivals_on_next_state", False)),
         )

@@ -28,7 +28,8 @@ from . import dqn as dqn_mod
 from . import mdp as mdp_mod
 from . import oracle as oracle_mod
 from .confidence import exit_accuracy
-from .env import InfeasibleAction, energy_rate, json_number, stationary_distribution, two_state_env
+from .env import (InfeasibleAction, energy_rate, json_number, stationary_distribution,
+                  two_state_env, write_csv)
 
 
 class IncompatibleController(ValueError):
@@ -472,24 +473,15 @@ def _fmt(value):
 def write_results_csv(rows, path, n_modes, meta=None):
     """Sweep/simulate rows as CSV with '#' metadata comment lines first."""
     cols = results_columns(n_modes)
-    with open(path, "w") as fh:
-        for key, val in (meta or {}).items():
-            fh.write(f"# {key}={val}\n")
-        fh.write(",".join(cols) + "\n")
-        for row in rows:
-            fh.write(",".join(_fmt(row[c]) for c in cols) + "\n")
+    write_csv(path, meta, cols, ([_fmt(row[c]) for c in cols] for row in rows))
 
 
 def write_eta_csv(eta, env, path, meta=None):
     """Exit-probability table as CSV rows (b, h, k, eta)."""
-    with open(path, "w") as fh:
-        for key, val in (meta or {}).items():
-            fh.write(f"# {key}={val}\n")
-        fh.write("b,h,k,eta\n")
-        for b in range(env.battery.b_max + 1):
-            for h, label in enumerate(env.chain.states):
-                for k, p in enumerate(eta[env.state_index(b, h)]):
-                    fh.write(f"{b},{label},{k},{p:.10g}\n")
+    write_csv(path, meta, ("b", "h", "k", "eta"), (
+        (b, label, k, f"{p:.10g}") for b in range(env.battery.b_max + 1)
+        for h, label in enumerate(env.chain.states)
+        for k, p in enumerate(eta[env.state_index(b, h)])))
 
 
 def config_fingerprint(payload):

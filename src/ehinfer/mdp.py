@@ -9,17 +9,18 @@ average accuracies, not per-instance confidences.
 
 Solved tables are plain arrays in state-index order: values (S,), action
 values (S, A) and policies (S,) of action indices. States are named only
-in artifact files, by the keys of `state_keys`; `load_policy` reads each
-action back by its key.
+in artifact files, by the keys of `state_keys`; `by_key` reads each
+stored value back by its key.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
+
+from .env import read_artifact, write_json
 
 
 class SingularEvaluation(RuntimeError):
@@ -352,43 +353,39 @@ def epoch_start_margin(env, v_inc, v_mms):
 
 
 def save_policy(policy, path, env, incremental, meta=None):
-    """Policy JSON: metadata plus a state-key -> action-index mapping.
+    """Policy JSON: metadata stamped with env's fingerprint, plus a state-key -> action mapping.
 
     The keys are state_keys(env, incremental), in state-index order.
     """
     keys = state_keys(env, incremental)
     if len(policy) != len(keys):
         raise ValueError(f"policy has {len(policy)} states, the environment {len(keys)}")
-    payload = {"meta": dict(meta or {}), "policy": {k: int(a) for k, a in zip(keys, policy)}}
-    with open(path, "w") as fh:
-        json.dump(payload, fh, indent=1, sort_keys=False)
-        fh.write("\n")
+    payload = {"meta": dict(meta or {}, env_fingerprint=env.fingerprint()),
+               "policy": {k: int(a) for k, a in zip(keys, policy)}}
+    write_json(path, payload, indent=1)
 
 
-def load_policy(path, env, incremental):
-    """Read a save_policy file back as (actions, meta), each action by its key.
-
-    Key order in the file does not matter. Raises ValueError unless the
-    file's keys are exactly state_keys(env, incremental) and every action
-    is a JSON integer naming a mode (one-shot) or a pause/proceed choice
-    (incremental).
-    """
-    with open(path) as fh:
-        payload = json.load(fh)
-    mapping = payload["policy"]
+def by_key(mapping, env, incremental, what):
+    """mapping's values in state-index order; ValueError unless its keys are state_keys'."""
     keys = state_keys(env, incremental)
     missing = [k for k in keys if k not in mapping]
     extra = sorted(set(mapping).difference(keys))
     if missing or extra:
         kind = "(b, h, xi, tau)" if incremental else "(b, h)"
-        raise ValueError(f"policy keys are not the {kind} states of this environment: "
+        raise ValueError(f"{what} keys are not the {kind} states of this environment: "
                          f"{len(missing)} missing, {len(extra)} unexpected "
                          f"(first {(missing or extra)[0]!r})")
+    return [mapping[k] for k in keys]
+
+
+def load_policy(path, env, incremental):
+    """(actions, meta) of a save_policy file for env; each action a JSON integer action index."""
+    payload, meta = read_artifact(path, env)
+    actions = by_key(payload["policy"], env, incremental, "policy")
     n_actions = 2 if incremental else env.n_modes
-    actions = [mapping[k] for k in keys]
     # bool is a subclass of int, so the type is compared exactly
     bad = [i for i, a in enumerate(actions) if type(a) is not int or not 0 <= a < n_actions]
     if bad:
         raise ValueError(f"policy actions must lie in 0..{n_actions - 1} as JSON integers; "
-                         f"{keys[bad[0]]!r} holds {actions[bad[0]]!r}")
-    return np.array(actions, dtype=np.int64), payload.get("meta", {})
+                         f"{state_keys(env, incremental)[bad[0]]!r} holds {actions[bad[0]]!r}")
+    return np.array(actions, dtype=np.int64), meta

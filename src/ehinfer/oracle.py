@@ -15,13 +15,13 @@ the operator (`approx_operator`) is the slow reference.
 from __future__ import annotations
 
 import hashlib
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .confidence import EmptyDataset
-from .mdp import NotConverged, action_max, greedy, solve_affine_value, state_keys
+from .env import json_number, read_artifact, write_json
+from .mdp import NotConverged, action_max, by_key, greedy, solve_affine_value, state_keys
 
 # records scored together by the policy-improvement step and the oracle exit
 # counts, so no (D, S, K) score tensor is held however large the dataset is
@@ -198,16 +198,8 @@ def _solution(env, gamma, v_bar, residuals, dataset_fp):
     delta = np.ascontiguousarray((cont[0][None, :] - cont[1:]).T)
     for arr in (v_bar, cont, delta):
         arr.setflags(write=False)
-    return OracleSolution(
-        env=env,
-        gamma=gamma,
-        v_bar=v_bar,
-        continuation=cont,
-        delta=delta,
-        matrices=build_partition_matrices(env.n_modes),
-        residuals=residuals,
-        dataset_fp=dataset_fp,
-    )
+    return OracleSolution(env, gamma, v_bar, cont, delta, build_partition_matrices(env.n_modes),
+                          residuals, dataset_fp)
 
 
 def oracle_choice(solution, b, h, z):
@@ -262,17 +254,15 @@ def save_solution(solution, path, meta=None):
         "v_bar": {k: float(v) for k, v in zip(keys, solution.v_bar)},
         "delta": {k: [float(x) for x in row] for k, row in zip(keys, solution.delta)},
     }
-    with open(path, "w") as fh:
-        json.dump(payload, fh, indent=1)
-        fh.write("\n")
+    write_json(path, payload, indent=1)
 
 
-def load_solution(path, env, dataset_fp=""):
-    """Rebuild an OracleSolution from its JSON artifact plus the env."""
-    with open(path) as fh:
-        payload = json.load(fh)
-    if payload["env_fingerprint"] != env.fingerprint():
-        raise ValueError("environment does not match the stored solution")
-    v = np.array([payload["v_bar"][k] for k in state_keys(env, incremental=False)])
-    return _solution(env, float(payload["gamma"]), v, (),
-                     payload.get("dataset_fingerprint", dataset_fp))
+def load_solution(path, env):
+    """OracleSolution of a save_solution file for env, whose gamma it must store."""
+    payload, _ = read_artifact(path, env)
+    gamma = env.epoch.discount_epoch
+    if json_number("gamma", payload["gamma"]) != gamma:
+        raise ValueError(f"solved for gamma {payload['gamma']}, not the environment's {gamma}")
+    v = np.array([json_number("each v_bar entry", x)
+                  for x in by_key(payload["v_bar"], env, False, "v_bar")], dtype=float)
+    return _solution(env, gamma, v, (), payload.get("dataset_fingerprint", ""))

@@ -98,6 +98,8 @@ class TestGenData:
         ({"accuracies": [0.005, 0.5, 0.7], "difficulty_correlation": False},
          "difficulty_correlation"),
         ({"accuracies": [0.005, "0.5", 0.7]}, "accuracy"),
+        ({"accuracies": [0.005, 0.5, 0.7], "concentration": float("nan")}, "concentration"),
+        ({"accuracies": [0.005, 0.5, 0.7], "concentration": float("inf")}, "concentration"),
     ])
     def test_malformed_spec_is_input_error(self, sandbox, capsys, raw, match):
         spec = sandbox / "spec.json"
@@ -214,7 +216,13 @@ class TestSolve:
                      "--rho", "0.005,0.5,0.7,0.8", "--out", "p.json"]) == 2
         assert "T must be >= 1" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("key,value", [("T", 3.7), ("b_max", "3"), ("gamma", "0.9")])
+    # each loaded before; the converted costs and pmf even kept the clean
+    # env's fingerprint, so artifacts made for that env passed
+    @pytest.mark.parametrize("key,value", [
+        ("T", 3.7), ("b_max", "3"), ("gamma", "0.9"),
+        ("costs", [0, 1.5, 2, 3]), ("costs", [0, "1", 2, 3]),
+        ("arrival_pmfs", [[0.2, 0.8], [True, 0.0]]),
+        ("arrival_pmfs", [[float("nan"), 0.8], [1.0, 0.0]])])
     def test_non_numeric_env_field_is_input_error(self, sandbox, capsys, key, value):
         env = json.loads((sandbox / "env.json").read_text())
         (sandbox / "env.json").write_text(json.dumps(dict(env, **{key: value})))
@@ -341,7 +349,7 @@ class TestTrainDqn:
 
 
     @pytest.mark.parametrize("damage", ["short_bias", "extra_weights", "string_weight",
-                                        "bool_bias"])
+                                        "bool_bias", "nan_weight", "inf_bias"])
     def test_misshapen_checkpoint_is_input_error(self, sandbox, capsys, damage):
         ds = gen(sandbox, n=200)
         assert main(["train-dqn", "--env", "env.json", "--dataset", str(ds),
@@ -353,8 +361,12 @@ class TestTrainDqn:
             raw["weights"].append(raw["weights"][-1])    # dropped by a zip before
         elif damage == "string_weight":
             raw["weights"][0][0] = "0.25"   # loaded as 0.25 before
-        else:
+        elif damage == "bool_bias":
             raw["biases"][-1][0] = True     # loaded as 1.0 before
+        elif damage == "nan_weight":
+            raw["weights"][0][0] = float("nan")     # json reads the NaN token
+        else:
+            raw["biases"][-1][0] = float("inf")     # and Infinity
         (sandbox / "bad.json").write_text(json.dumps(raw))
         assert main(["simulate", "--env", "env.json", "--dataset", str(ds),
                      "--controller", "inc-dqn", "--checkpoint", "bad.json",
@@ -442,6 +454,14 @@ class TestEnvBinding:
         assert self._exit_probs(ds, "--policy", "p.json", kind) == 2
         assert "environment" in capsys.readouterr().err
 
+    def test_solution_for_other_env(self, sandbox, other_env, capsys):
+        ds = gen(sandbox, n=200)
+        assert main(["solve", "--kind", "oracle", "--env", other_env,
+                     "--dataset", str(ds), "--out", "orc.json"]) == 0
+        assert self._simulate(ds, "--solution", "orc.json", "oracle") == 2
+        assert self._exit_probs(ds, "--solution", "orc.json", "oracle") == 2
+        assert "made for environment" in capsys.readouterr().err
+
     def test_checkpoint_for_other_env(self, sandbox, other_env, capsys):
         ds = gen(sandbox, n=200)
         assert main(["train-dqn", "--env", other_env, "--dataset", str(ds),
@@ -449,6 +469,45 @@ class TestEnvBinding:
         assert self._simulate(ds, "--checkpoint", "net.json", "inc-dqn") == 2
         assert self._exit_probs(ds, "--checkpoint", "net.json", "inc-dqn") == 2
         assert "environment" in capsys.readouterr().err
+
+
+class TestSolutionFile:
+    """An oracle solution is read by key, as JSON numbers, at the env's discount."""
+
+    @pytest.fixture()
+    def solved(self, sandbox):
+        ds = gen(sandbox, n=200)
+        assert main(["solve", "--kind", "oracle", "--env", "env.json",
+                     "--dataset", str(ds), "--out", "orc.json"]) == 0
+        return ds, json.loads((sandbox / "orc.json").read_text())
+
+    def _run(self, command, ds, solution):
+        argv = [command, "--env", "env.json", "--dataset", str(ds), "--controller", "oracle",
+                "--solution", solution, "--out", "out.csv"]
+        if command == "simulate":
+            argv += ["--episodes", "1", "--epochs", "10", "--seed", "0"]
+        return main(argv)
+
+    @pytest.mark.parametrize("command", ["simulate", "exit-probs"])
+    def test_clean_solution_runs(self, solved, command):
+        assert self._run(command, solved[0], "orc.json") == 0
+
+    # each of these simulated with exit 0 before, the NaN one at near-zero accuracy
+    @pytest.mark.parametrize("edit,match", [
+        (lambda p: p["v_bar"].update({"b=2,h=G": True}), "v_bar entry must be a number"),
+        (lambda p: p["v_bar"].update({"b=2,h=G": float("nan")}), "v_bar entry must be a number"),
+        (lambda p: p["v_bar"].update({"b=9,h=G": 0.5}), "v_bar keys"),
+        (lambda p: p.update(gamma=0.5), "gamma"),
+    ], ids=["true", "nan", "extra_key", "gamma"])
+    @pytest.mark.parametrize("command", ["simulate", "exit-probs"])
+    def test_damaged_solution_is_input_error(self, sandbox, solved, capsys, command,
+                                             edit, match):
+        ds, payload = solved
+        edit(payload)
+        (sandbox / "bad.json").write_text(json.dumps(payload))
+        assert self._run(command, ds, "bad.json") == 2
+        assert match in capsys.readouterr().err
+        assert not (sandbox / "out.csv").exists()
 
 
 class TestPolicyKeys:
@@ -561,6 +620,8 @@ class TestSweep:
         ({"b_max": [2], "epochs": "50"}, "epochs"),
         ({"b_max": [2], "p_g": ["0.9"]}, "p_g"),
         ({"b_max": [2], "gamma": True}, "gamma"),
+        ({"b_max": [2], "pe_g": [float("nan")]}, "pe_g"),
+        ({"b_max": [2], "p_b": [float("inf")]}, "p_b"),
     ])
     def test_malformed_grid_is_input_error(self, sandbox, capsys, raw, match):
         ds = gen(sandbox, n=50)

@@ -423,20 +423,23 @@ class TestTraining:
 
 
 class TestCheckpoints:
+    ENV = two_state_env(0.9, 0.5, 0.8, 0.0, b_max=3)
+
     def test_roundtrip(self, tmp_path):
         net = QNetwork.create(np.random.default_rng(4), 10, 3)
         path = tmp_path / "net.json"
-        save_checkpoint(net, path, meta={"mode": "oneshot"})
-        back, meta = load_checkpoint(path)
+        save_checkpoint(net, path, self.ENV, meta={"mode": "oneshot"})
+        back, meta = load_checkpoint(path, self.ENV)
         assert back.sizes == net.sizes
         assert meta["mode"] == "oneshot"
+        assert meta["env_fingerprint"] == self.ENV.fingerprint()
         x = np.random.default_rng(5).random(10)
         assert np.allclose(forward(back, x), forward(net, x), atol=1e-12)
 
     @pytest.mark.parametrize("damage", ["short_bias", "extra_weights"])
     def test_misshapen_checkpoint_rejected(self, tmp_path, damage):
         path = tmp_path / "net.json"
-        save_checkpoint(QNetwork.create(np.random.default_rng(4), 10, 3), path)
+        save_checkpoint(QNetwork.create(np.random.default_rng(4), 10, 3), path, self.ENV)
         raw = json.loads(path.read_text())
         if damage == "short_bias":
             raw["biases"][0] = [0.5]
@@ -444,18 +447,33 @@ class TestCheckpoints:
             raw["weights"].append(raw["weights"][-1])
         path.write_text(json.dumps(raw))
         with pytest.raises(ValueError, match="do not fit sizes"):
-            load_checkpoint(path)
+            load_checkpoint(path, self.ENV)
 
-    @pytest.mark.parametrize("value", ["0.25", True])
+    @pytest.mark.parametrize("value", ["0.25", True, float("nan"), float("inf"), float("-inf")])
     def test_non_number_parameter_rejected(self, tmp_path, value):
-        # a float dtype used to turn "0.25" into 0.25 and true into 1.0
+        # a float dtype used to turn "0.25" into 0.25 and true into 1.0; json
+        # reads the non-JSON tokens NaN and Infinity as floats
         path = tmp_path / "net.json"
-        save_checkpoint(QNetwork.create(np.random.default_rng(4), 10, 3), path)
+        save_checkpoint(QNetwork.create(np.random.default_rng(4), 10, 3), path, self.ENV)
         raw = json.loads(path.read_text())
         raw["weights"][1][0] = raw["biases"][0][0] = value
         path.write_text(json.dumps(raw))
         with pytest.raises(ValueError, match="weight and bias must be a number"):
-            load_checkpoint(path)
+            load_checkpoint(path, self.ENV)
+
+    @pytest.mark.parametrize("stamp", ["lost", "other"])
+    def test_checkpoint_for_another_env_rejected(self, tmp_path, stamp):
+        # the same input width fits both, so only the stamped fingerprint tells them apart
+        other = two_state_env(0.9, 0.5, 0.7, 0.0, b_max=3)
+        path = tmp_path / "net.json"
+        net = QNetwork.create(np.random.default_rng(4), inc_input_dim(self.ENV), 2)
+        save_checkpoint(net, path, other if stamp == "other" else self.ENV)
+        if stamp == "lost":
+            raw = json.loads(path.read_text())
+            del raw["meta"]["env_fingerprint"]
+            path.write_text(json.dumps(raw))
+        with pytest.raises(ValueError, match="made for environment"):
+            load_checkpoint(path, self.ENV)
 
     def test_curve_csv(self, tmp_path):
         path = tmp_path / "curve.csv"

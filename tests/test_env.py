@@ -1,3 +1,4 @@
+import inspect
 import itertools
 import json
 import re
@@ -8,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ehinfer import env as env_mod
 from ehinfer.env import (ArrivalModel, BatteryConfig, EpochConfig,
                          HarvestChain, HarvestEnvironment,
                          NonErgodicChain, battery_step, energy_rate,
@@ -70,6 +72,13 @@ class TestChain:
     def test_single_state_chain(self):
         chain = HarvestChain(states=("S",), transition=np.array([[1.0]]))
         assert np.allclose(stationary_distribution(chain), [1.0])
+
+    def test_nan_rows_rejected(self):
+        # every comparison with NaN is False, so a check written as any-bad passed them
+        with pytest.raises(ValueError, match="HarvestChain.transition"):
+            HarvestChain(states=("G", "B"), transition=np.array([[np.nan, 0.8], [0.5, 0.5]]))
+        with pytest.raises(ValueError, match="ArrivalModel.pmf_per_state"):
+            ArrivalModel(pmf_per_state=np.array([[np.nan, 0.8], [1.0, 0.0]]))
 
 
 class TestEnergyRate:
@@ -175,7 +184,10 @@ class TestConfigs:
 
     @pytest.mark.parametrize("key,value", [
         ("T", 3.7), ("T", "3"), ("T", True), ("b_max", "3"), ("b_max", 3.0),
-        ("b_max", False), ("gamma", "0.9"), ("gamma", True), ("gamma", None)])
+        ("b_max", False), ("gamma", "0.9"), ("gamma", True), ("gamma", None),
+        ("gamma", float("nan")), ("costs", [0, 1.5, 2, 3]), ("costs", [0, "1", 2, 3]),
+        ("transition", [[0.9, 0.1], [0.5, "0.5"]]),
+        ("arrival_pmfs", [[0.2, 0.8], [True, 0.0]])])
     def test_config_fields_must_be_json_numbers(self, key, value):
         cfg = dict(fig5_env(3).to_config(), **{key: value})
         with pytest.raises(ValueError, match=f"{key} must be an? (integer|number)"):
@@ -271,6 +283,24 @@ class TestStateLayout:
                  for i, line in enumerate(path.read_text().splitlines(), 1)
                  if INVERSE_LAYOUT.search(line)]
         assert found == []
+
+
+class TestArtifactFiles:
+    @pytest.mark.parametrize("pattern,owner", [
+        (r"json\.load\(", env_mod.read_json),
+        (r"json\.dump\(", env_mod.write_json),
+        (r"# \{key\}=\{val\}", env_mod.write_csv),
+    ])
+    def test_one_reader_and_writer_per_format(self, pattern, owner):
+        # every artifact goes through env's reader and writers, so no second
+        # copy can skip their checks or drift from their format
+        src = Path(__file__).resolve().parent.parent / "src" / "ehinfer"
+        found = [f"{path.name}:{i}" for path in sorted(src.glob("*.py"))
+                 for i, line in enumerate(path.read_text().splitlines(), 1)
+                 if re.search(pattern, line)]
+        lines, start = inspect.getsourcelines(owner)
+        inside = [f"env.py:{start + i}" for i, line in enumerate(lines) if re.search(pattern, line)]
+        assert found == inside and len(found) == 1
 
 
 class TestAffordability:

@@ -405,13 +405,30 @@ class TestSerialization:
         assert p1.read_bytes() == p2.read_bytes()
 
     def test_policy_file_layout(self, tmp_path):
-        # one key per state in state-index order, one space of indent
+        # one key per state in state-index order, one space of indent, and
+        # the env's fingerprint stamped after the caller's metadata
         env = two_state_env(0.9, 0.5, 0.8, 0.0, b_max=1)
         path = tmp_path / "pol.json"
         save_policy(np.array([0, 0, 1, 0]), path, env, False, meta={"kind": "mms"})
         assert path.read_text() == (
-            '{\n "meta": {\n  "kind": "mms"\n },\n "policy": {\n'
+            '{\n "meta": {\n  "kind": "mms",\n'
+            f'  "env_fingerprint": "{env.fingerprint()}"\n }},\n "policy": {{\n'
             '  "b=0,h=G": 0,\n  "b=0,h=B": 0,\n  "b=1,h=G": 1,\n  "b=1,h=B": 0\n }\n}\n')
+
+    @pytest.mark.parametrize("stamp", ["lost", "other"])
+    def test_policy_for_another_env_rejected(self, tmp_path, stamp):
+        # same shape and keys, so only the stamped fingerprint tells them apart
+        env = two_state_env(0.9, 0.5, 0.8, 0.0, b_max=3)
+        other = two_state_env(0.9, 0.5, 0.7, 0.0, b_max=3)
+        path = tmp_path / "pol.json"
+        save_policy(np.zeros(env.n_states, dtype=int), path, other if stamp == "other" else env,
+                    False)
+        if stamp == "lost":
+            payload = json.loads(path.read_text())
+            del payload["meta"]["env_fingerprint"]
+            path.write_text(json.dumps(payload))
+        with pytest.raises(ValueError, match="made for environment"):
+            load_policy(path, env, False)
 
     @pytest.mark.parametrize("incremental", [False, True])
     def test_reordered_keys_load_the_same_policy(self, tmp_path, incremental):
