@@ -5,8 +5,8 @@ with identical arguments rewrite identical bytes (no timestamps in any
 artifact). The seed comes from --seed or the EH_INFER_SEED variable; there
 is no wall-clock fallback.
 
-Exit codes: 2 invalid input, 3 solver failure, 4 training configuration,
-5 missing policy/solution/checkpoint artifact.
+Exit codes, mapped in `main`: 2 invalid input (any ValueError), 3 solver
+failure, 4 training configuration, 5 missing policy/solution/checkpoint artifact.
 """
 
 import argparse
@@ -77,8 +77,6 @@ def _load_env(path, code=EXIT_INPUT):
 def cmd_gen_data(args):
     seed = _resolve_seed(args.seed)
     _check_writable(args.out)
-    if args.n <= 0:
-        raise CliExit(EXIT_INPUT, "--n must be a positive record count")
     if args.spec is not None:
         spec = _read(args.spec, "synthetic spec", lambda p: conf.SyntheticSpec(**read_json(p)))
     else:
@@ -164,12 +162,8 @@ def cmd_solve(args):
                 "residual_final": vt.residuals[-1] if vt.residuals else 0.0,
                 "dominance_margin": mdp_mod.epoch_start_margin(env, vt, v_mms),
             })
-    except CliExit:
-        raise
-    except (NonErgodicChain, mdp_mod.SingularEvaluation, RuntimeError) as ex:
-        raise CliExit(EXIT_SOLVER, f"solver failed: {ex}")
-    except ValueError as ex:
-        raise CliExit(EXIT_INPUT, f"solve rejected: {ex}")
+    except NonErgodicChain as ex:     # a ValueError, but the solver's failure
+        raise CliExit(EXIT_SOLVER, f"solve failed: {ex}")
     write_json(args.out + ".report.json", report, indent=1, sort_keys=True)
     line = ", ".join(f"{k}={report[k]}" for k in sorted(report)
                      if k not in ("env_fingerprint", "dataset_fingerprint"))
@@ -225,8 +219,9 @@ def _build_controller(args, env):
     kind = args.controller
 
     def artifact(what, parse):
-        path = getattr(args, what) or _missing_flag("--" + what, kind)
-        return _read(path, what, parse, EXIT_MISSING)
+        if not getattr(args, what):
+            raise CliExit(EXIT_INPUT, f"controller={kind} requires --{what}")
+        return _read(getattr(args, what), what, parse, EXIT_MISSING)
 
     if kind in ("mms", "inc-iag"):
         inc = kind == "inc-iag"
@@ -248,23 +243,14 @@ def _build_controller(args, env):
     raise CliExit(EXIT_INPUT, f"unknown controller kind {kind!r}")
 
 
-def _missing_flag(flag, kind):
-    raise CliExit(EXIT_INPUT, f"controller={kind} requires {flag}")
-
-
 def cmd_simulate(args):
     seed = _resolve_seed(args.seed)
     _check_writable(args.out)
     env = _load_env(args.env, code=EXIT_MISSING)
     ds = _read(args.dataset, "dataset", conf.load_jsonl, EXIT_MISSING)
-    try:
-        controller = _build_controller(args, env)
-        results = harness.simulate(controller, env, ds, episodes=args.episodes,
-                                   epochs=args.epochs, seed=seed)
-    except CliExit:
-        raise
-    except (harness.IncompatibleController, ValueError) as ex:
-        raise CliExit(EXIT_INPUT, f"simulation rejected: {ex}")
+    controller = _build_controller(args, env)
+    results = harness.simulate(controller, env, ds, episodes=args.episodes,
+                               epochs=args.epochs, seed=seed)
     mean, lo, hi = harness.aggregate_accuracy(results)
     meta = {
         "controller": controller.kind, "seed": seed,
@@ -298,10 +284,7 @@ def cmd_sweep(args):
     except (TypeError, ValueError) as ex:
         raise CliExit(EXIT_INPUT, f"bad sweep grid: {ex}")
     kinds = tuple(args.kinds.split(",")) if args.kinds else harness._SWEEP_KINDS
-    try:
-        rows = harness.sweep(grid, kinds, ds, eps=args.eps, jobs=args.jobs)
-    except ValueError as ex:
-        raise CliExit(EXIT_INPUT, f"sweep rejected: {ex}")
+    rows = harness.sweep(grid, kinds, ds, eps=args.eps, jobs=args.jobs)
     meta = {
         "seed": seed, "kinds": "/".join(kinds),
         "dataset_fingerprint": oracle_mod.dataset_fingerprint(ds),
@@ -330,22 +313,17 @@ def cmd_exit_probs(args):
             raise CliExit(EXIT_INPUT, f"controller={kind} requires --dataset")
         ds = _read(args.dataset, "dataset", conf.load_jsonl, EXIT_MISSING)
         meta["dataset_fingerprint"] = oracle_mod.dataset_fingerprint(ds)
-    try:
-        ctl = _build_controller(args, env)
-        if kind == "mms":
-            eta = harness.exit_probability_mms(ctl.actions, env)
-        elif kind == "inc-iag":
-            eta = harness.exit_probability_matrix(ctl.actions, env)
-        elif kind == "oracle":
-            eta = harness.exit_probability_oracle(ctl.solution, ds)
-        else:   # inc-dqn: sampled epochs from every (b, h)
-            eta = np.array([
-                harness.exit_probability_mc(ctl, env, ds, bh, args.rollouts, meta["seed"])
-                for bh in zip(*env.state_coords())])
-    except CliExit:
-        raise
-    except (harness.IncompatibleController, ValueError, IndexError) as ex:
-        raise CliExit(EXIT_INPUT, f"exit-probs rejected: {ex}")
+    ctl = _build_controller(args, env)
+    if kind == "mms":
+        eta = harness.exit_probability_mms(ctl.actions, env)
+    elif kind == "inc-iag":
+        eta = harness.exit_probability_matrix(ctl.actions, env)
+    elif kind == "oracle":
+        eta = harness.exit_probability_oracle(ctl.solution, ds)
+    else:   # inc-dqn: sampled epochs from every (b, h)
+        eta = np.array([
+            harness.exit_probability_mc(ctl, env, ds, bh, args.rollouts, meta["seed"])
+            for bh in zip(*env.state_coords())])
     harness.write_eta_csv(eta, env, args.out, meta=meta)
     print(f"wrote {args.out}: {eta.shape[0]} states x {eta.shape[1]} modes")
     return 0
@@ -358,13 +336,8 @@ def cmd_calibrate(args):
     ds = _read(args.dataset, "dataset", conf.load_jsonl)
     _, ece_before = conf.reliability_report(ds)
     if args.fit:
-        try:
-            tau, out_ds = conf.temperature_scale(ds)
-        except conf.MissingLogits as ex:
-            raise CliExit(EXIT_INPUT, f"cannot fit temperature: {ex}")
+        tau, out_ds = conf.temperature_scale(ds)
     else:
-        if args.tau <= 0:
-            raise CliExit(EXIT_INPUT, "--tau must be positive")
         tau, out_ds = args.tau, conf.distort_calibration(ds, args.tau)
     conf.save_jsonl(out_ds, args.out)
     _, ece_after = conf.reliability_report(out_ds)
@@ -487,8 +460,13 @@ def main(argv=None):
     try:
         return args.func(args)
     except CliExit as ex:
-        print(f"error: {ex.message}", file=sys.stderr)
-        return ex.code
+        code, message = ex.code, ex.message
+    except (mdp_mod.NotConverged, mdp_mod.SingularEvaluation) as ex:
+        code, message = EXIT_SOLVER, f"{args.command} failed: {ex}"
+    except ValueError as ex:
+        code, message = EXIT_INPUT, f"{args.command} rejected: {ex}"
+    print(f"error: {message}", file=sys.stderr)
+    return code
 
 
 if __name__ == "__main__":

@@ -165,8 +165,6 @@ def generate_synthetic(rng, spec, n_records, with_logits=False):
 
 def exit_accuracy(dataset):
     """Empirical accuracy of each exit."""
-    if len(dataset) == 0:
-        raise EmptyDataset("dataset has no records")
     return dataset.correct.mean(axis=0)
 
 
@@ -185,8 +183,6 @@ def temperature_scale(dataset):
     rescaled dataset) where the new confidences are the max softmax
     probability at tau.
     """
-    if len(dataset) == 0:
-        raise EmptyDataset("dataset has no records")
     if dataset.logits is None or dataset.labels is None:
         raise MissingLogits("temperature scaling needs logits and labels")
     inv_phi = (np.sqrt(5.0) - 1.0) / 2.0
@@ -244,8 +240,6 @@ def reliability_report(dataset):
     confidence, empirical accuracy, and count per bin (NaN stats for empty
     bins), and ece of shape (K,).
     """
-    if len(dataset) == 0:
-        raise EmptyDataset("dataset has no records")
     n_bins = 10
     k_exits = dataset.n_exits
     bins = np.full((k_exits, n_bins, 3), np.nan)

@@ -106,6 +106,8 @@ class HarvestChain:
     def __post_init__(self):
         if len(self.states) < 1:
             raise ValueError("chain needs at least one state")
+        if len(set(self.states)) != len(self.states):
+            raise ValueError(f"state names must be distinct, got {list(self.states)}")
         object.__setattr__(self, "states", tuple(self.states))
         mat = _as_readonly(self.transition)
         if mat.shape != (len(self.states), len(self.states)):
@@ -306,21 +308,27 @@ class HarvestEnvironment:
     def from_config(cls, cfg):
         """Environment of a to_config dict, as read from JSON.
 
-        T, b_max and each cost must be integers, gamma and each transition
-        and arrival_pmfs entry numbers. Anything else, a bool or a numeric
-        string included, raises ValueError.
+        T, b_max and each cost must be JSON integers, gamma and each
+        transition and arrival_pmfs entry numbers, states a list of strings,
+        condition_arrivals_on_next_state (optional) a boolean; anything else,
+        a numeric string included, raises ValueError.
         """
         for key in ("T", "b_max", "gamma"):
             json_number(key, cfg[key], integer=key != "gamma")
+        states, flag = cfg["states"], cfg.get("condition_arrivals_on_next_state", False)
+        if type(states) is not list or not all(type(x) is str for x in states):
+            raise ValueError(f"states must be a list of strings, got {states!r}")
+        if type(flag) is not bool:
+            raise ValueError(f"condition_arrivals_on_next_state must be a boolean, got {flag!r}")
         mat = {key: [[json_number(key, x) for x in row] for row in cfg[key]]
                for key in ("transition", "arrival_pmfs")}
         return cls(
-            chain=HarvestChain(states=tuple(cfg["states"]), transition=np.asarray(mat["transition"])),
+            chain=HarvestChain(states=tuple(states), transition=np.asarray(mat["transition"])),
             arrivals=ArrivalModel(pmf_per_state=np.asarray(mat["arrival_pmfs"])),
             battery=BatteryConfig(b_max=cfg["b_max"], cost=tuple(
                 json_number("costs", c, integer=True) for c in cfg["costs"])),
             epoch=EpochConfig(cfg["T"], float(cfg["gamma"])),
-            condition_on_next=bool(cfg.get("condition_arrivals_on_next_state", False)),
+            condition_on_next=flag,
         )
 
     def fingerprint(self):

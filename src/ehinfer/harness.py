@@ -173,11 +173,17 @@ def _rollout(controller, env, dataset, b, h, rec_idx, u_h, u_e, u_dec):
     is the controller's private uniform. Controllers see arrays: decide
     gets (b, h, z, u) of every episode once per epoch, decide_sub
     (b, h, xi, tau, z_xi, u) once per slot. Raises InfeasibleAction if a
-    controller picks a mode or a step the battery cannot pay for.
+    controller picks a mode or a step the battery cannot pay for, and
+    IncompatibleController unless dataset and controller fit env's modes.
 
     Returns per-episode (hits (E,), exit histogram (E, K), energy used,
     overflow, outage (E,)).
     """
+    if dataset.n_exits != env.n_modes:
+        raise IncompatibleController(
+            f"dataset has {dataset.n_exits} exits, environment {env.n_modes} modes")
+    if controller.n_modes != env.n_modes:
+        raise IncompatibleController("controller mode count mismatch")
     n_ep, n_epochs, t_slots = u_h.shape
     costs = np.asarray(env.battery.cost)
     rows = np.arange(n_ep)
@@ -228,12 +234,6 @@ def simulate(controller, env, dataset, episodes, epochs, seed):
     ValueError unless episodes and epochs are at least 1.
     """
     _check_counts(episodes=episodes, epochs=epochs)
-    if dataset.n_exits != env.n_modes:
-        raise IncompatibleController(
-            f"dataset has {dataset.n_exits} exits, environment {env.n_modes} modes"
-        )
-    if controller.n_modes != env.n_modes:
-        raise IncompatibleController("controller mode count mismatch")
     cum_pi = np.cumsum(stationary_distribution(env.chain))
     t_slots = env.epoch.T
     rec_idx = np.empty((episodes, epochs), dtype=np.int64)

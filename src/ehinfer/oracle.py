@@ -19,7 +19,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .confidence import EmptyDataset
 from .env import json_number, read_artifact, write_json
 from .mdp import NotConverged, action_max, by_key, greedy, solve_affine_value, state_keys
 
@@ -111,13 +110,6 @@ def _continuation(env, gamma, v_bar):
     return gamma * (_kernels(env) @ v_bar)
 
 
-def _check_dataset(dataset, env):
-    if len(dataset) == 0:
-        raise EmptyDataset("empirical operator needs at least one record")
-    if dataset.n_exits != env.n_modes:
-        raise ValueError("dataset exit count must match environment modes")
-
-
 def approx_operator(v_bar, dataset, env, gamma):
     """Empirical Bellman update averaged over the confidence dataset.
 
@@ -126,7 +118,6 @@ def approx_operator(v_bar, dataset, env, gamma):
     evaluation of the region-indicator form: each record contributes the
     affine piece of the region it falls in.
     """
-    _check_dataset(dataset, env)
     b, h = env.state_coords()
     scores = _scores(env, _continuation(env, gamma, v_bar), b, h, dataset.z[:, None, :])
     return action_max(scores).mean(axis=0)      # scores: (D, S, K)
@@ -142,26 +133,23 @@ def solve_oracle(env, dataset, gamma=None, eps=1e-6, max_iter=10**5):
     Improvement is `mdp.greedy` of the oracle_choice scores at the latest
     v with each record's current choice, the tie rule of the table
     solvers (Puterman 1994, sec. 6.4). The first policy
-    improves mode 0 everywhere at v = 0: the masked argmax of z. After each
-    evaluation the Bellman residual sup|Tv - v| of approx_operator is
-    recorded in residuals; the solve stops once it is <= eps, or when
-    improvement changes no choice. Raises NotConverged after max_iter
-    evaluations.
+    improves mode 0 everywhere at v = 0: the masked argmax of z. Each later
+    improvement also yields Tv of approx_operator from the same scores; the
+    Bellman residual sup|Tv - v| is recorded in residuals, and the solve
+    stops once it is <= eps, or when improvement changes no choice. Raises
+    NotConverged after max_iter evaluations.
     """
     if eps <= 0:
         raise ValueError("eps must be positive")
-    _check_dataset(dataset, env)
     gamma = env.epoch.discount_epoch if gamma is None else float(gamma)
     choices = np.zeros((len(dataset), env.n_states), dtype=np.min_scalar_type(env.n_modes - 1))
-    reward, freq, _ = _improve(env, dataset.z, np.zeros((env.n_modes, env.n_states)), choices)
+    reward, freq, *_ = _improve(env, dataset.z, np.zeros((env.n_modes, env.n_states)), choices)
     residuals = []
     for _ in range(max_iter):
         v = solve_affine_value(np.einsum("as,ast->st", freq, _kernels(env)), reward, gamma)
-        residuals.append(float(np.abs(approx_operator(v, dataset, env, gamma) - v).max()))
-        if residuals[-1] <= eps:
-            break
-        reward, freq, changed = _improve(env, dataset.z, _continuation(env, gamma, v), choices)
-        if not changed:
+        reward, freq, changed, tv = _improve(env, dataset.z, _continuation(env, gamma, v), choices)
+        residuals.append(float(np.abs(tv - v).max()))
+        if residuals[-1] <= eps or not changed:
             break
     else:
         raise NotConverged(f"oracle policy iteration did not reach eps={eps} "
@@ -174,7 +162,8 @@ def _improve(env, z, continuation, choices):
 
     Works one block of records at a time and writes in place: each choice
     becomes `greedy` of its scores with the current choice. Returns r_pi
-    (S,), freq(a|s) (A, S) and the number of changed choices.
+    (S,), freq(a|s) (A, S), the number of changed choices and (Tv)(s), the
+    mean over records of each record's best score.
     """
     b, h = env.state_coords()
     n_s, k = env.n_states, env.n_modes
@@ -182,13 +171,16 @@ def _improve(env, z, continuation, choices):
     reward = np.zeros(n_s)
     counts = np.zeros(n_s * k, dtype=np.int64)
     changed = 0
+    top = np.empty((len(z), n_s))
     for blk in record_blocks(len(z)):
-        best = greedy(_scores(env, continuation, b, h, z[blk, None, :]), choices[blk])
+        scores = _scores(env, continuation, b, h, z[blk, None, :])
+        top[blk] = action_max(scores)
+        best = greedy(scores, choices[blk])
         changed += np.count_nonzero(best != choices[blk])
         choices[blk] = best
         reward += np.take_along_axis(z[blk], best, axis=1).sum(axis=0)
         counts += np.bincount((cells + best).ravel(), minlength=n_s * k)
-    return reward / len(z), counts.reshape(n_s, k).T / len(z), changed
+    return reward / len(z), counts.reshape(n_s, k).T / len(z), changed, top.mean(axis=0)
 
 
 def _solution(env, gamma, v_bar, residuals, dataset_fp):
@@ -212,7 +204,13 @@ def oracle_choice(solution, b, h, z):
 
 
 def _scores(env, continuation, b, h, z):
-    """z^(a) plus the continuation (A, S) of (b, h); -inf where b cannot pay for a."""
+    """z^(a) plus the continuation (A, S) of (b, h); -inf where b cannot pay for a.
+
+    Every oracle computation scores here, so z must hold one confidence per mode.
+    """
+    if np.shape(z)[-1] != env.n_modes:
+        raise ValueError(f"confidences have {np.shape(z)[-1]} exits, "
+                         f"environment {env.n_modes} modes")
     cont = continuation.T[env.state_index(b, h)]
     scores = np.empty(np.broadcast_shapes(np.shape(z), cont.shape))
     for a in range(env.n_modes):    # one broadcast add over the few modes is 2x slower
@@ -245,6 +243,8 @@ def region_inequalities(z, b, h, solution, j):
 
 
 def save_solution(solution, path, meta=None):
+    """Write solution to path; it must be solved at its env's gamma, as load_solution reads it."""
+    _check_gamma(solution.gamma, solution.env)
     keys = state_keys(solution.env, incremental=False)
     payload = {
         "meta": dict(meta or {}),
@@ -260,9 +260,13 @@ def save_solution(solution, path, meta=None):
 def load_solution(path, env):
     """OracleSolution of a save_solution file for env, whose gamma it must store."""
     payload, _ = read_artifact(path, env)
-    gamma = env.epoch.discount_epoch
-    if json_number("gamma", payload["gamma"]) != gamma:
-        raise ValueError(f"solved for gamma {payload['gamma']}, not the environment's {gamma}")
+    _check_gamma(json_number("gamma", payload["gamma"]), env)
     v = np.array([json_number("each v_bar entry", x)
                   for x in by_key(payload["v_bar"], env, False, "v_bar")], dtype=float)
-    return _solution(env, gamma, v, (), payload.get("dataset_fingerprint", ""))
+    return _solution(env, env.epoch.discount_epoch, v, (), payload.get("dataset_fingerprint", ""))
+
+
+def _check_gamma(gamma, env):
+    own = env.epoch.discount_epoch
+    if gamma != own:
+        raise ValueError(f"solved for gamma {gamma}, not the environment's {own}")

@@ -1,7 +1,9 @@
+import ast
 import hashlib
 import json
 import os
 from dataclasses import asdict
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -230,6 +232,21 @@ class TestSolve:
                      "--rho", "0.005,0.5,0.7,0.8", "--out", "p.json"]) == 2
         assert f"{key} must be" in capsys.readouterr().err
 
+    # each loaded before under the clean env's fingerprint: the string flag as
+    # True, "GB" as ("G", "B"), and two states sharing one policy key
+    @pytest.mark.parametrize("key,value,match", [
+        ("condition_arrivals_on_next_state", "false",
+         "condition_arrivals_on_next_state must be a boolean"),
+        ("states", "GB", "states must be a list of strings"),
+        ("states", ["G", "G"], "state names must be distinct")])
+    def test_bad_state_names_or_flag_is_input_error(self, sandbox, capsys, key, value, match):
+        env = json.loads((sandbox / "env.json").read_text())
+        (sandbox / "env.json").write_text(json.dumps(dict(env, **{key: value})))
+        assert main(["solve", "--kind", "mms", "--env", "env.json",
+                     "--rho", "0.005,0.5,0.7,0.8", "--out", "p.json"]) == 2
+        assert match in capsys.readouterr().err
+        assert not (sandbox / "p.json").exists()
+
     def test_gamma_override_is_a_usage_error(self, sandbox, capsys):
         # the discount has one source, env.json: an overridden solve wrote
         # artifacts that simulate and exit-probs refused for their env
@@ -334,6 +351,18 @@ class TestTrainDqn:
                      "--steps", "100", "--lr", "-1", "--seed", "0",
                      "--out", "net.json"]) == 4
 
+    def test_periodic_chain_is_input_error(self, sandbox, capsys):
+        # simulate refused this env with exit 2; training ended in a traceback
+        env = json.loads((sandbox / "env.json").read_text())
+        (sandbox / "bad_env.json").write_text(
+            json.dumps(dict(env, transition=[[0.0, 1.0], [1.0, 0.0]])))
+        ds = gen(sandbox, n=200)
+        assert main(["train-dqn", "--env", "bad_env.json", "--dataset", str(ds),
+                     "--steps", "100", "--seed", "0", "--out", "net.json"]) == 2
+        assert ("error: train-dqn rejected: chain is reducible or periodic"
+                in capsys.readouterr().err)
+        assert not (sandbox / "net.json").exists()
+
     def test_short_training_produces_usable_checkpoint(self, sandbox):
         ds = gen(sandbox, n=200)
         rc = main(["train-dqn", "--env", "env.json", "--dataset", str(ds),
@@ -423,6 +452,31 @@ class TestExitProbs:
         assert main(["exit-probs", "--env", "env.json",
                      "--controller", "inc-iag", "--policy", "mms.json",
                      "--out", "eta.csv"]) == 2
+
+    # a 5-exit dataset wrote an eta table from the wrong confidences, and a
+    # 3-exit one failed on an index into the confidences
+    @pytest.mark.parametrize("accuracies", [[0.005, 0.5, 0.8], [0.005, 0.4, 0.5, 0.7, 0.8]])
+    @pytest.mark.parametrize("kind", ["inc-dqn", "oracle"])
+    def test_dataset_exit_count_mismatch_is_input_error(self, sandbox, capsys, kind, accuracies):
+        ds = gen(sandbox, n=200)
+        if kind == "oracle":
+            made = main(["solve", "--kind", "oracle", "--env", "env.json",
+                         "--dataset", str(ds), "--out", "art.json"])
+        else:
+            made = main(["train-dqn", "--env", "env.json", "--dataset", str(ds),
+                         "--steps", "0", "--seed", "0", "--out", "art.json"])
+        assert made == 0
+        (sandbox / "spec.json").write_text(json.dumps({"accuracies": accuracies}))
+        other = gen(sandbox, "other.jsonl", n=200, extra=("--spec", "spec.json"))
+        capsys.readouterr()
+        flag = "--solution" if kind == "oracle" else "--checkpoint"
+        assert main(["exit-probs", "--env", "env.json", "--controller", kind,
+                     flag, "art.json", "--dataset", str(other),
+                     "--rollouts", "20", "--seed", "0", "--out", "eta.csv"]) == 2
+        err = capsys.readouterr().err
+        assert f"{len(accuracies)} exits, environment 4 modes" in err
+        assert "index" not in err
+        assert not (sandbox / "eta.csv").exists()
 
 
 class TestEnvBinding:
@@ -663,3 +717,53 @@ class TestLibraryDefaults:
         gen(sandbox, n=50)
         summary = json.loads((sandbox / "ds.jsonl.summary.json").read_text())
         assert summary["spec"] == json.loads(json.dumps(asdict(default_spec())))
+
+
+class TestFailureMap:
+    """`main` maps exceptions to exit codes; the commands leave that to it."""
+
+    @pytest.mark.parametrize("error", [mdp_mod.NotConverged, mdp_mod.SingularEvaluation])
+    def test_solver_failure_exits_3(self, sandbox, capsys, monkeypatch, error):
+        def fail(*args, **kwargs):
+            raise error("no fixed point")
+
+        monkeypatch.setattr(mdp_mod, "value_iteration", fail)
+        assert main(["solve", "--kind", "inc-iag", "--env", "env.json",
+                     "--rho", "0.005,0.53,0.69,0.83", "--out", "x.json"]) == 3
+        assert "error: solve failed: no fixed point" in capsys.readouterr().err
+        assert not (sandbox / "x.json").exists()
+
+    def test_commands_catch_no_broad_error(self):
+        # a per-command handler is a second copy of the map in main; the
+        # training configuration (exit 4) and a grid's unknown field (a
+        # TypeError) are the two that stay
+        source = (Path(__file__).resolve().parent.parent / "src" / "ehinfer" / "cli.py").read_text()
+        broad = {"ValueError", "RuntimeError", "IndexError", "Exception", "BaseException"}
+        allowed = {"cmd_train_dqn": "TrainConfig(", "cmd_sweep": "SweepGrid("}
+        caught = []
+        for fn in ast.parse(source).body:
+            if not (isinstance(fn, ast.FunctionDef) and fn.name.startswith("cmd_")):
+                continue
+            for node in ast.walk(fn):
+                if not isinstance(node, ast.Try):
+                    continue
+                body = "\n".join(ast.unparse(stmt) for stmt in node.body)
+                for handler in node.handlers:
+                    types = handler.type.elts if isinstance(handler.type, ast.Tuple) \
+                        else [handler.type]
+                    names = {"Exception" if t is None else ast.unparse(t).split(".")[-1]
+                             for t in types}
+                    exempt = fn.name in allowed and allowed[fn.name] in body
+                    if names & broad and not exempt:
+                        caught.append(f"{fn.name}:{handler.lineno}")
+        assert caught == []
+
+    def test_one_empty_dataset_check(self):
+        # ConfidenceDataset refuses zero records; generate_synthetic's argument
+        # check and load_jsonl's per-file message are the other two raises
+        src = Path(__file__).resolve().parent.parent / "src" / "ehinfer"
+        found = [f"{path.name}:{i}" for path in sorted(src.glob("*.py"))
+                 for i, line in enumerate(path.read_text().splitlines(), 1)
+                 if "raise EmptyDataset" in line]
+        assert len(found) == 3
+        assert all(where.startswith("confidence.py:") for where in found)

@@ -80,6 +80,11 @@ class TestChain:
         with pytest.raises(ValueError, match="ArrivalModel.pmf_per_state"):
             ArrivalModel(pmf_per_state=np.array([[np.nan, 0.8], [1.0, 0.0]]))
 
+    def test_duplicate_state_names_rejected(self):
+        # two states of one name share one policy key, so a saved table read back wrong
+        with pytest.raises(ValueError, match="state names must be distinct"):
+            HarvestChain(states=("G", "G"), transition=np.array([[0.9, 0.1], [0.5, 0.5]]))
+
 
 class TestEnergyRate:
     # calibration rows: arrival probabilities and their exact epoch rates
@@ -192,6 +197,25 @@ class TestConfigs:
         cfg = dict(fig5_env(3).to_config(), **{key: value})
         with pytest.raises(ValueError, match=f"{key} must be an? (integer|number)"):
             HarvestEnvironment.from_config(cfg)
+
+    # each converted before: "false" and 0 to a flag, "GB" to ("G", "B")
+    @pytest.mark.parametrize("key,value,match", [
+        ("condition_arrivals_on_next_state", "false", "a boolean"),
+        ("condition_arrivals_on_next_state", 0, "a boolean"),
+        ("condition_arrivals_on_next_state", None, "a boolean"),
+        ("states", "GB", "a list of strings"), ("states", ["G", 1], "a list of strings")])
+    def test_config_names_and_flag_must_be_json_types(self, key, value, match):
+        cfg = dict(fig5_env(3).to_config(), **{key: value})
+        with pytest.raises(ValueError, match=f"{key} must be {match}"):
+            HarvestEnvironment.from_config(cfg)
+
+    @pytest.mark.parametrize("flag", [False, True])
+    def test_config_flag_is_optional(self, flag):
+        cfg = fig5_env(3).to_config()
+        del cfg["condition_arrivals_on_next_state"]
+        assert not HarvestEnvironment.from_config(cfg).condition_on_next
+        cfg["condition_arrivals_on_next_state"] = flag
+        assert HarvestEnvironment.from_config(cfg).condition_on_next is flag
 
     def test_t_shorter_than_mode_ladder_rejected(self):
         chain = HarvestChain(states=("G", "B"),

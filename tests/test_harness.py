@@ -7,7 +7,7 @@ from ehinfer import mdp as mdp_mod
 from ehinfer import oracle as oracle_mod
 from ehinfer.confidence import (ConfidenceDataset, SyntheticSpec, default_spec,
                                 exit_accuracy, generate_synthetic)
-from ehinfer.dqn import QNetwork
+from ehinfer.dqn import QNetwork, inc_input_dim
 from ehinfer.env import InfeasibleAction, two_state_env
 from ehinfer.harness import (FixedModeController, IncDqnController,
                              IncTableController, IncompatibleController,
@@ -176,6 +176,26 @@ class TestIncompatibilities:
             SyntheticSpec(accuracies=(0.005, 0.5, 0.8), n_classes=200), 100)
         with pytest.raises(IncompatibleController):
             simulate(RandomFeasibleController(env), env, ds3, 1, 10, 0)
+
+    @pytest.mark.parametrize("accuracies", [(0.005, 0.5, 0.8), (0.005, 0.4, 0.5, 0.7, 0.8)])
+    def test_monte_carlo_dataset_exit_mismatch(self, accuracies):
+        # simulate refused these datasets; the Monte Carlo exit estimate read
+        # the wrong confidences (5 exits) or failed on an index (3 exits)
+        env = fig_env(b_max=5)
+        ds = generate_synthetic(np.random.default_rng(0), SyntheticSpec(accuracies=accuracies), 100)
+        net = QNetwork.create(np.random.default_rng(1), inc_input_dim(env), 2)
+        with pytest.raises(IncompatibleController,
+                           match=f"dataset has {len(accuracies)} exits, environment 4 modes"):
+            exit_probability_mc(IncDqnController(net, env), env, ds, (3, 0), 10, 0)
+
+    @pytest.mark.parametrize("accuracies", [(0.005, 0.5, 0.8), (0.005, 0.4, 0.5, 0.7, 0.8)])
+    def test_oracle_exit_fraction_dataset_exit_mismatch(self, dataset, accuracies):
+        # the oracle's exit fractions failed on an index (3 exits) or scored
+        # the first four confidences of each record (5 exits)
+        sol = solve_oracle(fig_env(b_max=5), dataset, eps=1e-4)
+        ds = generate_synthetic(np.random.default_rng(0), SyntheticSpec(accuracies=accuracies), 100)
+        with pytest.raises(ValueError, match=f"{len(accuracies)} exits, environment 4 modes"):
+            exit_probability_oracle(sol, ds)
 
     def test_fixed_mode_out_of_range(self):
         with pytest.raises(IncompatibleController):

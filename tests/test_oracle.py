@@ -114,8 +114,11 @@ class TestSolve:
     def test_exit_count_mismatch(self):
         spec3 = SyntheticSpec(accuracies=(0.005, 0.55, 0.8), n_classes=200)
         ds3 = generate_synthetic(np.random.default_rng(0), spec3, 500)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="3 exits, environment 4 modes"):
             solve_oracle(fig_env(), ds3, eps=1e-4)
+        # every oracle computation scores records through the one checked path
+        with pytest.raises(ValueError, match="3 exits, environment 4 modes"):
+            approx_operator(np.zeros(fig_env().n_states), ds3, fig_env(), 0.9)
 
 
 def operator_iteration(env, dataset, gamma, eps):
@@ -210,6 +213,15 @@ class TestSerialization:
         for _ in range(50):
             z = rng.random(4)
             assert region_of(z, 4, 1, back) == region_of(z, 4, 1, solution)
+
+    def test_other_discount_not_saved(self, dataset, tmp_path):
+        # load_solution refuses a file solved at another gamma, so none is written
+        env = fig_env()
+        sol = solve_oracle(env, dataset, gamma=0.5, eps=1e-6)
+        assert env.epoch.discount_epoch == 0.9
+        with pytest.raises(ValueError, match="solved for gamma 0.5, not the environment's 0.9"):
+            save_solution(sol, tmp_path / "sol.json")
+        assert not (tmp_path / "sol.json").exists()
 
     def test_env_mismatch_rejected(self, solution, tmp_path):
         path = tmp_path / "sol.json"
