@@ -2,10 +2,11 @@
 
 Layout: `env` models the harvesting chain, battery, and slot/epoch kernels;
 `confidence` generates and calibrates per-exit confidence data; `mdp` holds
-the finite-MDP solvers and structural checks; `oracle` the sampled
-confidence-aware value iteration and its decision regions; `dqn` the
-from-scratch Q-network controllers; `harness` the simulator, exit
-probabilities, and parameter sweeps; `cli` the command line front end.
+the finite-MDP solvers and structural checks; `oracle` the confidence-aware
+planner, solved by policy iteration on the empirical operator, and its
+decision regions; `dqn` the from-scratch Q-network controllers; `harness`
+the simulator, exit probabilities, and parameter sweeps; `cli` the command
+line front end.
 """
 
 from .env import (

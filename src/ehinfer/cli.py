@@ -16,7 +16,7 @@ import sys
 
 import numpy as np
 
-from .env import HarvestEnvironment, NonErgodicChain, read_json, write_csv, write_json
+from .env import HarvestEnvironment, read_json, write_csv, write_json
 from . import confidence as conf
 from . import mdp as mdp_mod
 from . import oracle as oracle_mod
@@ -118,52 +118,49 @@ def cmd_solve(args):
     meta = {"env_fingerprint": env.fingerprint(), "kind": args.kind,
             "gamma": env.epoch.discount_epoch}
     report = dict(meta)
-    try:
-        if args.kind == "oracle":
-            if args.dataset is None:
-                raise CliExit(EXIT_INPUT, "kind=oracle requires --dataset")
-            ds = _read(args.dataset, "dataset", conf.load_jsonl)
-            sol = oracle_mod.solve_oracle(env, ds, eps=args.eps)
-            oracle_mod.save_solution(sol, args.out, meta={"source": args.dataset})
-            res = sol.residuals
-            report.update({
-                "iterations": len(res),
-                "residual_final": res[-1],
-                "contraction_ratio_max": max(
-                    (res[i + 1] / res[i] for i in range(len(res) - 1)
-                     if res[i] > 0), default=0.0),
-                "dataset_fingerprint": sol.dataset_fp,
-            })
-        elif args.kind == "mms":
-            rho, src = _rho_from_args(args)
-            m = mdp_mod.build_mms_mdp(env, rho)
-            vt, pol = mdp_mod.policy_iteration(m)
-            qt = mdp_mod.q_table(m, vt)
-            ok_m, where = mdp_mod.check_monotone(pol, env)
-            ok_s, worst = mdp_mod.check_superadditive(qt, env)
-            mdp_mod.save_policy(pol, args.out, env, False, meta=dict(meta, source=src))
-            report.update({
-                "iterations": vt.iterations,
-                "monotone": bool(ok_m),
-                "monotone_violation": None if where is None else list(where),
-                "superadditive": bool(ok_s),
-                "superadditive_worst_deficit": float(worst),
-            })
-        else:  # inc-iag
-            rho, src = _rho_from_args(args)
-            vt, pol = mdp_mod.value_iteration(
-                mdp_mod.build_inc_iag_mdp(env, rho), eps=args.eps)
-            # the dominance margin compares against the one-shot model's values
-            v_mms, _ = mdp_mod.value_iteration(
-                mdp_mod.build_mms_mdp(env, rho), eps=args.eps)
-            mdp_mod.save_policy(pol, args.out, env, True, meta=dict(meta, source=src))
-            report.update({
-                "iterations": vt.iterations,
-                "residual_final": vt.residuals[-1] if vt.residuals else 0.0,
-                "dominance_margin": mdp_mod.epoch_start_margin(env, vt, v_mms),
-            })
-    except NonErgodicChain as ex:     # a ValueError, but the solver's failure
-        raise CliExit(EXIT_SOLVER, f"solve failed: {ex}")
+    if args.kind == "oracle":
+        if args.dataset is None:
+            raise CliExit(EXIT_INPUT, "kind=oracle requires --dataset")
+        ds = _read(args.dataset, "dataset", conf.load_jsonl)
+        sol = oracle_mod.solve_oracle(env, ds, eps=args.eps)
+        oracle_mod.save_solution(sol, args.out, meta={"source": args.dataset})
+        res = sol.residuals
+        report.update({
+            "iterations": len(res),
+            "residual_final": res[-1],
+            "contraction_ratio_max": max(
+                (res[i + 1] / res[i] for i in range(len(res) - 1)
+                 if res[i] > 0), default=0.0),
+            "dataset_fingerprint": sol.dataset_fp,
+        })
+    elif args.kind == "mms":
+        rho, src = _rho_from_args(args)
+        m = mdp_mod.build_mms_mdp(env, rho)
+        vt, pol = mdp_mod.policy_iteration(m)
+        qt = mdp_mod.q_table(m, vt)
+        ok_m, where = mdp_mod.check_monotone(pol, env)
+        ok_s, worst = mdp_mod.check_superadditive(qt, env)
+        mdp_mod.save_policy(pol, args.out, env, False, meta=dict(meta, source=src))
+        report.update({
+            "iterations": vt.iterations,
+            "monotone": bool(ok_m),
+            "monotone_violation": None if where is None else list(where),
+            "superadditive": bool(ok_s),
+            "superadditive_worst_deficit": float(worst),
+        })
+    else:  # inc-iag
+        rho, src = _rho_from_args(args)
+        vt, pol = mdp_mod.value_iteration(
+            mdp_mod.build_inc_iag_mdp(env, rho), eps=args.eps)
+        # the dominance margin compares against the one-shot model's values
+        v_mms, _ = mdp_mod.value_iteration(
+            mdp_mod.build_mms_mdp(env, rho), eps=args.eps)
+        mdp_mod.save_policy(pol, args.out, env, True, meta=dict(meta, source=src))
+        report.update({
+            "iterations": vt.iterations,
+            "residual_final": vt.residuals[-1] if vt.residuals else 0.0,
+            "dominance_margin": mdp_mod.epoch_start_margin(env, vt, v_mms),
+        })
     write_json(args.out + ".report.json", report, indent=1, sort_keys=True)
     line = ", ".join(f"{k}={report[k]}" for k in sorted(report)
                      if k not in ("env_fingerprint", "dataset_fingerprint"))
@@ -229,7 +226,7 @@ def _build_controller(args, env):
         return (harness.IncTableController if inc else harness.MmsController)(pol, env)
     if kind == "oracle":
         sol = artifact("solution", lambda p: oracle_mod.load_solution(p, env))
-        return harness.OracleController(sol, env)
+        return harness.OracleController(sol)
     if kind in ("inc-dqn", "os-dqn"):
         net, _ = artifact("checkpoint", lambda p: dqn_mod.load_checkpoint(p, env))
         return (harness.IncDqnController if kind == "inc-dqn" else harness.OsDqnController)(
@@ -249,7 +246,7 @@ def cmd_simulate(args):
     env = _load_env(args.env, code=EXIT_MISSING)
     ds = _read(args.dataset, "dataset", conf.load_jsonl, EXIT_MISSING)
     controller = _build_controller(args, env)
-    results = harness.simulate(controller, env, ds, episodes=args.episodes,
+    results = harness.simulate(controller, ds, episodes=args.episodes,
                                epochs=args.epochs, seed=seed)
     mean, lo, hi = harness.aggregate_accuracy(results)
     meta = {
@@ -322,7 +319,7 @@ def cmd_exit_probs(args):
         eta = harness.exit_probability_oracle(ctl.solution, ds)
     else:   # inc-dqn: sampled epochs from every (b, h)
         eta = np.array([
-            harness.exit_probability_mc(ctl, env, ds, bh, args.rollouts, meta["seed"])
+            harness.exit_probability_mc(ctl, ds, bh, args.rollouts, meta["seed"])
             for bh in zip(*env.state_coords())])
     harness.write_eta_csv(eta, env, args.out, meta=meta)
     print(f"wrote {args.out}: {eta.shape[0]} states x {eta.shape[1]} modes")

@@ -297,8 +297,7 @@ def train(env, dataset, cfg):
     greedy accuracy is one `harness.simulate` episode of cfg.eval_epochs
     epochs, seeded from the training seed and the step.
     """
-    if dataset.n_exits != env.n_modes:
-        raise ValueError("dataset exit count must match environment modes")
+    env.check_exits(dataset.n_exits)
     rng = np.random.default_rng(cfg.seed)
     eval_seed = int(rng.integers(2**31))
     inc = cfg.mode == "incremental"
@@ -363,7 +362,7 @@ def train(env, dataset, cfg):
         if step % cfg.eval_every == 0 or step == cfg.total_steps:
             from . import harness       # harness imports this module
             controller = harness.IncDqnController if inc else harness.OsDqnController
-            acc = harness.simulate(controller(net, env), env, dataset, 1, cfg.eval_epochs,
+            acc = harness.simulate(controller(net, env), dataset, 1, cfg.eval_epochs,
                                    eval_seed + step)[0].accuracy
             mean_loss = float(np.mean(recent_losses)) if recent_losses else float("nan")
             curve.append((step, acc, mean_loss))

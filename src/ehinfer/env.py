@@ -32,6 +32,10 @@ class InfeasibleAction(ValueError):
     """Action cost exceeds the current battery level."""
 
 
+class IncompatibleController(ValueError):
+    """Controller or dataset does not fit the environment's shape."""
+
+
 def _as_readonly(a, dtype=float):
     arr = np.ascontiguousarray(a, dtype=dtype)
     arr.setflags(write=False)
@@ -246,6 +250,12 @@ class HarvestEnvironment:
 
     def state_index(self, b, h):
         return b * self.chain.n + h
+
+    def check_exits(self, n_exits):
+        """Raise IncompatibleController unless n_exits confidences fit the modes."""
+        if n_exits != self.n_modes:
+            raise IncompatibleController(
+                f"dataset has {n_exits} exits, environment {self.n_modes} modes")
 
     def state_coords(self):
         """(b, h) of every state in state-index order, as read-only arrays."""

@@ -4,10 +4,11 @@ Controllers are thin adapters around solved policies (arrays of action
 indices in state-index order), oracle solutions, or trained networks,
 exposing either a per-epoch mode choice (one-shot) or a per-slot
 pause/proceed choice (incremental); they decide for arrays of states, one
-entry per episode. The simulator pre-draws all environment
-randomness per episode so different controllers evaluated under the same
-seed face identical arrival and environment-state paths, then steps every
-episode together; DQN training evaluates its network through the same
+entry per episode. Each controller is bound to the environment it was
+made for, `controller.env`, and the simulator runs that one. It pre-draws
+all environment randomness per episode so different controllers
+evaluated under the same seed face identical arrival and environment-state
+paths, then steps every episode together; DQN training evaluates its network through the same
 `simulate`. The exact exit analyses read the models the controllers were
 solved on: the IncIAgEE slot chain for incremental policies, and the
 oracle solution's continuation for the oracle.
@@ -28,12 +29,8 @@ from . import dqn as dqn_mod
 from . import mdp as mdp_mod
 from . import oracle as oracle_mod
 from .confidence import exit_accuracy
-from .env import (InfeasibleAction, energy_rate, json_number, stationary_distribution,
-                  two_state_env, write_csv)
-
-
-class IncompatibleController(ValueError):
-    """Controller does not fit the environment or dataset shape."""
+from .env import (IncompatibleController, InfeasibleAction, energy_rate, json_number,
+                  stationary_distribution, two_state_env, write_csv)
 
 
 class MmsController:
@@ -47,7 +44,6 @@ class MmsController:
             raise IncompatibleController("policy table size does not match environment")
         self.actions = np.asarray(policy)
         self.env = env
-        self.n_modes = env.n_modes
 
     def decide(self, b, h, z, u_dec):
         return self.actions[self.env.state_index(b, h)]
@@ -59,12 +55,9 @@ class OracleController:
     kind = "OsIAwOracle"
     incremental = False
 
-    def __init__(self, solution, env):
-        if solution.env.fingerprint() != env.fingerprint():
-            raise IncompatibleController("oracle solution solved for a different environment")
+    def __init__(self, solution):
         self.solution = solution
-        self.env = env
-        self.n_modes = env.n_modes
+        self.env = solution.env
 
     def decide(self, b, h, z, u_dec):
         return oracle_mod.oracle_choice(self.solution, b, h, z)
@@ -81,7 +74,6 @@ class IncTableController:
             raise IncompatibleController("incremental policy table size mismatch")
         self.actions = np.asarray(policy)
         self.env = env
-        self.n_modes = env.n_modes
 
     def decide_sub(self, b, h, xi, tau, z_xi, u_dec):
         return self.actions[mdp_mod.inc_state_index(self.env, b, h, xi, tau)]
@@ -98,7 +90,6 @@ class IncDqnController:
             raise IncompatibleController("network shape does not match incremental encoding")
         self.net = net
         self.env = env
-        self.n_modes = env.n_modes
 
     def decide_sub(self, b, h, xi, tau, z_xi, u_dec):
         x = dqn_mod.encode_inc(self.env, b, h, xi, tau, z_xi)
@@ -116,7 +107,6 @@ class OsDqnController:
             raise IncompatibleController("network shape does not match one-shot encoding")
         self.net = net
         self.env = env
-        self.n_modes = env.n_modes
 
     def decide(self, b, h, z, u_dec):
         x = dqn_mod.encode_os(self.env, b, h, z)
@@ -131,7 +121,6 @@ class RandomFeasibleController:
 
     def __init__(self, env):
         self.env = env
-        self.n_modes = env.n_modes
 
     def decide(self, b, h, z, u_dec):
         n_feas = self.env.affordable(b).sum(axis=-1)
@@ -149,7 +138,6 @@ class FixedModeController:
         self.k = k
         self.kind = f"FixedMode({k})"
         self.env = env
-        self.n_modes = env.n_modes
 
     def decide(self, b, h, z, u_dec):
         return np.minimum(self.k, self.env.affordable(b).sum(axis=-1) - 1)
@@ -165,7 +153,7 @@ class EpisodeResult:
     epochs: int
 
 
-def _rollout(controller, env, dataset, b, h, rec_idx, u_h, u_e, u_dec):
+def _rollout(controller, dataset, b, h, rec_idx, u_h, u_e, u_dec):
     """Step E episodes through N epochs together, from start states b, h (E,).
 
     Epoch n of episode i serves record rec_idx[i, n] and draws slot tau's
@@ -174,16 +162,13 @@ def _rollout(controller, env, dataset, b, h, rec_idx, u_h, u_e, u_dec):
     gets (b, h, z, u) of every episode once per epoch, decide_sub
     (b, h, xi, tau, z_xi, u) once per slot. Raises InfeasibleAction if a
     controller picks a mode or a step the battery cannot pay for, and
-    IncompatibleController unless dataset and controller fit env's modes.
+    IncompatibleController unless the dataset fits the controller's env.
 
     Returns per-episode (hits (E,), exit histogram (E, K), energy used,
     overflow, outage (E,)).
     """
-    if dataset.n_exits != env.n_modes:
-        raise IncompatibleController(
-            f"dataset has {dataset.n_exits} exits, environment {env.n_modes} modes")
-    if controller.n_modes != env.n_modes:
-        raise IncompatibleController("controller mode count mismatch")
+    env = controller.env
+    env.check_exits(dataset.n_exits)
     n_ep, n_epochs, t_slots = u_h.shape
     costs = np.asarray(env.battery.cost)
     rows = np.arange(n_ep)
@@ -223,8 +208,8 @@ def _rollout(controller, env, dataset, b, h, rec_idx, u_h, u_e, u_dec):
     return hits, hist, energy, overflow, outage
 
 
-def simulate(controller, env, dataset, episodes, epochs, seed):
-    """Run independent episodes; returns one EpisodeResult per episode.
+def simulate(controller, dataset, episodes, epochs, seed):
+    """Run independent episodes of controller.env; one EpisodeResult per episode.
 
     Per-episode generators come from spawning the master seed, so episode
     e sees the same environment randomness no matter which controller is
@@ -234,6 +219,7 @@ def simulate(controller, env, dataset, episodes, epochs, seed):
     ValueError unless episodes and epochs are at least 1.
     """
     _check_counts(episodes=episodes, epochs=epochs)
+    env = controller.env
     cum_pi = np.cumsum(stationary_distribution(env.chain))
     t_slots = env.epoch.T
     rec_idx = np.empty((episodes, epochs), dtype=np.int64)
@@ -250,7 +236,7 @@ def simulate(controller, env, dataset, episodes, epochs, seed):
         u_start[i] = rng.random()
     b0 = np.full(episodes, env.battery.b_max)
     hits, hist, energy, overflow, outage = _rollout(
-        controller, env, dataset, b0, np.searchsorted(cum_pi, u_start),
+        controller, dataset, b0, np.searchsorted(cum_pi, u_start),
         rec_idx, u_h, u_e, u_dec)
     return [
         EpisodeResult(
@@ -337,17 +323,17 @@ def exit_probability_mms(policy, env):
     return eta
 
 
-def exit_probability_mc(controller, env, dataset, start, rollouts, seed):
-    """Monte Carlo single-epoch exit distribution from a fixed (b, h)."""
+def exit_probability_mc(controller, dataset, start, rollouts, seed):
+    """Monte Carlo single-epoch exit distribution from a fixed (b, h) of controller.env."""
     _check_counts(rollouts=rollouts)
     rng = np.random.default_rng(seed)
-    t_slots = env.epoch.T
+    t_slots = controller.env.epoch.T
     rec_idx = rng.integers(len(dataset), size=(rollouts, 1))
     u_h = rng.random((rollouts, 1, t_slots))
     u_e = rng.random((rollouts, 1, t_slots))
     u_dec = rng.random((rollouts, 1))
     b0, h0 = (np.full(rollouts, x) for x in start)
-    _, hist, _, _, _ = _rollout(controller, env, dataset, b0, h0, rec_idx, u_h, u_e, u_dec)
+    _, hist, _, _, _ = _rollout(controller, dataset, b0, h0, rec_idx, u_h, u_e, u_dec)
     return hist.sum(axis=0) / rollouts
 
 
@@ -406,7 +392,7 @@ def _sweep_cell(args):
             controllers[kind] = IncTableController(pol, env)
         elif kind == "OsIAwOracle":
             sol = oracle_mod.solve_oracle(env, dataset, eps=eps)
-            controllers[kind] = OracleController(sol, env)
+            controllers[kind] = OracleController(sol)
         elif kind == "RandomFeasible":
             controllers[kind] = RandomFeasibleController(env)
         elif kind.startswith("FixedMode(") and kind.endswith(")"):
@@ -419,8 +405,7 @@ def _sweep_cell(args):
     rows = []
     for seed in grid.seeds:
         for kind in kinds:
-            results = simulate(controllers[kind], env, dataset,
-                               grid.episodes, grid.epochs, seed)
+            results = simulate(controllers[kind], dataset, grid.episodes, grid.epochs, seed)
             mean, lo, hi = aggregate_accuracy(results)
             hist = np.sum([r.exit_hist for r in results], axis=0)
             hist = hist / hist.sum()

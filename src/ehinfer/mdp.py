@@ -164,7 +164,7 @@ def value_iteration(mdp, eps=1e-8, max_iter=10**6):
     state. The residual sequence is recorded on the returned ValueTable.
     Raises NotConverged when max_iter sweeps do not reach eps.
     """
-    v, residuals = fixed_point(lambda v: _masked_q(mdp, v).max(axis=1), mdp.n_states,
+    v, residuals = fixed_point(lambda v: action_max(_masked_q(mdp, v)), mdp.n_states,
                                eps, max_iter, "value iteration")
     vt = ValueTable(values=v, residuals=residuals, iterations=len(residuals))
     return vt, greedy(_masked_q(mdp, v))

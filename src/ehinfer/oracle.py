@@ -208,9 +208,7 @@ def _scores(env, continuation, b, h, z):
 
     Every oracle computation scores here, so z must hold one confidence per mode.
     """
-    if np.shape(z)[-1] != env.n_modes:
-        raise ValueError(f"confidences have {np.shape(z)[-1]} exits, "
-                         f"environment {env.n_modes} modes")
+    env.check_exits(np.shape(z)[-1])
     cont = continuation.T[env.state_index(b, h)]
     scores = np.empty(np.broadcast_shapes(np.shape(z), cont.shape))
     for a in range(env.n_modes):    # one broadcast add over the few modes is 2x slower

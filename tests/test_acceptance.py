@@ -279,7 +279,7 @@ def test_07_exit_probabilities(ds10k):
     n = 10**5
     worst_z = 0.0
     for b0, h0 in ((30, 0), (3, 1), (0, 0)):
-        mc = exit_probability_mc(ctrl, env, ds10k, (b0, h0), n, seed=17)
+        mc = exit_probability_mc(ctrl, ds10k, (b0, h0), n, seed=17)
         p = eta[env.state_index(b0, h0)]
         sigma = np.sqrt(np.maximum(p * (1 - p), 0.0) / n)
         gap = np.abs(mc - p)
@@ -305,10 +305,10 @@ def test_08_calibration_effect(est20k, test10k):
     for pe_g, pe_b in RICH_ROWS:
         env = two_state_env(0.9, 0.5, pe_g, pe_b, b_max=5)
         sol = solve_oracle(env, est20k, eps=1e-6)
-        ctrl = OracleController(sol, env)
+        ctrl = OracleController(sol)
         acc = {}
         for name, ds in (("cal", test10k), ("dist", test_dist)):
-            res = simulate(ctrl, env, ds, episodes=10, epochs=2000, seed=3)
+            res = simulate(ctrl, ds, episodes=10, epochs=2000, seed=3)
             acc[name] = float(np.mean([r.accuracy for r in res]))
         assert acc["cal"] >= acc["dist"], \
             f"distorted beat calibrated at ({pe_g},{pe_b})"
@@ -347,8 +347,8 @@ def test_09_aware_vs_agnostic(ds10k):
         _, ipol = value_iteration(build_inc_iag_mdp(env, rho), eps=1e-8)
         sol = solve_oracle(env, ds10k, eps=1e-6)
         for ctrl in (MmsController(mpol, env), IncTableController(ipol, env),
-                     OracleController(sol, env)):
-            res = simulate(ctrl, env, ds10k, episodes=10, epochs=2000, seed=0)
+                     OracleController(sol)):
+            res = simulate(ctrl, ds10k, episodes=10, epochs=2000, seed=0)
             acc = float(np.mean([r.accuracy for r in res]))
             plateau.append(acc)
             assert acc == pytest.approx(0.83, abs=0.02), \
@@ -505,7 +505,7 @@ def test_10_dqn(est20k, test10k):
     for seed in range(10):
         accs = {}
         for name, ctl in (("iag", iag), ("dqn", dqn)):
-            res = simulate(ctl, env, test10k, episodes=10, epochs=2000,
+            res = simulate(ctl, test10k, episodes=10, epochs=2000,
                            seed=seed)
             accs[name] = float(np.mean([r.accuracy for r in res]))
         diffs.append(accs["dqn"] - accs["iag"])

@@ -12,7 +12,7 @@ from ehinfer import mdp as mdp_mod
 from ehinfer.cli import build_parser, main
 from ehinfer.confidence import default_spec, load_jsonl
 from ehinfer.dqn import TrainConfig
-from ehinfer.env import NonErgodicChain, two_state_env
+from ehinfer.env import two_state_env
 from ehinfer.mdp import dominance_margin
 
 
@@ -268,15 +268,6 @@ class TestSolve:
         assert main(["solve", "--kind", kind, "--env", "env.json", "--dataset", str(ds),
                      f"--eps={eps}", "--out", "x.json"]) == 2
         assert "eps must be positive" in capsys.readouterr().err
-
-    def test_non_ergodic_chain_stays_a_solver_failure(self, sandbox, monkeypatch):
-        # NonErgodicChain is a ValueError, but not an input error
-        def refuse(*args, **kwargs):
-            raise NonErgodicChain("chain is reducible or periodic")
-
-        monkeypatch.setattr(mdp_mod, "policy_iteration", refuse)
-        assert main(["solve", "--kind", "mms", "--env", "env.json",
-                     "--rho", "0.005,0.53,0.69,0.83", "--out", "x.json"]) == 3
 
 
 class TestSimulate:
@@ -757,6 +748,25 @@ class TestFailureMap:
                     if names & broad and not exempt:
                         caught.append(f"{fn.name}:{handler.lineno}")
         assert caught == []
+
+    # exit-probs gives the same message (TestExitProbs)
+    @pytest.mark.parametrize("accuracies", [[0.005, 0.5, 0.8], [0.005, 0.4, 0.5, 0.7, 0.8]])
+    @pytest.mark.parametrize("argv", [
+        ["train-dqn", "--steps", "1", "--seed", "0"],
+        ["simulate", "--controller", "random", "--epochs", "10", "--seed", "0"],
+        ["solve", "--kind", "oracle"],
+    ], ids=["train-dqn", "simulate", "solve-oracle"])
+    def test_dataset_exit_count_mismatch_has_one_wording(self, sandbox, capsys, argv,
+                                                         accuracies):
+        (sandbox / "spec.json").write_text(json.dumps({"accuracies": accuracies}))
+        other = gen(sandbox, "other.jsonl", n=200, extra=("--spec", "spec.json"))
+        capsys.readouterr()
+        assert main([*argv, "--env", "env.json", "--dataset", str(other),
+                     "--out", "out.json"]) == 2
+        err = capsys.readouterr().err
+        assert f"{argv[0]} rejected: dataset has {len(accuracies)} exits, " \
+               "environment 4 modes" in err
+        assert not (sandbox / "out.json").exists()
 
     def test_one_empty_dataset_check(self):
         # ConfidenceDataset refuses zero records; generate_synthetic's argument

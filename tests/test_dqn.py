@@ -395,7 +395,7 @@ class TestTraining:
         cfg = self.smoke_cfg(mode)
         net, curve = train(env, ds, cfg)
         eval_seed = int(np.random.default_rng(cfg.seed).integers(2**31))
-        (result,) = simulate(controller(net, env), env, ds, 1, cfg.eval_epochs,
+        (result,) = simulate(controller(net, env), ds, 1, cfg.eval_epochs,
                              eval_seed + cfg.total_steps)
         assert curve[-1][1] == result.accuracy
 

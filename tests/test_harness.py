@@ -1,8 +1,12 @@
+import ast
 import csv
+import inspect
+import textwrap
 
 import numpy as np
 import pytest
 
+from ehinfer import harness
 from ehinfer import mdp as mdp_mod
 from ehinfer import oracle as oracle_mod
 from ehinfer.confidence import (ConfidenceDataset, SyntheticSpec, default_spec,
@@ -108,14 +112,14 @@ class TestControllers:
     def test_fixed_mode_tracks_exit_accuracy(self, dataset):
         # plentiful harvest: the fixed top-mode policy scores its exit's rate
         env = two_state_env(0.9, 0.5, 1.0, 1.0, b_max=30)
-        res = simulate(FixedModeController(3, env), env, dataset,
+        res = simulate(FixedModeController(3, env), dataset,
                        episodes=5, epochs=1000, seed=0)
         mean, _, _ = aggregate_accuracy(res)
         assert mean == pytest.approx(exit_accuracy(dataset)[3], abs=0.02)
 
     def test_fixed_mode_degrades_when_poor(self, dataset):
         env = two_state_env(0.9, 0.5, 0.0, 0.0, b_max=3)
-        res = simulate(FixedModeController(3, env), env, dataset,
+        res = simulate(FixedModeController(3, env), dataset,
                        episodes=2, epochs=50, seed=0)
         # battery starts at 3, one top-mode epoch drains it, then mode 0
         assert res[0].exit_hist[3] == 1
@@ -138,7 +142,7 @@ class TestControllers:
     def test_oracle_controller_matches_regions(self, dataset):
         env = fig_env(b_max=5)
         sol = solve_oracle(env, dataset, eps=1e-6)
-        ctrl = OracleController(sol, env)
+        ctrl = OracleController(sol)
         from ehinfer.oracle import region_of
         rng = np.random.default_rng(0)
         for _ in range(50):
@@ -164,18 +168,13 @@ class TestIncompatibilities:
         with pytest.raises(IncompatibleController):
             OsDqnController(net, env)
 
-    def test_wrong_solution_env(self, dataset):
-        sol = solve_oracle(fig_env(b_max=5), dataset, eps=1e-4)
-        with pytest.raises(IncompatibleController):
-            OracleController(sol, fig_env(b_max=6))
-
     def test_dataset_exit_mismatch(self):
         env = fig_env(b_max=5)
         ds3 = generate_synthetic(
             np.random.default_rng(0),
             SyntheticSpec(accuracies=(0.005, 0.5, 0.8), n_classes=200), 100)
         with pytest.raises(IncompatibleController):
-            simulate(RandomFeasibleController(env), env, ds3, 1, 10, 0)
+            simulate(RandomFeasibleController(env), ds3, 1, 10, 0)
 
     @pytest.mark.parametrize("accuracies", [(0.005, 0.5, 0.8), (0.005, 0.4, 0.5, 0.7, 0.8)])
     def test_monte_carlo_dataset_exit_mismatch(self, accuracies):
@@ -186,7 +185,7 @@ class TestIncompatibilities:
         net = QNetwork.create(np.random.default_rng(1), inc_input_dim(env), 2)
         with pytest.raises(IncompatibleController,
                            match=f"dataset has {len(accuracies)} exits, environment 4 modes"):
-            exit_probability_mc(IncDqnController(net, env), env, ds, (3, 0), 10, 0)
+            exit_probability_mc(IncDqnController(net, env), ds, (3, 0), 10, 0)
 
     @pytest.mark.parametrize("accuracies", [(0.005, 0.5, 0.8), (0.005, 0.4, 0.5, 0.7, 0.8)])
     def test_oracle_exit_fraction_dataset_exit_mismatch(self, dataset, accuracies):
@@ -205,12 +204,12 @@ class TestIncompatibilities:
     def test_simulate_needs_an_epoch(self, dataset, episodes, epochs):
         env = fig_env(b_max=3)
         with pytest.raises(ValueError, match="at least 1"):
-            simulate(RandomFeasibleController(env), env, dataset, episodes, epochs, 0)
+            simulate(RandomFeasibleController(env), dataset, episodes, epochs, 0)
 
     def test_monte_carlo_needs_a_rollout(self, dataset):
         env = fig_env(b_max=3)
         with pytest.raises(ValueError, match="rollouts"):
-            exit_probability_mc(RandomFeasibleController(env), env, dataset, (3, 0), 0, 0)
+            exit_probability_mc(RandomFeasibleController(env), dataset, (3, 0), 0, 0)
 
     @pytest.mark.parametrize("field", ["episodes", "epochs"])
     def test_sweep_grid_needs_an_epoch(self, field):
@@ -233,12 +232,35 @@ class TestIncompatibilities:
             SweepGrid(**{field: value})
 
 
+class TestOneEnvBinding:
+    """A controller carries the env it was made for; nothing passes a second one."""
+
+    def test_no_function_takes_a_controller_and_an_env(self):
+        both = [name for name, fn in inspect.getmembers(harness, inspect.isfunction)
+                if fn.__module__ == harness.__name__
+                and {"controller", "env"} <= set(inspect.signature(fn).parameters)]
+        assert both == []
+
+    def test_controllers_keep_no_mode_count(self):
+        controllers = [cls for _, cls in inspect.getmembers(harness, inspect.isclass)
+                       if cls.__module__ == harness.__name__
+                       and (hasattr(cls, "decide") or hasattr(cls, "decide_sub"))]
+        assert len(controllers) == 7
+        for cls in controllers:
+            tree = ast.parse(textwrap.dedent(inspect.getsource(cls)))
+            assigned = {getattr(t, "attr", getattr(t, "id", None))
+                        for node in ast.walk(tree)
+                        if isinstance(node, (ast.Assign, ast.AnnAssign, ast.AugAssign))
+                        for t in getattr(node, "targets", [getattr(node, "target", None)])}
+            assert "n_modes" not in assigned, cls.__name__
+
+
 class TestSimulate:
     def test_same_seed_reproduces(self, dataset):
         env = fig_env(b_max=5)
         ctrl = RandomFeasibleController(env)
-        a = simulate(ctrl, env, dataset, episodes=3, epochs=200, seed=12)
-        b = simulate(ctrl, env, dataset, episodes=3, epochs=200, seed=12)
+        a = simulate(ctrl, dataset, episodes=3, epochs=200, seed=12)
+        b = simulate(ctrl, dataset, episodes=3, epochs=200, seed=12)
         for ra, rb in zip(a, b):
             assert ra.accuracy == rb.accuracy
             assert np.array_equal(ra.exit_hist, rb.exit_hist)
@@ -249,8 +271,8 @@ class TestSimulate:
         # same seed => same draws; a controller that always picks mode 0
         # must see the identical record stream as any other controller
         env = two_state_env(0.9, 0.5, 1.0, 1.0, b_max=30)
-        r0 = simulate(FixedModeController(0, env), env, dataset, 2, 300, seed=5)
-        r3 = simulate(FixedModeController(3, env), env, dataset, 2, 300, seed=5)
+        r0 = simulate(FixedModeController(0, env), dataset, 2, 300, seed=5)
+        r3 = simulate(FixedModeController(3, env), dataset, 2, 300, seed=5)
         for a, b in zip(r0, r3):
             assert a.epochs == b.epochs
         # rich harvest, no outages for either
@@ -258,13 +280,13 @@ class TestSimulate:
 
     def test_exit_histogram_counts_epochs(self, dataset):
         env = fig_env(b_max=5)
-        res = simulate(RandomFeasibleController(env), env, dataset, 2, 150, 0)
+        res = simulate(RandomFeasibleController(env), dataset, 2, 150, 0)
         for r in res:
             assert r.exit_hist.sum() == 150
 
     def test_energy_counts_spend(self, dataset):
         env = two_state_env(0.9, 0.5, 0.0, 0.0, b_max=3)
-        res = simulate(FixedModeController(3, env), env, dataset, 1, 10, 0)
+        res = simulate(FixedModeController(3, env), dataset, 1, 10, 0)
         assert res[0].energy_used == 3   # one mode-3 epoch, then broke
 
     def test_aggregate_interval(self):
@@ -308,7 +330,7 @@ class TestExitProbabilities:
         ctrl = IncTableController(pol, env)
         n = 20000
         for (b, h) in ((2, 0), (1, 1), (0, 0)):
-            mc = exit_probability_mc(ctrl, env, dataset, (b, h), n, seed=1)
+            mc = exit_probability_mc(ctrl, dataset, (b, h), n, seed=1)
             sigma = np.sqrt(np.maximum(eta[env.state_index(b, h)]
                                        * (1 - eta[env.state_index(b, h)]), 1e-12) / n)
             assert np.all(np.abs(mc - eta[env.state_index(b, h)])
@@ -365,7 +387,7 @@ class TestSweep:
         assert len(rows) == 1
         env = fig_env(b_max=5)
         _, pol = policy_iteration(build_mms_mdp(env, exit_accuracy(dataset)))
-        res = simulate(MmsController(pol, env), env, dataset, 3, 200, 0)
+        res = simulate(MmsController(pol, env), dataset, 3, 200, 0)
         mean, lo, hi = aggregate_accuracy(res)
         assert rows[0]["accuracy"] == pytest.approx(mean, abs=1e-12)
         assert rows[0]["controller"] == "MmS"

@@ -118,7 +118,7 @@ class GapSpy:
 
     def __init__(self, ctrl):
         self.ctrl, self.kind, self.incremental = ctrl, ctrl.kind, ctrl.incremental
-        self.n_modes = ctrl.n_modes
+        self.env = ctrl.env
         self.min_gap = np.inf
 
     def _note(self, q, feasible):
@@ -175,7 +175,7 @@ def every_controller(env, dataset, rng):
     return [
         MmsController(mms, env),
         IncTableController(inc.astype(np.int64), env),
-        OracleController(solve_oracle(env, dataset, eps=1e-3), env),
+        OracleController(solve_oracle(env, dataset, eps=1e-3)),
         RandomFeasibleController(env),
         FixedModeController(int(rng.integers(k)), env),
         GapSpy(IncDqnController(
@@ -202,7 +202,7 @@ def test_lockstep_matches_scalar_reference(case, seed):
     for ctrl in every_controller(env, dataset, rng):
         spied = isinstance(ctrl, GapSpy)
         real = ctrl.ctrl if spied else ctrl
-        got = simulate(real, env, dataset, episodes=3, epochs=25, seed=seed)
+        got = simulate(real, dataset, episodes=3, epochs=25, seed=seed)
         for i, child in enumerate(np.random.SeedSequence(seed).spawn(3)):
             if spied:
                 ctrl.min_gap = np.inf
@@ -216,7 +216,7 @@ def test_lockstep_matches_scalar_reference(case, seed):
         if spied:
             ctrl.min_gap = np.inf
         want = reference_exit_probability_mc(ctrl, env, dataset, start, 30, seed)
-        got = exit_probability_mc(real, env, dataset, start, 30, seed)
+        got = exit_probability_mc(real, dataset, start, 30, seed)
         if not (spied and ctrl.min_gap < NEAR_TIE):
             assert np.array_equal(got, want)
 
@@ -226,14 +226,14 @@ class TopModeController:
     incremental = False
 
     def __init__(self, env):
-        self.n_modes = env.n_modes
+        self.env = env
 
     def decide(self, b, h, z, u_dec):
-        return np.full(np.shape(b), self.n_modes - 1)
+        return np.full(np.shape(b), self.env.n_modes - 1)
 
 
 def test_infeasible_choice_raises():
     env = two_state_env(0.9, 0.5, 0.0, 0.0, b_max=3)
     dataset = ConfidenceDataset(np.full((5, 4), 0.5), np.ones((5, 4)))
     with pytest.raises(InfeasibleAction):
-        simulate(TopModeController(env), env, dataset, episodes=2, epochs=5, seed=0)
+        simulate(TopModeController(env), dataset, episodes=2, epochs=5, seed=0)
