@@ -182,6 +182,7 @@ def cmd_train_dqn(args):
         "dataset_fingerprint": oracle_mod.dataset_fingerprint(ds),
     }
     if args.steps == 0:
+        env.check_exits(ds.n_exits)     # dqn.train checks it on the other path
         rng = np.random.default_rng(seed)
         if args.mode == "incremental":
             net = dqn_mod.QNetwork.create(rng, dqn_mod.inc_input_dim(env), 2)

@@ -294,13 +294,48 @@ class HarvestEnvironment:
         Returns (b', h', overflow), overflow being the packets lost to the
         full battery.
         """
-        t = self._tables
-        h_next = (np.asarray(u_h)[..., None] > t["cum_chain"][h]).sum(axis=-1)
-        src = h_next if self.condition_on_next else h
-        e = (np.asarray(u_e)[..., None] > t["cum_arrivals"][src]).sum(axis=-1)
+        h_next = self._draw(u_h, h)
+        e = self._draw(u_e, h_next if self.condition_on_next else h, arrivals=True)
         b_max = self.battery.b_max
         overflow = np.maximum(b - consumption + e - b_max, 0)
         return battery_step(b, consumption, e, b_max), h_next, overflow
+
+    def exogenous_paths(self, h0, u_h, u_e):
+        """The harvesting process of E episodes, drawn before any decision.
+
+        Weather and arrivals do not depend on what a controller does, so the
+        draws of slot_step can all be made up front: u_h and u_e are (E, N, T)
+        uniforms of N epochs of T slots, h0 (E,) the start states. Returns the
+        weather state at every slot start, (E, N*T + 1), whose column s + 1 is
+        slot_step's h' of slot s, and the arrivals of every slot, (E, N, T).
+        Both hold the narrowest unsigned type that fits.
+        """
+        shape = np.shape(u_e)
+        n_ep = shape[0]
+        h_type = np.min_scalar_type(self.n_h - 1)
+        # the next state from every state at every slot, (slots, E * n_h), so
+        # the walk is one gather per slot
+        step = self._draw(np.reshape(u_h, (n_ep, -1)).T[..., None], slice(None), dtype=h_type)
+        step = step.reshape(len(step), -1)
+        offset = self.n_h * np.arange(n_ep)
+        path = np.empty((len(step) + 1, n_ep), dtype=h_type)
+        path[0] = h0
+        for s, row in enumerate(step):
+            path[s + 1] = row[offset + path[s]]
+        path = np.ascontiguousarray(path.T)
+        # the arrival from every state at every slot, (E, slots, n_h), then the path's
+        e = self._draw(np.reshape(u_e, (n_ep, -1, 1)), slice(None), arrivals=True,
+                       dtype=np.min_scalar_type(self.arrivals.e_max))
+        src = path[:, 1:] if self.condition_on_next else path[:, :-1]
+        return path, np.take_along_axis(e, src[..., None], axis=-1).reshape(shape)
+
+    def _draw(self, u, rows, arrivals=False, dtype=None):
+        """Inverse-cdf draws with uniforms u from the given rows of the chain's
+        (or, if arrivals, the arrival pmfs') cumulative table: the number of
+        cumulative entries below u.
+        """
+        cum = self._tables["cum_arrivals" if arrivals else "cum_chain"][rows]
+        return (np.asarray(u)[..., None] > cum).sum(axis=-1, dtype=dtype)
 
     def to_config(self):
         return {

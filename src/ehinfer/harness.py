@@ -8,10 +8,13 @@ entry per episode. Each controller is bound to the environment it was
 made for, `controller.env`, and the simulator runs that one. It pre-draws
 all environment randomness per episode so different controllers
 evaluated under the same seed face identical arrival and environment-state
-paths, then steps every episode together; DQN training evaluates its network through the same
-`simulate`. The exact exit analyses read the models the controllers were
-solved on: the IncIAgEE slot chain for incremental policies, and the
-oracle solution's continuation for the oracle.
+paths. No decision changes those paths, so it draws them whole before the
+rollout (`env.exogenous_paths`) and then steps every episode together
+through the decisions and the battery alone; DQN training evaluates its
+network through the same `simulate`. The exact exit analyses read the
+models the controllers were solved on: the IncIAgEE slot chain for
+incremental policies, and the oracle solution's continuation for the
+oracle.
 """
 
 from __future__ import annotations
@@ -29,8 +32,8 @@ from . import dqn as dqn_mod
 from . import mdp as mdp_mod
 from . import oracle as oracle_mod
 from .confidence import exit_accuracy
-from .env import (IncompatibleController, InfeasibleAction, energy_rate, json_number,
-                  stationary_distribution, two_state_env, write_csv)
+from .env import (IncompatibleController, InfeasibleAction, battery_step, energy_rate,
+                  json_number, stationary_distribution, two_state_env, write_csv)
 
 
 class MmsController:
@@ -158,11 +161,14 @@ def _rollout(controller, dataset, b, h, rec_idx, u_h, u_e, u_dec):
 
     Epoch n of episode i serves record rec_idx[i, n] and draws slot tau's
     weather and arrival from u_h[i, n, tau] and u_e[i, n, tau]; u_dec[i, n]
-    is the controller's private uniform. Controllers see arrays: decide
-    gets (b, h, z, u) of every episode once per epoch, decide_sub
-    (b, h, xi, tau, z_xi, u) once per slot. Raises InfeasibleAction if a
-    controller picks a mode or a step the battery cannot pay for, and
-    IncompatibleController unless the dataset fits the controller's env.
+    is the controller's private uniform. No decision changes the weather or
+    the arrivals, so env.exogenous_paths draws them for every slot first;
+    the slot loop then only asks the controller and updates the battery.
+    Controllers see arrays: decide gets (b, h, z, u) of every episode once
+    per epoch, decide_sub (b, h, xi, tau, z_xi, u) once per slot. Raises
+    InfeasibleAction if a controller picks a mode or a step the battery
+    cannot pay for, and IncompatibleController unless the dataset fits the
+    controller's env.
 
     Returns per-episode (hits (E,), exit histogram (E, K), energy used,
     overflow, outage (E,)).
@@ -170,41 +176,48 @@ def _rollout(controller, dataset, b, h, rec_idx, u_h, u_e, u_dec):
     env = controller.env
     env.check_exits(dataset.n_exits)
     n_ep, n_epochs, t_slots = u_h.shape
-    costs = np.asarray(env.battery.cost)
+    costs, b_max = np.asarray(env.battery.cost), env.battery.b_max
     rows = np.arange(n_ep)
-    hits, energy, overflow, outage = (np.zeros(n_ep, dtype=np.int64) for _ in range(4))
-    hist = np.zeros((n_ep, env.n_modes), dtype=np.int64)
-    b, h = np.asarray(b), np.asarray(h)
+    outage = np.zeros(n_ep, dtype=np.int64)
+    modes = np.empty((n_ep, n_epochs), dtype=np.min_scalar_type(env.n_modes - 1))
+    weather, arrivals = env.exogenous_paths(h, u_h, u_e)
+    b = b0 = np.asarray(b)
     for n in range(n_epochs):
-        rec = rec_idx[:, n]
-        z = dataset.z[rec]
+        z = dataset.z[rec_idx[:, n]]
+        # widened: controllers add Python ints to h, which a narrow type may not hold
+        h = weather[:, n * t_slots:(n + 1) * t_slots].astype(np.int64)
         if env.n_modes > 1:
             outage += b < costs[1]
         if controller.incremental:
             mode = np.zeros(n_ep, dtype=np.int64)      # xi, the mode reached so far
         else:
-            mode = controller.decide(b, h, z, u_dec[:, n])
-            bad = np.flatnonzero(~env.affordable(b)[rows, mode])
-            if len(bad):
-                i = bad[0]
+            mode = controller.decide(b, h[:, 0], z, u_dec[:, n])
+            ok = env.affordable(b)[rows, mode]
+            if not ok.all():
+                i = np.flatnonzero(~ok)[0]
                 raise InfeasibleAction(f"{controller.kind} chose mode {mode[i]} at b={b[i]}")
         for tau in range(t_slots):
             if controller.incremental:
-                alpha = controller.decide_sub(b, h, mode, tau, z[rows, mode], u_dec[:, n])
-                bad = np.flatnonzero((alpha != 0) & ~env.can_proceed(b, mode))
-                if len(bad):
-                    i = bad[0]
+                alpha = controller.decide_sub(b, h[:, tau], mode, tau, z[rows, mode], u_dec[:, n])
+                bad = (alpha != 0) & ~env.can_proceed(b, mode)
+                if bad.any():
+                    i = np.flatnonzero(bad)[0]
                     raise InfeasibleAction(
                         f"{controller.kind} proceed at b={b[i]}, xi={mode[i]}")
-                c = costs[mode + alpha] - costs[mode]
-                mode = mode + alpha
+                reached = mode + alpha
+                c = costs[reached] - costs[mode]
+                mode = reached
             else:
                 c = costs[mode] if tau == 0 else 0
-            energy += c
-            b, h, spill = env.slot_step(b, h, c, u_h[:, n, tau], u_e[:, n, tau])
-            overflow += spill
-        hist[rows, mode] += 1
-        hits += dataset.correct[rec, mode]
+            b = battery_step(b, c, arrivals[:, n, tau], b_max)
+        modes[:, n] = mode
+    # cost[0] is 0, so an epoch spends the cost of the mode it ends in
+    energy = costs[modes].sum(axis=1)
+    # the checks keep every spend within the battery, so its floor at 0 never
+    # binds: each packet that arrived was spent, is still stored, or overflowed
+    overflow = b0 + arrivals.sum(axis=(1, 2), dtype=np.int64) - energy - b
+    hist = (modes[..., None] == np.arange(env.n_modes)).sum(axis=1)
+    hits = dataset.correct[rec_idx, modes].sum(axis=1)
     return hits, hist, energy, overflow, outage
 
 
@@ -380,6 +393,7 @@ def _sweep_cell(args):
     p_g, p_b, pe_g, pe_b, b_max = cell
     env = two_state_env(p_g, p_b, pe_g, pe_b, b_max, costs=grid.costs,
                         T=grid.T, gamma=grid.gamma)
+    env.check_exits(dataset.n_exits)
     mu = energy_rate(env.chain, env.arrivals, env.epoch.T)
     rho = exit_accuracy(dataset)
     controllers = {}

@@ -210,9 +210,13 @@ def _scores(env, continuation, b, h, z):
     """
     env.check_exits(np.shape(z)[-1])
     cont = continuation.T[env.state_index(b, h)]
-    scores = np.empty(np.broadcast_shapes(np.shape(z), cont.shape))
-    for a in range(env.n_modes):    # one broadcast add over the few modes is 2x slower
-        np.add(z[..., a], cont[..., a], out=scores[..., a])
+    if np.shape(z) == cont.shape:       # one row per decision, as in a rollout
+        scores = z + cont
+    else:
+        # record blocks: a broadcast add over the few modes is 2x slower
+        scores = np.empty(np.broadcast_shapes(np.shape(z), cont.shape))
+        for a in range(env.n_modes):
+            np.add(z[..., a], cont[..., a], out=scores[..., a])
     np.copyto(scores, -np.inf, where=~env.affordable(b))
     return scores
 

@@ -752,17 +752,22 @@ class TestFailureMap:
     # exit-probs gives the same message (TestExitProbs)
     @pytest.mark.parametrize("accuracies", [[0.005, 0.5, 0.8], [0.005, 0.4, 0.5, 0.7, 0.8]])
     @pytest.mark.parametrize("argv", [
-        ["train-dqn", "--steps", "1", "--seed", "0"],
-        ["simulate", "--controller", "random", "--epochs", "10", "--seed", "0"],
-        ["solve", "--kind", "oracle"],
-    ], ids=["train-dqn", "simulate", "solve-oracle"])
+        ["train-dqn", "--steps", "1", "--seed", "0", "--env", "env.json"],
+        ["train-dqn", "--steps", "0", "--seed", "0", "--env", "env.json"],
+        ["simulate", "--controller", "random", "--epochs", "10", "--seed", "0",
+         "--env", "env.json"],
+        ["solve", "--kind", "oracle", "--env", "env.json"],
+        ["sweep", "--grid", "grid.json", "--seed", "0"],
+    ], ids=["train-dqn", "train-dqn-zero-steps", "simulate", "solve-oracle", "sweep"])
     def test_dataset_exit_count_mismatch_has_one_wording(self, sandbox, capsys, argv,
                                                          accuracies):
         (sandbox / "spec.json").write_text(json.dumps({"accuracies": accuracies}))
+        (sandbox / "grid.json").write_text(json.dumps({
+            "p_g": [0.9], "p_b": [0.5], "pe_g": [0.8], "pe_b": [0.0],
+            "b_max": [3], "episodes": 1, "epochs": 1}))
         other = gen(sandbox, "other.jsonl", n=200, extra=("--spec", "spec.json"))
         capsys.readouterr()
-        assert main([*argv, "--env", "env.json", "--dataset", str(other),
-                     "--out", "out.json"]) == 2
+        assert main([*argv, "--dataset", str(other), "--out", "out.json"]) == 2
         err = capsys.readouterr().err
         assert f"{argv[0]} rejected: dataset has {len(accuracies)} exits, " \
                "environment 4 modes" in err

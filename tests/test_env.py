@@ -1,3 +1,4 @@
+import ast
 import inspect
 import itertools
 import json
@@ -283,6 +284,49 @@ class TestSampling:
         assert (arr[0][0], arr[1][0], arr[2][0]) == (b2, h2, spill)
 
 
+def three_weather_env(cond_next, e_max=2):
+    """Three weather states, one transition of probability zero, arrivals 0..e_max."""
+    pmf = np.random.default_rng(5).dirichlet(np.ones(e_max + 1), size=3)
+    return HarvestEnvironment(
+        chain=HarvestChain(states=("G", "M", "B"), transition=np.array(
+            [[0.6, 0.3, 0.1], [0.2, 0.5, 0.3], [0.0, 0.4, 0.6]])),
+        arrivals=ArrivalModel(pmf_per_state=pmf),
+        battery=BatteryConfig(b_max=4, cost=(0, 1, 2)),
+        epoch=EpochConfig(3, 0.9),
+        condition_on_next=cond_next,
+    )
+
+
+class TestExogenousPaths:
+    @pytest.mark.parametrize("cond_next", [False, True], ids=["arrival-on-h", "arrival-on-next"])
+    @pytest.mark.parametrize("make", [
+        lambda c: two_state_env(0.7, 0.4, 0.6, 0.2, b_max=5, condition_on_next=c),
+        three_weather_env,
+        lambda c: three_weather_env(c, e_max=300),
+    ], ids=["two-weather", "three-weather", "wide-arrivals"])
+    def test_paths_equal_repeated_slot_steps(self, make, cond_next):
+        env = make(cond_next)
+        rng = np.random.default_rng(8)
+        n_ep, n_epochs, t_slots = 5, 40, env.epoch.T
+        u_h, u_e = rng.random((2, n_ep, n_epochs, t_slots))
+        h0 = rng.integers(env.n_h, size=n_ep)
+        weather, arrivals = env.exogenous_paths(h0, u_h, u_e)
+        assert weather.shape == (n_ep, n_epochs * t_slots + 1)
+        assert arrivals.shape == (n_ep, n_epochs, t_slots)
+        assert weather.dtype == np.min_scalar_type(env.n_h - 1)
+        assert arrivals.dtype == np.min_scalar_type(env.arrivals.e_max)
+        h = h0
+        for n, tau in itertools.product(range(n_epochs), range(t_slots)):
+            assert np.array_equal(weather[:, n * t_slots + tau], h)
+            # from an empty battery that spends nothing, b' + overflow is the arrival
+            b2, h, spill = env.slot_step(np.zeros(n_ep, dtype=int), h, 0,
+                                         u_h[:, n, tau], u_e[:, n, tau])
+            assert np.array_equal(arrivals[:, n, tau], b2 + spill)
+        assert np.array_equal(weather[:, -1], h)
+        if env.arrivals.e_max > 255:
+            assert arrivals.max() > 255
+
+
 # "(b, h) of every state", the inverse of state_index, written out by hand
 INVERSE_LAYOUT = re.compile(r"np\.divmod\(np\.arange\(|np\.arange\([^)]*\)\s*//\s*[\w.]*n_h\b")
 
@@ -307,6 +351,39 @@ class TestStateLayout:
                  for i, line in enumerate(path.read_text().splitlines(), 1)
                  if INVERSE_LAYOUT.search(line)]
         assert found == []
+
+
+def _source_lines(owner):
+    lines, start = inspect.getsourcelines(owner)
+    return range(start, start + len(lines))
+
+
+class TestOneSlotRule:
+    SRC = Path(__file__).resolve().parent.parent / "src" / "ehinfer"
+
+    def test_cumulative_tables_are_read_by_one_draw_helper(self):
+        # slot_step and exogenous_paths both draw through _draw, so the
+        # inverse-cdf rule has one copy; __post_init__ builds the tables
+        found = [(path.name, i) for path in sorted(self.SRC.glob("*.py"))
+                 for i, line in enumerate(path.read_text().splitlines(), 1)
+                 if re.search(r"cum_(chain|arrivals)", line)]
+        assert {name for name, _ in found} == {"env.py"}
+        built = _source_lines(HarvestEnvironment.__post_init__)
+        read = [i for _, i in found if i not in built]
+        assert read and all(i in _source_lines(HarvestEnvironment._draw) for i in read)
+
+    def test_battery_clip_lives_only_in_battery_step(self):
+        # any np.minimum, np.clip or min call that bounds by b_max is a clip
+        found = []
+        for path in sorted(self.SRC.glob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text())):
+                if (isinstance(node, ast.Call)
+                        and ast.unparse(node.func) in ("np.minimum", "np.clip", "min")
+                        and "b_max" in ast.unparse(node)):
+                    found.append((path.name, node.lineno))
+        assert len(found) == 1
+        name, line = found[0]
+        assert name == "env.py" and line in _source_lines(battery_step)
 
 
 class TestArtifactFiles:

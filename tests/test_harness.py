@@ -1,5 +1,6 @@
 import ast
 import csv
+import hashlib
 import inspect
 import textwrap
 
@@ -11,7 +12,7 @@ from ehinfer import mdp as mdp_mod
 from ehinfer import oracle as oracle_mod
 from ehinfer.confidence import (ConfidenceDataset, SyntheticSpec, default_spec,
                                 exit_accuracy, generate_synthetic)
-from ehinfer.dqn import QNetwork, inc_input_dim
+from ehinfer.dqn import QNetwork, inc_input_dim, os_input_dim
 from ehinfer.env import InfeasibleAction, two_state_env
 from ehinfer.harness import (FixedModeController, IncDqnController,
                              IncTableController, IncompatibleController,
@@ -299,6 +300,57 @@ class TestSimulate:
         assert mean == pytest.approx(0.5)
         half = 1.96 * np.std([0.4, 0.6], ddof=1) / np.sqrt(2)
         assert hi - mean == pytest.approx(half, abs=1e-12)
+
+
+class TestSimulatePinned:
+    """Seeded `simulate` results of every controller kind, bit for bit.
+
+    The SHA-256 values were recorded while the rollout still drew the
+    weather and the arrivals inside its slot loop; precomputing them must
+    not move a single result.
+    """
+
+    GOLDEN = {
+        "MmS":
+            "e4ffdd4e868c2883a877c857fd11b7b3c727169f20267f091e8ebb3b9488ed39",
+        "IncIAgEE":
+            "33f68ea878de30429420e164a9c2040fb7b2c3514e9ef9339f8c4e2befedcfad",
+        "OsIAwOracle":
+            "1b330dae9f11ae86ff1687b2c479fc5bcbdb0ddb791b92db6f866f1a999a1c9b",
+        "RandomFeasible":
+            "0617464603951f5eef18ac6d6a3f9f6974b8ca71c0b9d16682cb4134ec79bb03",
+        "FixedMode(2)":
+            "4e4b6ed0cdb0a17aa8fe42a05a39e6c96da8844afd5a0170d2d258d54d1212f8",
+        "IncIAwDQN":
+            "b5236d88427c17e6f4677f638fa39470036340c1461ffa1cb6402f28e6b14aee",
+        "OsIAwDQN":
+            "b42c419ec07962a8db703516fb76a8740a1c5311cdb7a009e48f82859c4c2d08",
+    }
+
+    @pytest.fixture(scope="class")
+    def controllers(self, dataset):
+        env = fig_env(b_max=5)
+        rho = exit_accuracy(dataset)
+        rng = np.random.default_rng(3)
+        ctrls = [
+            MmsController(policy_iteration(build_mms_mdp(env, rho))[1], env),
+            IncTableController(value_iteration(build_inc_iag_mdp(env, rho))[1], env),
+            OracleController(solve_oracle(env, dataset)),
+            RandomFeasibleController(env),
+            FixedModeController(2, env),
+            IncDqnController(QNetwork.create(rng, inc_input_dim(env), 2), env),
+            OsDqnController(QNetwork.create(rng, os_input_dim(env), env.n_modes), env),
+        ]
+        return {c.kind: c for c in ctrls}
+
+    @pytest.mark.parametrize("kind", list(GOLDEN))
+    def test_seeded_results_match_golden_hash(self, dataset, controllers, kind):
+        digest = hashlib.sha256()
+        for r in simulate(controllers[kind], dataset, episodes=6, epochs=300, seed=17):
+            digest.update(repr((r.accuracy, r.energy_used, r.overflow, r.outage,
+                                r.epochs, r.exit_hist.dtype.str)).encode())
+            digest.update(r.exit_hist.tobytes())
+        assert digest.hexdigest() == self.GOLDEN[kind]
 
 
 class TestExitProbabilities:
