@@ -46,12 +46,21 @@ class ConfidenceDataset:
         correct = np.ascontiguousarray(correct, dtype=np.int8)
         if logits is not None:
             logits = np.ascontiguousarray(logits, dtype=float)
-            if logits.shape[:2] != (z.shape[0], z.shape[1] - 1):
+            if logits.ndim != 3 or logits.shape[:2] != (z.shape[0], z.shape[1] - 1):
                 raise ValueError("logits must be (n_records, K-1, n_classes)")
+            if not np.isfinite(logits).all():
+                raise ValueError("logits must be finite")
         if labels is not None:
-            labels = np.ascontiguousarray(labels, dtype=np.int64)
+            labels = np.asarray(labels)
+            # before the cast: float, bool and object (huge int) labels would convert
+            if not np.issubdtype(labels.dtype, np.integer):
+                raise ValueError(f"labels must be integers, not {labels.dtype}")
             if labels.shape != (z.shape[0],):
                 raise ValueError("labels must be (n_records,)")
+            n_classes = np.inf if logits is None else logits.shape[2]
+            if not np.all((labels >= 0) & (labels < n_classes)):
+                raise ValueError(f"labels must lie in [0, {n_classes})")
+            labels = np.ascontiguousarray(labels, dtype=np.int64)
         for arr in (z, correct, logits, labels):
             if arr is not None:
                 arr.setflags(write=False)
@@ -262,17 +271,66 @@ def reliability_report(dataset):
     return bins, ece
 
 
+# numbers per block of save_jsonl: bounds the words held in memory at once
+JSONL_BLOCK = 8192
+
+
+def _words(values):
+    """repr of each entry of a 1-D float64 or int64 array, formatting repeated ones once.
+
+    Floats are told apart by their bits, so -0.0 and 0.0 keep their own
+    words. repr is json's encoding of an int and of a finite float.
+    """
+    bits = values.view(np.int64)
+    ordered = np.sort(bits)
+    # indexing the words back costs about what formatting one number in
+    # twenty does, so nearly distinct values (a real network's logits) are
+    # formatted where they stand
+    if 10 * (1 + np.count_nonzero(ordered[1:] != ordered[:-1])) > 9 * len(bits):
+        return list(map(repr, values.tolist()))
+    keys, inverse = np.unique(bits, return_inverse=True)
+    words = np.array(list(map(repr, keys.view(values.dtype).tolist())), dtype=object)
+    return words[inverse].tolist()
+
+
+def _lists(words, count):
+    """The JSON list text of each of `count` equal runs of words, in order."""
+    width = len(words) // count if count else 0
+    return ["[" + ", ".join(words[i * width:(i + 1) * width]) + "]" for i in range(count)]
+
+
 def save_jsonl(dataset, path):
-    """Write one JSON object per record: z, correct, optional logits/label."""
-    # row by row, so only one record's Python floats exist at a time
+    """Write one JSON object per record: z, correct, optional logits/label.
+
+    The bytes are those of json.dumps on each record's dict, keys in that
+    order. Records go out in blocks of about JSONL_BLOCK numbers, a record
+    wider than that in a block of its own, and a number repeated within a
+    block is formatted once; only one block's words exist at a time.
+    """
+    n, k = dataset.z.shape
+    logits, labels = dataset.logits, dataset.labels
+    keys = ['"z": ', '"correct": ']
+    width = 2 * k
+    if logits is not None:
+        keys.append('"logits": ')
+        width += logits[0].size
+    if labels is not None:
+        keys.append('"label": ')
+        width += 1
+    step = max(1, JSONL_BLOCK // width)
     with open(path, "w") as fh:
-        for i in range(len(dataset)):
-            row = {"z": dataset.z[i].tolist(), "correct": dataset.correct[i].tolist()}
-            if dataset.logits is not None:
-                row["logits"] = dataset.logits[i].tolist()
-            if dataset.labels is not None:
-                row["label"] = int(dataset.labels[i])
-            fh.write(json.dumps(row) + "\n")
+        for start in range(0, n, step):
+            blk = slice(start, min(start + step, n))
+            m = blk.stop - start
+            fields = [_lists(_words(dataset.z[blk].ravel()), m),
+                      _lists(_words(dataset.correct[blk].ravel().astype(np.int64)), m)]
+            if logits is not None:
+                rows = _lists(_words(logits[blk].ravel()), m * logits.shape[1])
+                fields.append(_lists(rows, m))
+            if labels is not None:
+                fields.append(_words(labels[blk]))
+            fh.write("".join(["{" + ", ".join(map(str.__add__, keys, record)) + "}\n"
+                              for record in zip(*fields)]))
 
 
 def load_jsonl(path):

@@ -123,14 +123,15 @@ def action_max(q):
 TIE_TOL = 1e-12
 
 
-def greedy(q, current=None):
+def greedy(q, current=None, top=None):
     """The one tie rule of every solver: an action index along q's last axis.
 
     Keeps `current` (q without its last axis) where its Q is within TIE_TOL
     of the max (Howard's rule, Puterman 1994, sec. 6.4: policy iteration
     cannot cycle on float ties), else takes the cheapest action that is.
+    `top` is action_max(q) when the caller has it already.
     """
-    bar = action_max(q) - TIE_TOL
+    bar = (action_max(q) if top is None else top) - TIE_TOL
     best = (q >= bar[..., None]).argmax(axis=-1)
     if current is not None:
         held = np.take_along_axis(q, current[..., None], axis=-1)[..., 0]

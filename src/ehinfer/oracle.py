@@ -175,7 +175,7 @@ def _improve(env, z, continuation, choices):
     for blk in record_blocks(len(z)):
         scores = _scores(env, continuation, b, h, z[blk, None, :])
         top[blk] = action_max(scores)
-        best = greedy(scores, choices[blk])
+        best = greedy(scores, choices[blk], top[blk])
         changed += np.count_nonzero(best != choices[blk])
         choices[blk] = best
         reward += np.take_along_axis(z[blk], best, axis=1).sum(axis=0)

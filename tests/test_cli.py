@@ -634,6 +634,69 @@ class TestCalibrate:
         assert not np.allclose(warped.z[:, 1:], clean.z[:, 1:])
         assert np.array_equal(warped.correct, clean.correct)
 
+    # each edit once let calibrate exit 0 on a wrong reading or fail with a traceback
+    @pytest.mark.parametrize("field,value,match", [
+        ("label", -1, "labels must lie in"),
+        ("label", 500, "labels must lie in"),
+        ("label", 3.7, "labels must be integers"),
+        ("label", 2 ** 70, "labels must be integers"),
+        ("logits", float("nan"), "logits must be finite"),
+        ("logits", float("inf"), "logits must be finite"),
+        ("logits", -float("inf"), "logits must be finite"),
+    ])
+    @pytest.mark.parametrize("mode", [("--fit",), ("--tau", "0.5")])
+    def test_bad_label_or_logit_is_input_error(self, sandbox, capsys, field, value, match, mode):
+        lines = gen(sandbox, n=50, extra=("--logits",)).read_text().splitlines()
+        row = json.loads(lines[7])
+        if field == "label":
+            row["label"] = value
+        else:
+            row["logits"][1][3] = value
+        lines[7] = json.dumps(row)
+        (sandbox / "bad.jsonl").write_text("\n".join(lines) + "\n")
+        assert main(["calibrate", "--dataset", "bad.jsonl", *mode, "--out", "cal.jsonl"]) == 2
+        err = capsys.readouterr().err
+        assert "bad dataset" in err and match in err
+        assert not (sandbox / "cal.jsonl").exists()
+
+
+class TestDatasetPinned:
+    """Seeded `gen-data` and `calibrate` datasets, byte for byte.
+
+    The SHA-256 values were recorded while `save_jsonl` still wrote one
+    `json.dumps` per record; writing each distinct number once per block
+    must not move a byte.
+    """
+
+    GOLDEN = {
+        "plain":
+            "7c1b3902533aaead149937d8f05364a0999b7feb8b81404605d5a53343d6ec4e",
+        "logits":
+            "0587e8217921f461ede065832fa58ba77a3c56ca4b62c499be94185a77d93a1c",
+        "spec3":
+            "ce6dbcb587b3c4cc36a8e6ede34d8a85a623a430454eafd7fa1dd25470816b33",
+        "fit":
+            "d9d510bab0ea4c8e1d27e9c4ab973537b6fb62f4dbbc363a7812aa1e5b01fb97",
+        "tau":
+            "d6ffafb05dd5ce759ae8372fddf22c9ce3ec75906a7a66df5005d167b7b75196",
+    }
+
+    @pytest.fixture()
+    def outputs(self, sandbox):
+        (sandbox / "spec.json").write_text(json.dumps(
+            {"accuracies": [0.1, 0.6, 0.8], "n_classes": 10}))
+        gen(sandbox, "plain.jsonl", n=300, seed=11)
+        gen(sandbox, "logits.jsonl", n=60, seed=12, extra=("--logits",))
+        gen(sandbox, "spec3.jsonl", n=500, seed=13, extra=("--spec", "spec.json", "--logits"))
+        assert main(["calibrate", "--dataset", "logits.jsonl", "--fit",
+                     "--out", "fit.jsonl"]) == 0
+        assert main(["calibrate", "--dataset", "plain.jsonl", "--tau", "0.5",
+                     "--out", "tau.jsonl"]) == 0
+        return sandbox
+
+    def test_datasets_match_golden_hashes(self, outputs):
+        assert {name: sha(outputs / f"{name}.jsonl") for name in self.GOLDEN} == self.GOLDEN
+
 
 class TestSweep:
     def test_row_count_and_dqn_rejected(self, sandbox):

@@ -1,11 +1,13 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ehinfer.confidence import (ConfidenceDataset, EmptyDataset, MissingLogits,
+from ehinfer import confidence
+from ehinfer.confidence import (JSONL_BLOCK, ConfidenceDataset, EmptyDataset, MissingLogits,
                                 SyntheticSpec, default_spec,
                                 distort_calibration, exit_accuracy,
                                 generate_synthetic, load_jsonl,
@@ -116,6 +118,28 @@ class TestDatasetContainer:
         with pytest.raises(ValueError):
             ConfidenceDataset(np.full((2, 3), 0.5), correct)
 
+    @pytest.mark.parametrize("labels,match", [
+        ([0.0, 1.0], "integers"), ([True, False], "integers"),
+        (np.array([1, 2 ** 70], dtype=object), "integers"),
+        ([0, 3], "lie in"), ([-1, 0], "lie in"),
+    ])
+    def test_labels_must_be_class_indices(self, labels, match):
+        with pytest.raises(ValueError, match=match):
+            ConfidenceDataset(np.full((2, 2), 0.5), np.zeros((2, 2)), np.zeros((2, 1, 3)), labels)
+
+    def test_labels_without_logits_need_only_be_non_negative(self):
+        ds = ConfidenceDataset(np.full((2, 2), 0.5), np.zeros((2, 2)), None, [0, 2 ** 40])
+        assert ds.labels.dtype == np.int64
+        with pytest.raises(ValueError, match="lie in"):
+            ConfidenceDataset(np.full((2, 2), 0.5), np.zeros((2, 2)), None, [0, -3])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_logit_rejected(self, bad):
+        logits = np.zeros((2, 1, 3))
+        logits[1, 0, 2] = bad
+        with pytest.raises(ValueError, match="logits must be finite"):
+            ConfidenceDataset(np.full((2, 2), 0.5), np.zeros((2, 2)), logits)
+
     def test_arrays_read_only(self, big_dataset):
         with pytest.raises(ValueError):
             big_dataset.z[0, 0] = 0.5
@@ -216,6 +240,29 @@ class TestDistortion:
         assert np.all(out.z >= 0) and np.all(out.z <= 1)
 
 
+# finite float64 values at the edges of their JSON text: signed zero,
+# subnormals, where repr turns to exponent notation, and the largest
+_EDGES = [0.0, -0.0, 5e-324, 2.225073858507201e-308, 2.2250738585072014e-308,
+          1e-05, 9.999999999999999e-06, 0.0001, 1e16, 9999999999999998.0,
+          1.7976931348623157e308, -1.7976931348623157e308, -5e-324, 1.0, 0.1]
+_FINITE = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(_EDGES)
+_UNIT = st.floats(0.0, 1.0) | st.sampled_from([e for e in _EDGES if 0 <= e <= 1])
+
+
+def _reference_jsonl(ds):
+    """The slow reference writer: json.dumps of each record, element by element."""
+    lines = []
+    for i in range(len(ds)):
+        row = {"z": [float(v) for v in ds.z[i]],
+               "correct": [int(v) for v in ds.correct[i]]}
+        if ds.logits is not None:
+            row["logits"] = [[float(v) for v in vec] for vec in ds.logits[i]]
+        if ds.labels is not None:
+            row["label"] = int(ds.labels[i])
+        lines.append(json.dumps(row) + "\n")
+    return "".join(lines)
+
+
 class TestJsonl:
     def test_roundtrip(self, tmp_path):
         ds = generate_synthetic(np.random.default_rng(5), default_spec(), 64,
@@ -234,15 +281,63 @@ class TestJsonl:
                                 with_logits=with_logits)
         path = tmp_path / "ds.jsonl"
         save_jsonl(ds, path)
-        lines = []
-        for i in range(len(ds)):
-            row = {"z": [float(v) for v in ds.z[i]],
-                   "correct": [int(v) for v in ds.correct[i]]}
-            if with_logits:
-                row["logits"] = [[float(v) for v in vec] for vec in ds.logits[i]]
-                row["label"] = int(ds.labels[i])
-            lines.append(json.dumps(row) + "\n")
-        assert path.read_text() == "".join(lines)
+        assert path.read_text() == _reference_jsonl(ds)
+
+    @given(data=st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_bytes_match_per_element_writer_on_any_numbers(self, tmp_path_factory, data):
+        k = data.draw(st.integers(1, 5), label="exits")
+        n_classes = data.draw(st.integers(1, 6), label="classes")
+        with_logits = data.draw(st.booleans(), label="logits")
+        with_labels = data.draw(st.booleans(), label="labels")
+        # a small block, so that short datasets cross block boundaries
+        block = data.draw(st.integers(1, 64), label="block")
+        width = 2 * k + with_logits * (k - 1) * n_classes + with_labels
+        per_block = max(1, block // width)
+        n = data.draw(st.sampled_from([1, per_block - 1, per_block, per_block + 1]).filter(bool),
+                      label="records")
+        # pools of 1 to 64 values: a block repeats a few of them or holds many
+        zs = data.draw(st.lists(_UNIT, min_size=1, max_size=64), label="z values")
+        ls = data.draw(st.lists(_FINITE, min_size=1, max_size=64), label="logit values")
+        rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1), label="seed"))
+        logits = rng.choice(ls, (n, k - 1, n_classes)) if with_logits else None
+        labels = None
+        if with_labels:
+            high = n_classes if with_logits else data.draw(st.integers(1, 2 ** 62), label="high")
+            labels = rng.integers(0, high, n)
+        ds = ConfidenceDataset(rng.choice(zs, (n, k)), rng.integers(0, 2, (n, k)), logits, labels)
+        path = tmp_path_factory.mktemp("jsonl") / "ds.jsonl"
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(confidence, "JSONL_BLOCK", block)
+            save_jsonl(ds, path)
+        assert path.read_text() == _reference_jsonl(ds)
+
+    # every third logit repeated, or nearly all distinct like a real network's
+    @pytest.mark.parametrize("stride", [3, 1000])
+    def test_record_wider_than_a_block(self, tmp_path, stride):
+        rng = np.random.default_rng(8)
+        n_classes = JSONL_BLOCK + 9
+        logits = rng.normal(0.0, 7.0, (3, 2, n_classes))
+        logits[:, :, ::stride] = -0.0
+        logits[:, :, 1::stride] = 0.0
+        ds = ConfidenceDataset(rng.random((3, 3)), rng.integers(0, 2, (3, 3)), logits,
+                               [257, n_classes - 1, 4096])
+        path = tmp_path / "ds.jsonl"
+        save_jsonl(ds, path)
+        assert path.read_text() == _reference_jsonl(ds)
+
+    def test_writer_memory_is_one_block(self, tmp_path):
+        ds = generate_synthetic(np.random.default_rng(1), default_spec(), 1000,
+                                with_logits=True)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            save_jsonl(ds, tmp_path / "ds.jsonl")
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        # a whole-file build holds every word of the 12 MB file at once
+        assert peak < 2 * 2 ** 20
 
     def test_roundtrip_without_logits(self, tmp_path):
         ds = generate_synthetic(np.random.default_rng(6), default_spec(), 16)
