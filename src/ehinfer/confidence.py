@@ -333,14 +333,27 @@ def save_jsonl(dataset, path):
                               for record in zip(*fields)]))
 
 
+def _holds_bool(value):
+    """Whether a JSON value is true or false, or is a list that nests one."""
+    # bool is a subclass of int, so the type is compared exactly
+    return type(value) is bool or (type(value) is list and any(map(_holds_bool, value)))
+
+
 def load_jsonl(path):
+    """The dataset of a save_jsonl file; a JSON boolean in any field is a ValueError."""
     zs, cs, ls, ys = [], [], [], []
     with open(path) as fh:
-        for line in fh:
+        for i, line in enumerate(fh, 1):
             line = line.strip()
             if not line:
                 continue
             row = json.loads(line)
+            # records hold no strings and no key holds a "u" or an "f", so a line
+            # without them holds no true or false; one letter is a fast search
+            if "u" in line or "f" in line:
+                for key in ("z", "correct", "logits", "label"):
+                    if _holds_bool(row.get(key)):
+                        raise ValueError(f"line {i}: {key} must hold numbers, not true or false")
             zs.append(row["z"])
             cs.append(row["correct"])
             if "logits" in row:

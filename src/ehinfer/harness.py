@@ -10,7 +10,10 @@ all environment randomness per episode so different controllers
 evaluated under the same seed face identical arrival and environment-state
 paths. No decision changes those paths, so it draws them whole before the
 rollout (`env.exogenous_paths`) and then steps every episode together
-through the decisions and the battery alone; DQN training evaluates its
+through the decisions and the battery alone: a one-shot epoch with one
+decision and one battery update on its summed arrivals, an incremental
+epoch slot by slot, the table controller with one gather per slot from a
+(state, mode, slot) view of its policy. DQN training evaluates its
 network through the same `simulate`. The exact exit analyses read the
 models the controllers were solved on: the IncIAgEE slot chain for
 incremental policies, and the oracle solution's continuation for the
@@ -36,6 +39,16 @@ from .env import (IncompatibleController, InfeasibleAction, battery_step, energy
                   json_number, stationary_distribution, two_state_env, write_csv)
 
 
+def _action_table(policy, n_actions):
+    """policy as an array of action indices in 0..n_actions-1, else IncompatibleController."""
+    actions = np.asarray(policy)
+    # before any gather: a negative index would pick the last action, a bool array would mask
+    if not np.issubdtype(actions.dtype, np.integer) or not np.all(
+            (actions >= 0) & (actions < n_actions)):
+        raise IncompatibleController(f"policy actions must lie in 0..{n_actions - 1}")
+    return actions
+
+
 class MmsController:
     """One-shot mode choice from a solved (b, h) policy table."""
 
@@ -45,7 +58,7 @@ class MmsController:
     def __init__(self, policy, env):
         if len(policy) != env.n_states:
             raise IncompatibleController("policy table size does not match environment")
-        self.actions = np.asarray(policy)
+        self.actions = _action_table(policy, env.n_modes)
         self.env = env
 
     def decide(self, b, h, z, u_dec):
@@ -75,11 +88,14 @@ class IncTableController:
     def __init__(self, policy, env):
         if len(policy) != env.n_states * env.n_modes * env.epoch.T:
             raise IncompatibleController("incremental policy table size mismatch")
-        self.actions = np.asarray(policy)
+        self.actions = _action_table(policy, 2)
+        # the actions in mdp.inc_state_index order, indexed by (b, h), xi and tau
+        self.table = self.actions.reshape(env.n_states, env.n_modes, env.epoch.T)
+        self.table.setflags(write=False)
         self.env = env
 
     def decide_sub(self, b, h, xi, tau, z_xi, u_dec):
-        return self.actions[mdp_mod.inc_state_index(self.env, b, h, xi, tau)]
+        return self.table[self.env.state_index(b, h), xi, tau]
 
 
 class IncDqnController:
@@ -162,13 +178,16 @@ def _rollout(controller, dataset, b, h, rec_idx, u_h, u_e, u_dec):
     Epoch n of episode i serves record rec_idx[i, n] and draws slot tau's
     weather and arrival from u_h[i, n, tau] and u_e[i, n, tau]; u_dec[i, n]
     is the controller's private uniform. No decision changes the weather or
-    the arrivals, so env.exogenous_paths draws them for every slot first;
-    the slot loop then only asks the controller and updates the battery.
-    Controllers see arrays: decide gets (b, h, z, u) of every episode once
-    per epoch, decide_sub (b, h, xi, tau, z_xi, u) once per slot. Raises
-    InfeasibleAction if a controller picks a mode or a step the battery
-    cannot pay for, and IncompatibleController unless the dataset fits the
-    controller's env.
+    the arrivals, so env.exogenous_paths draws them for every slot first.
+    A one-shot epoch then makes one decide call, at the weather of its first
+    slot, and one battery update, on the epoch's summed arrivals. An
+    incremental epoch asks decide_sub at every slot; the slot spends the
+    step cost of its mode if the controller proceeds, and updates the
+    battery. Controllers see arrays: decide gets (b, h, z, u) of every
+    episode once per epoch, decide_sub (b, h, xi, tau, z_xi, u) once per
+    slot. Raises InfeasibleAction if a controller picks a mode or a step the
+    battery cannot pay for, and IncompatibleController unless the dataset
+    fits the controller's env.
 
     Returns per-episode (hits (E,), exit histogram (E, K), energy used,
     overflow, outage (E,)).
@@ -177,39 +196,46 @@ def _rollout(controller, dataset, b, h, rec_idx, u_h, u_e, u_dec):
     env.check_exits(dataset.n_exits)
     n_ep, n_epochs, t_slots = u_h.shape
     costs, b_max = np.asarray(env.battery.cost), env.battery.b_max
+    # ends in an int64-max sentinel, so proceeding from the last mode never fits
+    step_cost = env._tables["step_cost"]
     rows = np.arange(n_ep)
     outage = np.zeros(n_ep, dtype=np.int64)
     modes = np.empty((n_ep, n_epochs), dtype=np.min_scalar_type(env.n_modes - 1))
     weather, arrivals = env.exogenous_paths(h, u_h, u_e)
+    if not controller.incremental:
+        # One update per epoch equals T slot updates with the spend in slot 0:
+        # arrivals are >= 0 and the check keeps the spend within b, so the floor
+        # at 0 never binds, and min(min(x + a, M) + a', M) = min(x + a + a', M).
+        epoch_arrivals = arrivals.sum(axis=2, dtype=np.int64)
+        starts = weather[:, :-1:t_slots].astype(np.int64)     # the weather at slot 0
     b = b0 = np.asarray(b)
     for n in range(n_epochs):
         z = dataset.z[rec_idx[:, n]]
-        # widened: controllers add Python ints to h, which a narrow type may not hold
-        h = weather[:, n * t_slots:(n + 1) * t_slots].astype(np.int64)
         if env.n_modes > 1:
             outage += b < costs[1]
         if controller.incremental:
+            # widened, as starts is: controllers add Python ints to h, which a
+            # narrow type may not hold
+            h = weather[:, n * t_slots:(n + 1) * t_slots].astype(np.int64)
             mode = np.zeros(n_ep, dtype=np.int64)      # xi, the mode reached so far
-        else:
-            mode = controller.decide(b, h[:, 0], z, u_dec[:, n])
-            ok = env.affordable(b)[rows, mode]
-            if not ok.all():
-                i = np.flatnonzero(~ok)[0]
-                raise InfeasibleAction(f"{controller.kind} chose mode {mode[i]} at b={b[i]}")
-        for tau in range(t_slots):
-            if controller.incremental:
+            for tau in range(t_slots):
                 alpha = controller.decide_sub(b, h[:, tau], mode, tau, z[rows, mode], u_dec[:, n])
-                bad = (alpha != 0) & ~env.can_proceed(b, mode)
+                spend = step_cost[mode] * alpha
+                bad = spend > b
                 if bad.any():
                     i = np.flatnonzero(bad)[0]
                     raise InfeasibleAction(
                         f"{controller.kind} proceed at b={b[i]}, xi={mode[i]}")
-                reached = mode + alpha
-                c = costs[reached] - costs[mode]
-                mode = reached
-            else:
-                c = costs[mode] if tau == 0 else 0
-            b = battery_step(b, c, arrivals[:, n, tau], b_max)
+                mode = mode + alpha
+                b = battery_step(b, spend, arrivals[:, n, tau], b_max)
+        else:
+            mode = controller.decide(b, starts[:, n], z, u_dec[:, n])
+            spend = costs[mode]
+            bad = spend > b
+            if bad.any():
+                i = np.flatnonzero(bad)[0]
+                raise InfeasibleAction(f"{controller.kind} chose mode {mode[i]} at b={b[i]}")
+            b = battery_step(b, spend, epoch_arrivals[:, n], b_max)
         modes[:, n] = mode
     # cost[0] is 0, so an epoch spends the cost of the mode it ends in
     energy = costs[modes].sum(axis=1)

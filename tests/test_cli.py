@@ -660,6 +660,26 @@ class TestCalibrate:
         assert not (sandbox / "cal.jsonl").exists()
 
 
+    @pytest.mark.parametrize("field,value", [
+        ("z", True), ("correct", True), ("correct", False), ("logits", False), ("label", True),
+    ])
+    def test_json_boolean_is_input_error(self, sandbox, capsys, field, value):
+        lines = gen(sandbox, n=50, extra=("--logits",)).read_text().splitlines()
+        row = json.loads(lines[7])
+        if field == "label":
+            row["label"] = value
+        elif field == "logits":
+            row["logits"][1][3] = value
+        else:
+            row[field][1] = value
+        lines[7] = json.dumps(row)
+        (sandbox / "bad.jsonl").write_text("\n".join(lines) + "\n")
+        assert main(["calibrate", "--dataset", "bad.jsonl", "--fit", "--out", "cal.jsonl"]) == 2
+        err = capsys.readouterr().err
+        assert "bad dataset" in err and f"{field} must hold numbers" in err
+        assert not (sandbox / "cal.jsonl").exists()
+
+
 class TestDatasetPinned:
     """Seeded `gen-data` and `calibrate` datasets, byte for byte.
 

@@ -360,3 +360,26 @@ class TestJsonl:
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises(ValueError, match=field):
             load_jsonl(path)
+
+    # np.asarray turns [0.5, true] into floats and [1, true] into integers,
+    # so a boolean inside a number list has to be caught while the rows are read
+    @pytest.mark.parametrize("field,value", [
+        ("z", True), ("correct", True), ("correct", False), ("logits", False), ("label", True),
+    ])
+    def test_json_booleans_rejected(self, tmp_path, field, value):
+        ds = generate_synthetic(np.random.default_rng(5), default_spec(), 8,
+                                with_logits=True)
+        path = tmp_path / "ds.jsonl"
+        save_jsonl(ds, path)
+        lines = path.read_text().splitlines()
+        row = json.loads(lines[2])
+        if field == "label":
+            row["label"] = value
+        elif field == "logits":
+            row["logits"][1][3] = value
+        else:
+            row[field][2] = value
+        lines[2] = json.dumps(row)
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError, match=f"line 3: {field} must hold numbers"):
+            load_jsonl(path)

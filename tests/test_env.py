@@ -47,6 +47,19 @@ class TestBatteryStep:
             assert battery_step(b + 1, u, e, b_max) >= out
         assert battery_step(b, u + 1, e, b_max) <= out
 
+    # the one-shot rollout updates the battery once per epoch on the summed arrivals
+    @given(data=st.data(), t=st.integers(1, 4), e_max=st.integers(0, 3),
+           b_max=st.integers(0, 8))
+    def test_one_update_per_one_shot_epoch(self, data, t, e_max, b_max):
+        b = data.draw(st.integers(0, b_max), label="b")
+        cost = data.draw(st.integers(0, b), label="cost")
+        arrivals = data.draw(st.lists(st.integers(0, e_max), min_size=t, max_size=t),
+                             label="arrivals")
+        slotwise = b
+        for tau, e in enumerate(arrivals):
+            slotwise = battery_step(slotwise, cost if tau == 0 else 0, e, b_max)
+        assert battery_step(b, cost, sum(arrivals), b_max) == slotwise
+
 
 class TestChain:
     def test_stationary_two_state(self):

@@ -161,6 +161,24 @@ class TestIncompatibilities:
         with pytest.raises(IncompatibleController):
             IncTableController(pol, env5)   # mms-sized table, inc controller
 
+    # the rollout gathers with these actions and spends step_cost[xi] * alpha,
+    # so a negative, out-of-range, boolean or fractional action must not get in
+    @pytest.mark.parametrize("bad", [-1, 4, True, 1.0])
+    def test_mms_actions_must_be_modes(self, bad):
+        env = fig_env(b_max=5)
+        pol = np.zeros(env.n_states, dtype=type(bad))
+        pol[3] = bad
+        with pytest.raises(IncompatibleController, match="actions must lie in 0..3"):
+            MmsController(pol, env)
+
+    @pytest.mark.parametrize("bad", [-1, 2, True, 1.0])
+    def test_incremental_actions_must_be_pause_or_proceed(self, bad):
+        env = fig_env(b_max=5)
+        pol = np.zeros(env.n_states * env.n_modes * env.epoch.T, dtype=type(bad))
+        pol[7] = bad
+        with pytest.raises(IncompatibleController, match="actions must lie in 0..1"):
+            IncTableController(pol, env)
+
     def test_wrong_network_shape(self):
         env = fig_env(b_max=5)
         net = QNetwork.create(np.random.default_rng(0), 10, 2)

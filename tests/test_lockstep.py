@@ -27,6 +27,13 @@ from ehinfer.oracle import solve_oracle
 NEAR_TIE = 1e-12
 
 
+def infeasible(message, epoch, slot):
+    """InfeasibleAction that also records the (epoch, slot) it was raised at."""
+    ex = InfeasibleAction(message)
+    ex.where = (epoch, slot)
+    return ex
+
+
 def reference_episode(controller, env, dataset, epochs, rng, cum_pi):
     t_slots = env.epoch.T
     costs = env.battery.cost
@@ -53,12 +60,12 @@ def reference_episode(controller, env, dataset, epochs, rng, cum_pi):
         if not controller.incremental:
             xi = int(controller.decide(b, h, z_rec, u_dec[n]))
             if costs[xi] > b:
-                raise InfeasibleAction(f"{controller.kind} chose mode {xi} at b={b}")
+                raise infeasible(f"{controller.kind} chose mode {xi} at b={b}", n, 0)
         for tau in range(t_slots):
             if controller.incremental:
                 alpha = int(controller.decide_sub(b, h, xi, tau, z_rec[xi], u_dec[n]))
                 if alpha and (xi >= k_modes - 1 or costs[xi + 1] - costs[xi] > b):
-                    raise InfeasibleAction(f"{controller.kind} proceed at b={b}, xi={xi}")
+                    raise infeasible(f"{controller.kind} proceed at b={b}, xi={xi}", n, tau)
                 c = costs[xi + alpha] - costs[xi]
                 xi += alpha
             else:
@@ -237,3 +244,76 @@ def test_infeasible_choice_raises():
     dataset = ConfidenceDataset(np.full((5, 4), 0.5), np.ones((5, 4)))
     with pytest.raises(InfeasibleAction):
         simulate(TopModeController(env), dataset, episodes=2, epochs=5, seed=0)
+
+
+def reference_failure(controller, dataset, episodes, epochs, seed):
+    """The InfeasibleAction message simulate must raise, or None if it must not.
+
+    The lockstep rollout checks every episode at an epoch (one-shot) or a
+    slot (incremental) before it moves on, so it raises at the earliest
+    (epoch, slot) at which any episode fails, for the first such episode.
+    """
+    env = controller.env
+    cum_pi = np.cumsum(stationary_distribution(env.chain))
+    found = []
+    for i, child in enumerate(np.random.SeedSequence(seed).spawn(episodes)):
+        try:
+            reference_episode(controller, env, dataset, epochs,
+                              np.random.default_rng(child), cum_pi)
+        except InfeasibleAction as ex:
+            found.append((ex.where, i, str(ex)))
+    return min(found)[2] if found else None
+
+
+def assert_raises_like_reference(controller, dataset, episodes, epochs, seed):
+    want = reference_failure(controller, dataset, episodes, epochs, seed)
+    if want is None:
+        simulate(controller, dataset, episodes, epochs, seed)
+        return None
+    with pytest.raises(InfeasibleAction) as ex:
+        simulate(controller, dataset, episodes, epochs, seed)
+    assert str(ex.value) == want
+    return want
+
+
+@settings(max_examples=25, deadline=None)
+@given(case=small_envs(), seed=st.integers(0, 2**16))
+def test_infeasible_choices_raise_like_scalar_reference(case, seed):
+    # tables drawn without regard to the battery: modes it cannot pay for,
+    # steps it cannot pay for, and steps past the last mode
+    env, rng = case
+    k, n_inc = env.n_modes, env.n_states * env.n_modes * env.epoch.T
+    dataset = ConfidenceDataset(rng.random((40, k)), rng.integers(0, 2, (40, k)))
+    for ctrl in (MmsController(rng.integers(k, size=env.n_states), env),
+                 TopModeController(env),
+                 IncTableController(rng.integers(2, size=n_inc), env),
+                 IncTableController(np.ones(n_inc, dtype=np.int64), env)):
+        assert_raises_like_reference(ctrl, dataset, 3, 25, seed)
+
+
+# an always-proceeding table reaches the last mode with slots to spare and
+# steps past it, which the step-cost sentinel must refuse
+@pytest.mark.parametrize("costs,t", [((0,), 1), ((0,), 3), ((0, 0, 0), 3), ((0, 1, 2), 4)])
+def test_proceeding_from_the_last_mode_raises(costs, t):
+    env = two_state_env(0.9, 0.5, 0.8, 0.0, b_max=4, costs=costs, T=t)
+    k = env.n_modes
+    rng = np.random.default_rng(0)
+    dataset = ConfidenceDataset(rng.random((20, k)), rng.integers(0, 2, (20, k)))
+    ctrl = IncTableController(np.ones(env.n_states * k * t, dtype=np.int64), env)
+    want = assert_raises_like_reference(ctrl, dataset, 3, 10, seed=5)
+    assert want.startswith("IncIAgEE proceed at b=") and want.endswith(f", xi={k - 1}")
+
+
+def test_single_mode_env_matches_scalar_reference():
+    env = two_state_env(0.9, 0.5, 0.8, 0.3, b_max=3, costs=(0,), T=2)
+    rng = np.random.default_rng(1)
+    dataset = ConfidenceDataset(rng.random((20, 1)), rng.integers(0, 2, (20, 1)))
+    cum_pi = np.cumsum(stationary_distribution(env.chain))
+    for ctrl in (MmsController(np.zeros(env.n_states, dtype=np.int64), env),
+                 IncTableController(np.zeros(env.n_states * 2, dtype=np.int64), env),
+                 RandomFeasibleController(env), FixedModeController(0, env)):
+        got = simulate(ctrl, dataset, episodes=3, epochs=30, seed=9)
+        for i, child in enumerate(np.random.SeedSequence(9).spawn(3)):
+            want = reference_episode(ctrl, env, dataset, 30, np.random.default_rng(child), cum_pi)
+            assert_same_episode(got[i], want)
+            assert want.outage == 0 and want.exit_hist.tolist() == [30]
