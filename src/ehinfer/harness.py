@@ -10,11 +10,15 @@ all environment randomness per episode so different controllers
 evaluated under the same seed face identical arrival and environment-state
 paths. No decision changes those paths, so it draws them whole before the
 rollout (`env.exogenous_paths`) and then steps every episode together
-through the decisions and the battery alone: a one-shot epoch with one
+through the decisions and the battery alone. A table controller (MmS,
+FixedMode, IncIAgEE) is a fixed map from state to action, so the rollout
+walks it as that closed loop: one gather per epoch (one-shot) or slot
+(incremental) from a table of next states built once per rollout, with
+the outage, exit counts and feasibility check taken after the walk. The
+other controllers are asked for their decisions: a one-shot epoch with one
 decision and one battery update on its summed arrivals, an incremental
-epoch slot by slot, the table controller with one gather per slot from a
-(state, mode, slot) view of its policy. DQN training evaluates its
-network through the same `simulate`. The exact exit analyses read the
+epoch slot by slot. DQN training evaluates its network through the same
+`simulate`. The exact exit analyses read the
 models the controllers were solved on: the IncIAgEE slot chain for
 incremental policies, and the oracle solution's continuation for the
 oracle.
@@ -39,14 +43,33 @@ from .env import (IncompatibleController, InfeasibleAction, battery_step, energy
                   json_number, stationary_distribution, two_state_env, write_csv)
 
 
-def _action_table(policy, n_actions):
-    """policy as an array of action indices in 0..n_actions-1, else IncompatibleController."""
+def _action_table(policy, env, incremental):
+    """policy as an array of action indices, one per (b, h) or (b, h, xi, tau)
+    state of env, else IncompatibleController."""
     actions = np.asarray(policy)
+    n_states, n_actions = env.n_states, env.n_modes
+    if incremental:
+        n_states, n_actions = n_states * env.n_modes * env.epoch.T, 2
+    if len(actions) != n_states:
+        raise IncompatibleController(
+            "incremental policy table size mismatch" if incremental
+            else "policy table size does not match environment")
     # before any gather: a negative index would pick the last action, a bool array would mask
     if not np.issubdtype(actions.dtype, np.integer) or not np.all(
             (actions >= 0) & (actions < n_actions)):
         raise IncompatibleController(f"policy actions must lie in 0..{n_actions - 1}")
     return actions
+
+
+def _unaffordable(actions, env, incremental):
+    """Where a checked action table picks a mode (one-shot) or a step (incremental;
+    the last mode's step too) that its state's battery cannot pay for."""
+    b = env.state_coords()[0]
+    if incremental:
+        steps = actions.reshape(env.n_states, env.n_modes, env.epoch.T) == 1
+        xi = np.arange(env.n_modes)[:, None]
+        return (steps & ~env.can_proceed(b[:, None, None], xi)).ravel()
+    return ~env.affordable(b)[np.arange(env.n_states), actions]
 
 
 class MmsController:
@@ -56,9 +79,7 @@ class MmsController:
     incremental = False
 
     def __init__(self, policy, env):
-        if len(policy) != env.n_states:
-            raise IncompatibleController("policy table size does not match environment")
-        self.actions = _action_table(policy, env.n_modes)
+        self.actions = _action_table(policy, env, False)
         self.env = env
 
     def decide(self, b, h, z, u_dec):
@@ -86,9 +107,7 @@ class IncTableController:
     incremental = True
 
     def __init__(self, policy, env):
-        if len(policy) != env.n_states * env.n_modes * env.epoch.T:
-            raise IncompatibleController("incremental policy table size mismatch")
-        self.actions = _action_table(policy, 2)
+        self.actions = _action_table(policy, env, True)
         # the actions in mdp.inc_state_index order, indexed by (b, h), xi and tau
         self.table = self.actions.reshape(env.n_states, env.n_modes, env.epoch.T)
         self.table.setflags(write=False)
@@ -154,12 +173,11 @@ class FixedModeController:
     def __init__(self, k, env):
         if not 0 <= k < env.n_modes:
             raise IncompatibleController(f"mode {k} out of range")
-        self.k = k
         self.kind = f"FixedMode({k})"
+        self.actions = np.minimum(k, env.affordable(env.state_coords()[0]).sum(axis=-1) - 1)
         self.env = env
 
-    def decide(self, b, h, z, u_dec):
-        return np.minimum(self.k, self.env.affordable(b).sum(axis=-1) - 1)
+    decide = MmsController.decide
 
 
 @dataclass(frozen=True)
@@ -179,36 +197,126 @@ def _rollout(controller, dataset, b, h, rec_idx, u_h, u_e, u_dec):
     weather and arrival from u_h[i, n, tau] and u_e[i, n, tau]; u_dec[i, n]
     is the controller's private uniform. No decision changes the weather or
     the arrivals, so env.exogenous_paths draws them for every slot first.
-    A one-shot epoch then makes one decide call, at the weather of its first
-    slot, and one battery update, on the epoch's summed arrivals. An
-    incremental epoch asks decide_sub at every slot; the slot spends the
-    step cost of its mode if the controller proceeds, and updates the
-    battery. Controllers see arrays: decide gets (b, h, z, u) of every
-    episode once per epoch, decide_sub (b, h, xi, tau, z_xi, u) once per
-    slot. Raises InfeasibleAction if a controller picks a mode or a step the
-    battery cannot pay for, and IncompatibleController unless the dataset
-    fits the controller's env.
+    A table controller (MmS, FixedMode, IncIAgEE) is then walked as the
+    closed-loop map it is, one gather per epoch or slot (_table_walk); any
+    other is asked for its decisions (_decision_walk). Raises
+    InfeasibleAction if a controller picks a mode or a step the battery
+    cannot pay for, at the earliest epoch and slot for the first episode,
+    and IncompatibleController unless the dataset fits the controller's env.
 
     Returns per-episode (hits (E,), exit histogram (E, K), energy used,
     overflow, outage (E,)).
     """
     env = controller.env
     env.check_exits(dataset.n_exits)
-    n_ep, n_epochs, t_slots = u_h.shape
-    costs, b_max = np.asarray(env.battery.cost), env.battery.b_max
+    b0 = np.asarray(b)
+    weather, arrivals = env.exogenous_paths(h, u_h, u_e)
+    if isinstance(controller, (MmsController, FixedModeController, IncTableController)):
+        modes, outage, b = _table_walk(controller, b0, weather, arrivals)
+    else:
+        modes, outage, b = _decision_walk(controller, dataset, b0, weather, arrivals,
+                                          rec_idx, u_dec)
+    costs = env._tables["cost"]
+    # cost[0] is 0, so an epoch spends the cost of the mode it ends in
+    energy = costs[modes].sum(axis=1)
+    # the checks keep every spend within the battery, so its floor at 0 never
+    # binds: each packet that arrived was spent, is still stored, or overflowed
+    overflow = b0 + arrivals.sum(axis=(1, 2), dtype=np.int64) - energy - b
+    hist = (modes[..., None] == np.arange(env.n_modes)).sum(axis=1)
+    hits = dataset.correct[rec_idx, modes].sum(axis=1)
+    return hits, hist, energy, overflow, outage
+
+
+def _table_walk(controller, b, weather, arrivals):
+    """(modes (E, N), outage (E,), final battery (E,)) of a table controller.
+
+    A table row is a state: (b, h) one-shot, (b, h, xi, tau) incremental.
+    The walk carries the row with the weather and slot set to 0, q; the
+    harvesting paths give the weather and the slot, so adding them gives the
+    row j. The next q after arrivals e is a function of j and e alone,
+    tabled once per rollout as after[e * n + j]: the battery after the spend
+    and the arrivals, and the mode reached (0 again once an epoch ends). So a
+    step, an epoch one-shot (on its summed arrivals) or a slot incremental,
+    is one add and one gather. A row whose action the battery cannot pay for
+    walks on with the battery floored at 0; every trajectory is exact up to
+    the earliest such step, where the search after the walk raises.
+    """
+    env = controller.env
+    actions, incremental = controller.actions, controller.incremental
+    n, k, t_slots = len(actions), env.n_modes, env.epoch.T
+    b_max, cost = env.battery.b_max, env._tables["cost"]
+    level = env.state_coords()[0]                   # the battery level of every row
+    if incremental:
+        grid = (env.n_states, k, t_slots)
+        level = np.broadcast_to(level[:, None, None], grid).ravel()
+        xi = np.broadcast_to(np.arange(k)[:, None], grid).ravel()
+        ends = np.broadcast_to(np.arange(t_slots) == t_slots - 1, grid).ravel()
+        # a step past the last mode is refused after the walk, but walks on in range
+        reached = np.minimum(xi + actions, k - 1)
+        steps = arrivals.reshape(len(arrivals), -1)
+        e = np.arange(env.arrivals.e_max + 1)[:, None]
+        after = mdp_mod.inc_state_index(
+            env, battery_step(level, cost[reached] - cost[xi], e, b_max), 0,
+            np.where(ends, 0, reached), 0)
+        offset = mdp_mod.inc_state_index(env, 0, weather[:, :-1].astype(np.int64), 0,
+                                         np.arange(steps.shape[1]) % t_slots)
+        q = mdp_mod.inc_state_index(env, b, 0, 0, 0)
+    else:
+        steps = arrivals.sum(axis=2, dtype=np.int64)
+        e = np.arange(env.arrivals.e_max * t_slots + 1)[:, None]
+        after = env.state_index(battery_step(level, cost[actions], e, b_max), 0)
+        offset = env.state_index(0, weather[:, :-1:t_slots].astype(np.int64))
+        q = env.state_index(b, 0)
+    after = after.ravel()
+    rows = steps.T.astype(np.int64, order="C")      # (steps, E), a step's row contiguous
+    rows *= n
+    rows += offset.T
+    for row in rows:
+        row += q
+        q = after[row]
+    j = rows % n
+    bad = _unaffordable(actions, env, incremental)[j]
+    if bad.any():
+        jm = j.flat[np.argmax(bad)]     # the earliest step, the first episode
+        raise InfeasibleAction(
+            f"{controller.kind} proceed at b={level[jm]}, xi={xi[jm]}" if incremental
+            else f"{controller.kind} chose mode {actions[jm]} at b={level[jm]}")
+    if incremental:
+        starts, last = j[::t_slots], j[t_slots - 1::t_slots]
+        modes = xi[last] + actions[last]
+    else:
+        starts, modes = j, actions[j]
+    outage = np.zeros(len(q), dtype=np.int64)
+    if k > 1:
+        outage += (level[starts] < cost[1]).sum(axis=0)
+    return modes.T, outage, level[q]
+
+
+def _decision_walk(controller, dataset, b, weather, arrivals, rec_idx, u_dec):
+    """(modes (E, N), outage (E,), final battery (E,)) of a deciding controller.
+
+    A one-shot epoch makes one decide call, at the weather of its first
+    slot, and one battery update, on the epoch's summed arrivals. An
+    incremental epoch asks decide_sub at every slot; the slot spends the
+    step cost of its mode if the controller proceeds, and updates the
+    battery. Controllers see arrays: decide gets (b, h, z, u) of every
+    episode once per epoch, decide_sub (b, h, xi, tau, z_xi, u) once per
+    slot.
+    """
+    env = controller.env
+    n_ep, n_epochs, t_slots = arrivals.shape
+    costs, b_max = env._tables["cost"], env.battery.b_max
     # ends in an int64-max sentinel, so proceeding from the last mode never fits
     step_cost = env._tables["step_cost"]
     rows = np.arange(n_ep)
     outage = np.zeros(n_ep, dtype=np.int64)
     modes = np.empty((n_ep, n_epochs), dtype=np.min_scalar_type(env.n_modes - 1))
-    weather, arrivals = env.exogenous_paths(h, u_h, u_e)
     if not controller.incremental:
         # One update per epoch equals T slot updates with the spend in slot 0:
         # arrivals are >= 0 and the check keeps the spend within b, so the floor
         # at 0 never binds, and min(min(x + a, M) + a', M) = min(x + a + a', M).
         epoch_arrivals = arrivals.sum(axis=2, dtype=np.int64)
         starts = weather[:, :-1:t_slots].astype(np.int64)     # the weather at slot 0
-    b = b0 = np.asarray(b)
     for n in range(n_epochs):
         z = dataset.z[rec_idx[:, n]]
         if env.n_modes > 1:
@@ -237,14 +345,7 @@ def _rollout(controller, dataset, b, h, rec_idx, u_h, u_e, u_dec):
                 raise InfeasibleAction(f"{controller.kind} chose mode {mode[i]} at b={b[i]}")
             b = battery_step(b, spend, epoch_arrivals[:, n], b_max)
         modes[:, n] = mode
-    # cost[0] is 0, so an epoch spends the cost of the mode it ends in
-    energy = costs[modes].sum(axis=1)
-    # the checks keep every spend within the battery, so its floor at 0 never
-    # binds: each packet that arrived was spent, is still stored, or overflowed
-    overflow = b0 + arrivals.sum(axis=(1, 2), dtype=np.int64) - energy - b
-    hist = (modes[..., None] == np.arange(env.n_modes)).sum(axis=1)
-    hits = dataset.correct[rec_idx, modes].sum(axis=1)
-    return hits, hist, energy, overflow, outage
+    return modes, outage, b
 
 
 def simulate(controller, dataset, episodes, epochs, seed):
@@ -254,8 +355,13 @@ def simulate(controller, dataset, episodes, epochs, seed):
     e sees the same environment randomness no matter which controller is
     being evaluated. Each episode draws its record indices, weather and
     arrival uniforms, decision uniforms and start weather state in that
-    order; all episodes then advance together (see _rollout). Raises
-    ValueError unless episodes and epochs are at least 1.
+    order; all episodes then advance together (see _rollout). Every
+    episode starts from a full battery, so its accuracy estimates the mean
+    over `epochs` epochs from (b_max, pi_h), pi_h the stationary weather,
+    not the stationary long-run accuracy; the two differ while the full
+    start still shows (IncIAgEE on the reference env at b_max=100 over
+    2000 epochs: 0.6848 against 0.6773). Raises ValueError unless episodes
+    and epochs are at least 1.
     """
     _check_counts(episodes=episodes, epochs=epochs)
     env = controller.env
@@ -314,20 +420,17 @@ def exit_probability_matrix(policy, env):
     evaluate_policy solves with) for T - 1 slots from every (b, h, 0, 0)
     epoch start; the choice alpha at the last slot ends the epoch in mode
     xi + alpha. policy is an action per incremental state. Returns eta
-    with shape (n_bh_states, K); rows sum to 1. Raises InfeasibleAction if
-    the policy proceeds where the battery cannot pay for the next mode.
+    with shape (n_bh_states, K); rows sum to 1. Raises IncompatibleController
+    unless policy is a pause/proceed table of env, and InfeasibleAction if
+    it proceeds where the battery cannot pay for the next mode.
     """
-    actions = np.asarray(policy)
-    k, t = env.n_modes, env.epoch.T
-    n = env.n_states * k * t
-    if len(actions) != n:
-        raise IncompatibleController("incremental policy table size mismatch")
-    model = mdp_mod.build_inc_iag_mdp(env, np.zeros(k))
-    idx = np.arange(n)
-    bad = np.flatnonzero(~model.feasible[idx, actions])
+    actions = _action_table(policy, env, True)
+    bad = np.flatnonzero(_unaffordable(actions, env, True))
     if len(bad):
         raise InfeasibleAction(f"policy proceeds at {mdp_mod.state_keys(env, True)[bad[0]]}")
-    p_pi = model.transition[actions * n + idx]
+    k, t, n = env.n_modes, env.epoch.T, len(actions)
+    model = mdp_mod.build_inc_iag_mdp(env, np.zeros(k))
+    p_pi = model.transition[actions * n + np.arange(n)]
     b, h = env.state_coords()
     dist = sp.eye_array(n, format="csr")[mdp_mod.inc_state_index(env, b, h, 0, 0)]
     for _ in range(t - 1):
@@ -356,9 +459,18 @@ def exit_probability_oracle(solution, dataset):
 
 
 def exit_probability_mms(policy, env):
-    """One-hot exit distribution of a one-shot confidence-blind policy."""
+    """One-hot exit distribution of a one-shot confidence-blind policy.
+
+    Raises IncompatibleController unless policy is a mode per (b, h) state,
+    and InfeasibleAction if it picks a mode the battery cannot pay for.
+    """
+    actions = _action_table(policy, env, False)
+    bad = np.flatnonzero(_unaffordable(actions, env, False))
+    if len(bad):
+        raise InfeasibleAction(
+            f"policy chooses mode {actions[bad[0]]} at {mdp_mod.state_keys(env, False)[bad[0]]}")
     eta = np.zeros((env.n_states, env.n_modes))
-    eta[np.arange(env.n_states), np.asarray(policy)] = 1.0
+    eta[np.arange(env.n_states), actions] = 1.0
     return eta
 
 

@@ -77,7 +77,8 @@ class FiniteMdp:
         row_err = np.abs(t.sum(axis=1) - 1.0).reshape(n_a, n_s)
         if np.any(row_err.T[f] > 1e-9):
             raise ValueError("feasible transition rows must be stochastic")
-        if np.any(r[f] < 0) or np.any(r[f] > 1):
+        # written as not-all-in-range, so NaN rewards, which compare False, fail too
+        if not np.all((r[f] >= 0) & (r[f] <= 1)):
             raise ValueError("feasible rewards must lie in [0, 1]")
         for arr in (t.data, t.indices, t.indptr, r, f):
             arr.setflags(write=False)

@@ -158,6 +158,16 @@ class TestSolve:
         assert main(["solve", "--kind", kind, "--env", "env.json",
                      "--rho", "0.1,0.9", "--out", "x.json"]) == 2
 
+    # a NaN accuracy solved to an all-mode-0 table (mms) or ran the sweep
+    # limit out (inc-iag) instead of being refused
+    @pytest.mark.parametrize("kind,rho", [("mms", "nan,0.5,0.6,0.8"),
+                                          ("inc-iag", "0.005,nan,0.6,0.8")])
+    def test_nan_rho_is_input_error(self, sandbox, capsys, kind, rho):
+        assert main(["solve", "--kind", kind, "--env", "env.json",
+                     "--rho", rho, "--out", "x.json"]) == 2
+        assert "feasible rewards must lie in [0, 1]" in capsys.readouterr().err
+        assert not (sandbox / "x.json").exists()
+
     def test_oracle_requires_dataset(self, sandbox):
         assert main(["solve", "--kind", "oracle", "--env", "env.json",
                      "--out", "x.json"]) == 2
@@ -425,6 +435,22 @@ class TestExitProbs:
                      "--policy", "bad.json", "--out", "eta.csv"]) == 2
         assert "b=0,h=B,xi=0,tau=0" in capsys.readouterr().err
         assert not (sandbox / "eta.csv").exists()
+
+    # simulate refused this table while exit-probs reported mode 3 at b=0
+    @pytest.mark.parametrize("command", ["exit-probs", "simulate"])
+    def test_unaffordable_mode_is_input_error(self, sandbox, capsys, command):
+        ds = gen(sandbox)
+        main(["solve", "--kind", "mms", "--env", "env.json",
+              "--dataset", str(ds), "--out", "mms.json"])
+        payload = json.loads((sandbox / "mms.json").read_text())
+        payload["policy"]["b=0,h=G"] = 3                # no energy for mode 3
+        (sandbox / "bad.json").write_text(json.dumps(payload))
+        capsys.readouterr()
+        assert main([command, "--env", "env.json", "--controller", "mms",
+                     "--policy", "bad.json", "--dataset", str(ds), "--seed", "0",
+                     "--out", "out.csv"]) == 2
+        assert "mode 3 at b=0" in capsys.readouterr().err
+        assert not (sandbox / "out.csv").exists()
 
     def test_zero_rollouts_is_input_error(self, sandbox):
         ds = gen(sandbox, n=200)

@@ -126,6 +126,16 @@ class TestControllers:
         assert res[0].exit_hist[3] == 1
         assert res[0].exit_hist[0] == 49
 
+    @pytest.mark.parametrize("k", [0, 1, 2, 3])
+    def test_fixed_mode_table_is_best_affordable_up_to_k(self, k):
+        env = two_state_env(0.9, 0.5, 0.8, 0.0, b_max=4, costs=(0, 1, 1, 3))
+        ctrl = FixedModeController(k, env)
+        for b in range(5):
+            want = max(m for m in range(k + 1) if env.battery.cost[m] <= b)
+            for h in range(env.n_h):
+                assert ctrl.actions[env.state_index(b, h)] == want
+                assert ctrl.decide(np.array([b]), np.array([h]), None, None) == [want]
+
     def test_random_feasible_spans_affordable_modes(self, dataset):
         env = fig_env(b_max=30)
         ctrl = RandomFeasibleController(env)
@@ -428,6 +438,26 @@ class TestExitProbabilities:
         eta = exit_probability_mms(pol, env)
         assert np.allclose(eta.sum(axis=1), 1.0)
         assert set(np.unique(eta)) <= {0.0, 1.0}
+
+    def test_mms_unaffordable_mode_rejected(self):
+        env = fig_env(b_max=3)
+        pol = np.zeros(env.n_states, dtype=np.int64)
+        pol[env.state_index(0, 0)] = 3
+        with pytest.raises(InfeasibleAction, match="mode 3 at b=0,h=G"):
+            exit_probability_mms(pol, env)
+
+    # -1 was reported as mode K-1
+    @pytest.mark.parametrize("bad", [-1, 4, True, 1.0])
+    def test_mms_actions_must_be_modes(self, bad):
+        env = fig_env(b_max=5)
+        pol = np.zeros(env.n_states, dtype=type(bad))
+        pol[3] = bad
+        with pytest.raises(IncompatibleController, match="actions must lie in 0..3"):
+            exit_probability_mms(pol, env)
+
+    def test_mms_wrong_policy_size(self):
+        with pytest.raises(IncompatibleController, match="table size"):
+            exit_probability_mms(np.zeros(10, dtype=np.int64), fig_env(b_max=5))
 
     def test_oracle_exit_fraction(self, dataset):
         env = fig_env(b_max=5)

@@ -5,11 +5,15 @@ stepped all episodes together: per episode and slot it draws the next
 weather state and the arrival by `np.searchsorted` on the cumulative
 tables and clips the battery in plain Python. It calls the controllers
 with scalars, one decision at a time.
+
+The table controllers are walked as closed-loop maps, without a decide
+call; the last test holds that walk to the decision loop every other
+controller runs.
 """
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ehinfer.confidence import ConfidenceDataset
@@ -146,9 +150,9 @@ class GapSpy:
 
 
 @st.composite
-def small_envs(draw):
+def small_envs(draw, min_k=2):
     n_h = draw(st.integers(1, 3))
-    k = draw(st.integers(2, 4))
+    k = draw(st.integers(min_k, 4))
     steps = draw(st.lists(st.integers(0, 3), min_size=k - 1, max_size=k - 1))
     costs = tuple(int(c) for c in np.cumsum([0] + steps))
     b_max = draw(st.integers(0, 6))
@@ -170,18 +174,22 @@ def small_envs(draw):
     return env, rng
 
 
-def every_controller(env, dataset, rng):
-    """One controller of every kind; the tables are random feasible policies."""
-    n_s = env.n_states
+def feasible_tables(env, rng):
+    """An MmS and an IncIAgEE controller of random feasible policies."""
+    n_s, k, t = env.n_states, env.n_modes, env.epoch.T
     b_of = np.arange(n_s) // env.n_h
     mms = np.array([rng.choice(np.flatnonzero(env.affordable(b))) for b in b_of])
-    k, t = env.n_modes, env.epoch.T
     inc_b = np.repeat(b_of, k * t)
     inc_xi = np.tile(np.repeat(np.arange(k), t), n_s)
     inc = env.can_proceed(inc_b, inc_xi) & (rng.random(len(inc_b)) < 0.6)
+    return [MmsController(mms, env), IncTableController(inc.astype(np.int64), env)]
+
+
+def every_controller(env, dataset, rng):
+    """One controller of every kind; the tables are random feasible policies."""
+    k = env.n_modes
     return [
-        MmsController(mms, env),
-        IncTableController(inc.astype(np.int64), env),
+        *feasible_tables(env, rng),
         OracleController(solve_oracle(env, dataset, eps=1e-3)),
         RandomFeasibleController(env),
         FixedModeController(int(rng.integers(k)), env),
@@ -317,3 +325,67 @@ def test_single_mode_env_matches_scalar_reference():
             want = reference_episode(ctrl, env, dataset, 30, np.random.default_rng(child), cum_pi)
             assert_same_episode(got[i], want)
             assert want.outage == 0 and want.exit_hist.tolist() == [30]
+
+
+class DecideOnly:
+    """A table controller seen only through decide or decide_sub, so the
+    rollout runs its decision loop on it instead of walking the table."""
+
+    def __init__(self, ctrl):
+        self.kind, self.incremental, self.env = ctrl.kind, ctrl.incremental, ctrl.env
+        if ctrl.incremental:
+            self.decide_sub = ctrl.decide_sub
+        else:
+            self.decide = ctrl.decide
+
+
+def outcome(run):
+    try:
+        return run()
+    except InfeasibleAction as ex:
+        return str(ex)
+
+
+def table_controllers(env, rng):
+    """Feasible, unfiltered and always-proceeding tables, and FixedMode."""
+    k, n_inc = env.n_modes, env.n_states * env.n_modes * env.epoch.T
+    return [
+        *feasible_tables(env, rng),
+        MmsController(rng.integers(k, size=env.n_states), env),
+        IncTableController(rng.integers(2, size=n_inc), env),
+        # reaches the last mode and steps past it: the sentinel step
+        IncTableController(np.ones(n_inc, dtype=np.int64), env),
+        FixedModeController(int(rng.integers(k)), env),
+    ]
+
+
+@settings(max_examples=40, deadline=None)
+@given(case=small_envs(min_k=1), seed=st.integers(0, 2**16),
+       episodes=st.sampled_from([1, 3]), epochs=st.sampled_from([1, 2, 25]))
+@example(case=(two_state_env(0.9, 0.5, 0.8, 0.3, b_max=3, costs=(0,), T=2),
+               np.random.default_rng(0)), seed=3, episodes=1, epochs=1)
+# its unfiltered MmS table fails episode 0 later than another episode
+@example(case=(two_state_env(0.9, 0.5, 0.8, 0.0, b_max=4, costs=(0, 1, 2), T=4),
+               np.random.default_rng(0)), seed=0, episodes=3, epochs=25)
+def test_table_walk_matches_decision_loop(case, seed, episodes, epochs):
+    env, rng = case
+    k = env.n_modes
+    dataset = ConfidenceDataset(rng.random((40, k)), rng.integers(0, 2, (40, k)))
+    start = (int(rng.integers(env.battery.b_max + 1)), int(rng.integers(env.n_h)))
+    for ctrl in table_controllers(env, rng):
+        slow = DecideOnly(ctrl)
+        got = outcome(lambda: simulate(ctrl, dataset, episodes, epochs, seed))
+        want = outcome(lambda: simulate(slow, dataset, episodes, epochs, seed))
+        assert type(got) is type(want)
+        if isinstance(want, str):
+            assert got == want
+        else:
+            assert len(got) == len(want)
+            for a, b in zip(got, want):
+                assert_same_episode(a, b)
+                assert a.exit_hist.dtype == b.exit_hist.dtype
+        for rollouts in (1, 30):
+            got = outcome(lambda: exit_probability_mc(ctrl, dataset, start, rollouts, seed))
+            want = outcome(lambda: exit_probability_mc(slow, dataset, start, rollouts, seed))
+            assert type(got) is type(want)
+            assert got == want if isinstance(want, str) else np.array_equal(got, want)

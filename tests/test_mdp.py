@@ -62,6 +62,15 @@ class TestFiniteMdp:
                       feasible=np.ones((1, 1), dtype=bool),
                       discount=0.9)
 
+    # NaN compares False both ways, so "no reward below 0 or above 1" let it through
+    @pytest.mark.parametrize("bad", [float("nan"), -0.1, 1.5])
+    def test_feasible_reward_must_be_a_probability(self, bad):
+        with pytest.raises(ValueError, match="feasible rewards must lie in"):
+            FiniteMdp(transition=np.ones((1, 1, 1)),
+                      reward=np.array([[bad]]),
+                      feasible=np.ones((1, 1), dtype=bool),
+                      discount=0.9)
+
     def test_every_state_needs_a_feasible_action(self):
         with pytest.raises(ValueError):
             FiniteMdp(transition=np.ones((1, 1, 1)),
@@ -160,6 +169,16 @@ class TestMmsMdp:
         for h in range(2):
             got = vt.values[env.state_index(3, h)]
             assert got == pytest.approx(best, abs=1e-6)
+
+
+@pytest.mark.parametrize("build", [build_mms_mdp, build_inc_iag_mdp])
+@pytest.mark.parametrize("at", [0, 1, 3])
+def test_nan_accuracy_rejected(build, at):
+    env = two_state_env(0.9, 0.5, 0.8, 0.0, b_max=3)     # every mode affordable somewhere
+    rho = np.array(RHO, dtype=float)
+    rho[at] = np.nan
+    with pytest.raises(ValueError, match="feasible rewards must lie in"):
+        build(env, rho)
 
 
 class TestIncMdp:
