@@ -308,26 +308,54 @@ class HarvestEnvironment:
         uniforms of N epochs of T slots, h0 (E,) the start states. Returns the
         weather state at every slot start, (E, N*T + 1), whose column s + 1 is
         slot_step's h' of slot s, and the arrivals of every slot, (E, N, T).
-        Both hold the narrowest unsigned type that fits.
+        Both hold the narrowest unsigned type that fits. The weather is walked
+        in blocks of slots (_weather_path), and each slot's arrival is drawn
+        at the path's own state.
         """
         shape = np.shape(u_e)
-        n_ep = shape[0]
-        h_type = np.min_scalar_type(self.n_h - 1)
-        # the next state from every state at every slot, (slots, E * n_h), so
-        # the walk is one gather per slot
-        step = self._draw(np.reshape(u_h, (n_ep, -1)).T[..., None], slice(None), dtype=h_type)
-        step = step.reshape(len(step), -1)
-        offset = self.n_h * np.arange(n_ep)
-        path = np.empty((len(step) + 1, n_ep), dtype=h_type)
-        path[0] = h0
-        for s, row in enumerate(step):
-            path[s + 1] = row[offset + path[s]]
-        path = np.ascontiguousarray(path.T)
-        # the arrival from every state at every slot, (E, slots, n_h), then the path's
-        e = self._draw(np.reshape(u_e, (n_ep, -1, 1)), slice(None), arrivals=True,
-                       dtype=np.min_scalar_type(self.arrivals.e_max))
+        path = self._weather_path(h0, np.reshape(u_h, (shape[0], -1)))
         src = path[:, 1:] if self.condition_on_next else path[:, :-1]
-        return path, np.take_along_axis(e, src[..., None], axis=-1).reshape(shape)
+        e = self._draw(np.reshape(u_e, src.shape), src, arrivals=True,
+                       dtype=np.min_scalar_type(self.arrivals.e_max))
+        return path, e.reshape(shape)
+
+    def _weather_path(self, h0, u):
+        """The weather at every slot start, (E, slots + 1), from h0 (E,) and the
+        uniforms u (E, slots), walked in blocks of about sqrt(slots) slots.
+
+        The next state from every state is drawn for every slot, and the maps
+        of each block's slots are composed for all blocks at once, so that row
+        i of the composition maps a block's start to the state after its slot
+        i. The walk then steps from block start to block start, and one gather
+        fills in every slot.
+        """
+        (n_ep, slots), n_h = u.shape, self.n_h
+        h_type = np.min_scalar_type(n_h - 1)
+        size = max(1, math.isqrt(slots))        # slots per block
+        blocks = -(-slots // size)
+        # the uniforms as (slot in block, block, episode); the pad slots are never read
+        grid = np.zeros((blocks * size, n_ep))
+        grid[:slots] = u.T
+        grid = grid.reshape(blocks, size, n_ep).swapaxes(0, 1)
+        # row i: the next state from every state at slot i of every block, as
+        # (block and episode, state), then composed over the block
+        comp = self._draw(grid[..., None], slice(None), dtype=h_type).reshape(size, -1, n_h)
+        group = np.arange(blocks * n_ep)        # the (block, episode) pairs
+        first = n_h * group[:, None]            # the flat index of each pair's state 0
+        for i in range(1, size):
+            comp[i] = comp[i].reshape(-1)[first + comp[i - 1]]
+        # the walk, from block start to block start
+        starts = np.empty((blocks, n_ep), dtype=h_type)
+        starts[0] = h0
+        ends = comp[-1].reshape(blocks, n_ep, n_h)
+        for blk in range(1, blocks):
+            starts[blk] = ends[blk - 1][group[:n_ep], starts[blk - 1]]
+        # every slot, from the start of its block
+        path = np.empty((n_ep, blocks * size + 1), dtype=h_type)
+        path[:, 0] = h0
+        path[:, 1:].reshape(n_ep, blocks, size)[...] = (
+            comp[:, group, starts.ravel()].reshape(size, blocks, n_ep).transpose(2, 1, 0))
+        return np.ascontiguousarray(path[:, :slots + 1])
 
     def _draw(self, u, rows, arrivals=False, dtype=None):
         """Inverse-cdf draws with uniforms u from the given rows of the chain's
@@ -450,21 +478,15 @@ def slot_kernel(chain, arrivals, u, b_max, condition_on_next=False):
     if u < 0:
         raise ValueError("consumption must be nonnegative")
     n_h = chain.n
-    n_e = arrivals.e_max + 1
-    n_states = (b_max + 1) * n_h
-    kernel = np.zeros((n_states, n_states))
-    for b in range(b_max + 1):
-        for e in range(n_e):
-            b_next = battery_step(b, u, e, b_max)
-            for h in range(n_h):
-                row = b * n_h + h
-                if condition_on_next:
-                    # weight e by the arrival pmf of the successor state
-                    w = chain.transition[h, :] * arrivals.pmf_per_state[:, e]
-                else:
-                    w = chain.transition[h, :] * arrivals.pmf_per_state[h, e]
-                kernel[row, b_next * n_h : (b_next + 1) * n_h] += w
-    return kernel
+    levels = np.arange(b_max + 1)
+    # indexed (b, h, b', h'); the arrival counts add up in increasing order
+    kernel = np.zeros((b_max + 1, n_h, b_max + 1, n_h))
+    for e in range(arrivals.e_max + 1):
+        pmf = arrivals.pmf_per_state[:, e]
+        # weight e by the arrival pmf of the successor state, or of the current one
+        w = chain.transition * (pmf if condition_on_next else pmf[:, None])
+        kernel[levels, :, battery_step(levels, u, e, b_max), :] += w
+    return kernel.reshape((b_max + 1) * n_h, -1)
 
 
 def epoch_kernel(env, a):

@@ -9,19 +9,22 @@ made for, `controller.env`, and the simulator runs that one. It pre-draws
 all environment randomness per episode so different controllers
 evaluated under the same seed face identical arrival and environment-state
 paths. No decision changes those paths, so it draws them whole before the
-rollout (`env.exogenous_paths`) and then steps every episode together
-through the decisions and the battery alone. A table controller (MmS,
-FixedMode, IncIAgEE) is a fixed map from state to action, so the rollout
-walks it as that closed loop: one gather per epoch (one-shot) or slot
-(incremental) from a table of next states built once per rollout, with
-the outage, exit counts and feasibility check taken after the walk. The
-other controllers are asked for their decisions: a one-shot epoch with one
-decision and one battery update on its summed arrivals, an incremental
-epoch slot by slot. DQN training evaluates its network through the same
-`simulate`. The exact exit analyses read the
-models the controllers were solved on: the IncIAgEE slot chain for
-incremental policies, and the oracle solution's continuation for the
-oracle.
+rollout (`env.exogenous_paths`, which walks the weather in blocks of about
+sqrt(slots) slots) and then steps every episode together through the
+decisions and the battery alone. A table controller (MmS, FixedMode,
+IncIAgEE) is a fixed map from state to action, so the rollout walks it as
+that closed loop: one gather per epoch (one-shot) or slot (incremental)
+from a table of next states built once per rollout, with the outage, exit
+counts and feasibility check taken after the walk. The oracle is walked
+over the same state rows: per epoch, one gather of its masked
+continuation, an add of the record's confidences, an argmax and one
+gather of the next row. The DQN and RandomFeasible controllers are asked
+for their decisions: a one-shot epoch with one decision and one battery
+update on its summed arrivals, an incremental epoch slot by slot. DQN
+training evaluates its network through the same `simulate`. The exact
+exit analyses read the models the controllers were solved on: the
+IncIAgEE slot chain for incremental policies, and the oracle solution's
+continuation for the oracle.
 """
 
 from __future__ import annotations
@@ -196,23 +199,34 @@ def _rollout(controller, dataset, b, h, rec_idx, u_h, u_e, u_dec):
     Epoch n of episode i serves record rec_idx[i, n] and draws slot tau's
     weather and arrival from u_h[i, n, tau] and u_e[i, n, tau]; u_dec[i, n]
     is the controller's private uniform. No decision changes the weather or
-    the arrivals, so env.exogenous_paths draws them for every slot first.
-    A table controller (MmS, FixedMode, IncIAgEE) is then walked as the
-    closed-loop map it is, one gather per epoch or slot (_table_walk); any
-    other is asked for its decisions (_decision_walk). Raises
-    InfeasibleAction if a controller picks a mode or a step the battery
-    cannot pay for, at the earliest epoch and slot for the first episode,
-    and IncompatibleController unless the dataset fits the controller's env.
+    the arrivals, so env.exogenous_paths draws them for every slot first,
+    walking the weather in blocks. A table controller (MmS, FixedMode,
+    IncIAgEE) is then walked as the closed-loop map it is, one gather per
+    epoch or slot (_table_walk), and the oracle over the same state rows,
+    one masked argmax and one gather per epoch (_oracle_walk); any other is
+    asked for its decisions (_decision_walk). Raises ValueError unless every
+    start is a state of the env, InfeasibleAction if a controller picks a
+    mode or a step the battery cannot pay for, at the earliest epoch and
+    slot for the first episode, and IncompatibleController unless the
+    dataset fits the controller's env.
 
     Returns per-episode (hits (E,), exit histogram (E, K), energy used,
     overflow, outage (E,)).
     """
     env = controller.env
     env.check_exits(dataset.n_exits)
-    b0 = np.asarray(b)
+    b0, h = np.asarray(b), np.asarray(h)
+    b_max = env.battery.b_max
+    # before any walk: a start outside the env would index rows that do not exist
+    if not (np.issubdtype(b0.dtype, np.integer) and np.issubdtype(h.dtype, np.integer)
+            and np.all((b0 >= 0) & (b0 <= b_max)) and np.all((h >= 0) & (h < env.n_h))):
+        raise ValueError(f"start states must be integers 0 <= b <= {b_max} "
+                         f"and 0 <= h < {env.n_h}")
     weather, arrivals = env.exogenous_paths(h, u_h, u_e)
     if isinstance(controller, (MmsController, FixedModeController, IncTableController)):
         modes, outage, b = _table_walk(controller, b0, weather, arrivals)
+    elif isinstance(controller, OracleController):
+        modes, outage, b = _oracle_walk(controller, dataset, b0, weather, arrivals, rec_idx)
     else:
         modes, outage, b = _decision_walk(controller, dataset, b0, weather, arrivals,
                                           rec_idx, u_dec)
@@ -286,10 +300,55 @@ def _table_walk(controller, b, weather, arrivals):
         modes = xi[last] + actions[last]
     else:
         starts, modes = j, actions[j]
-    outage = np.zeros(len(q), dtype=np.int64)
-    if k > 1:
-        outage += (level[starts] < cost[1]).sum(axis=0)
-    return modes.T, outage, level[q]
+    return modes.T, _outage(env, level[starts]), level[q]
+
+
+def _oracle_walk(controller, dataset, b, weather, arrivals, rec_idx):
+    """(modes (E, N), outage (E,), final battery (E,)) of an OracleController.
+
+    The oracle's choice is the argmax of z plus its row's masked
+    continuation (oracle._scores at a zero confidence row: -inf where the
+    battery cannot pay), so it is walked over state rows as _table_walk
+    walks a one-shot table. The walk carries q, the row of the battery with
+    the weather set to 0. An epoch's row is q plus its start weather plus
+    e * n, e its summed arrivals, so the masked continuation is tabled once
+    per e and the next q per (row, mode). An epoch is then one add for the
+    row, a gather of its scores, an add of z, an argmax and a gather of the
+    next q. cost[0] is 0 and z is finite, so mode 0 always outscores the
+    -inf of a mode the battery cannot pay for: every choice is affordable,
+    and no check is needed.
+    """
+    env = controller.env
+    n, t_slots = env.n_states, env.epoch.T
+    b_max, cost = env.battery.b_max, env._tables["cost"]
+    level, h = env.state_coords()
+    e = np.arange(env.arrivals.e_max * t_slots + 1)
+    cm = oracle_mod._scores(env, controller.solution.continuation, level, h,
+                            np.zeros((n, env.n_modes)))
+    cm = np.tile(cm, (len(e), 1))                   # (e * n + row, K)
+    after = env.state_index(battery_step(level[:, None], cost, e[:, None, None], b_max), 0)
+    after = after.reshape(len(cm), -1)              # (e * n + row, K)
+    rows = arrivals.sum(axis=2, dtype=np.int64).T.copy()    # (N, E), an epoch's row contiguous
+    rows *= n
+    rows += env.state_index(0, weather[:, :-1:t_slots].astype(np.int64)).T
+    z = dataset.z[rec_idx.T]                        # (N, E, K)
+    modes = np.empty(rows.shape, dtype=np.intp)
+    q = env.state_index(b, 0)
+    for row, z_n, mode in zip(rows, z, modes):
+        row += q
+        scores = cm[row]
+        scores += z_n
+        scores.argmax(axis=1, out=mode)
+        q = after[row, mode]
+    return modes.T, _outage(env, level[rows % n]), level[q]
+
+
+def _outage(env, b):
+    """Per episode (E,), the epochs whose start battery b (N, E) cannot pay for mode 1."""
+    outage = np.zeros(b.shape[1], dtype=np.int64)
+    if env.n_modes > 1:
+        outage += (b < env._tables["cost"][1]).sum(axis=0)
+    return outage
 
 
 def _decision_walk(controller, dataset, b, weather, arrivals, rec_idx, u_dec):
@@ -365,7 +424,9 @@ def simulate(controller, dataset, episodes, epochs, seed):
     """
     _check_counts(episodes=episodes, epochs=epochs)
     env = controller.env
-    cum_pi = np.cumsum(stationary_distribution(env.chain))
+    # without its last entry, so a uniform above a rounded-down total still
+    # lands on the last state, as in env._draw
+    cum_pi = np.cumsum(stationary_distribution(env.chain))[:-1]
     t_slots = env.epoch.T
     rec_idx = np.empty((episodes, epochs), dtype=np.int64)
     u_h = np.empty((episodes, epochs, t_slots))

@@ -230,15 +230,28 @@ def state_keys(env, incremental):
             for bh in keys for xi in range(env.n_modes) for tau in range(env.epoch.T)]
 
 
+def _accuracies(env, rho):
+    """rho as one accuracy in [0, 1] per mode of env, else ValueError.
+
+    Checked whole, since FiniteMdp checks only the rewards of feasible
+    pairs: a mode that no battery level pays for earns no feasible reward.
+    """
+    rho = np.asarray(rho, dtype=float)
+    if rho.shape != (env.n_modes,):
+        raise ValueError("rho length must match the number of modes")
+    # written as not-all-in-range, so NaN, which compares False, fails too
+    if not np.all((rho >= 0) & (rho <= 1)):
+        raise ValueError(f"rho must lie in [0, 1], got {rho.tolist()}")
+    return rho
+
+
 def build_mms_mdp(env, rho):
     """One-shot model-selection MDP over (b, h), discounted per epoch.
 
     Action k runs mode k for the whole epoch; reward is its average
     accuracy rho[k]; feasible iff its full cost fits the battery.
     """
-    rho = np.asarray(rho, dtype=float)
-    if rho.shape != (env.n_modes,):
-        raise ValueError("rho length must match the number of modes")
+    rho = _accuracies(env, rho)
     n_s = env.n_states
     n_a = env.n_modes
     transition = sp.vstack([sp.csr_array(env.epoch_kernel(a)) for a in range(n_a)])
@@ -261,9 +274,7 @@ def build_inc_iag_mdp(env, rho):
     epoch return shows up gamma_slot**(T-1) later than in the one-shot
     model.
     """
-    rho = np.asarray(rho, dtype=float)
-    if rho.shape != (env.n_modes,):
-        raise ValueError("rho length must match the number of modes")
+    rho = _accuracies(env, rho)
     k, t = env.n_modes, env.epoch.T
     n_s = env.n_states * k * t
     b, h = env.state_coords()

@@ -165,7 +165,19 @@ class TestSolve:
     def test_nan_rho_is_input_error(self, sandbox, capsys, kind, rho):
         assert main(["solve", "--kind", kind, "--env", "env.json",
                      "--rho", rho, "--out", "x.json"]) == 2
-        assert "feasible rewards must lie in [0, 1]" in capsys.readouterr().err
+        assert "rho must lie in [0, 1]" in capsys.readouterr().err
+        assert not (sandbox / "x.json").exists()
+
+    # no battery level of b_max=2 pays for mode 3, so no feasible reward held
+    # its accuracy, and mms solved with any value there
+    @pytest.mark.parametrize("kind", ["mms", "inc-iag"])
+    @pytest.mark.parametrize("bad", ["nan", "1.5", "inf", "-1"])
+    def test_accuracy_of_an_unaffordable_mode_is_input_error(self, sandbox, capsys, kind, bad):
+        with open(sandbox / "env.json", "w") as fh:
+            json.dump(two_state_env(0.9, 0.5, 0.8, 0.0, b_max=2).to_config(), fh)
+        assert main(["solve", "--kind", kind, "--env", "env.json",
+                     "--rho", f"0.005,0.5,0.6,{bad}", "--out", "x.json"]) == 2
+        assert "rho must lie in [0, 1]" in capsys.readouterr().err
         assert not (sandbox / "x.json").exists()
 
     def test_oracle_requires_dataset(self, sandbox):

@@ -119,7 +119,53 @@ class TestEnergyRate:
             assert abs(got - ref) <= 0.02
 
 
+def three_weather_env(cond_next, e_max=2):
+    """Three weather states, one transition of probability zero, arrivals 0..e_max."""
+    pmf = np.random.default_rng(5).dirichlet(np.ones(e_max + 1), size=3)
+    return HarvestEnvironment(
+        chain=HarvestChain(states=("G", "M", "B"), transition=np.array(
+            [[0.6, 0.3, 0.1], [0.2, 0.5, 0.3], [0.0, 0.4, 0.6]])),
+        arrivals=ArrivalModel(pmf_per_state=pmf),
+        battery=BatteryConfig(b_max=4, cost=(0, 1, 2)),
+        epoch=EpochConfig(3, 0.9),
+        condition_on_next=cond_next,
+    )
+
+
+def reference_slot_kernel(chain, arrivals, u, b_max, condition_on_next=False):
+    """The slot kernel filled one (b, e, h) at a time, as slot_kernel once was."""
+    n_h = chain.n
+    n_states = (b_max + 1) * n_h
+    kernel = np.zeros((n_states, n_states))
+    for b in range(b_max + 1):
+        for e in range(arrivals.e_max + 1):
+            b_next = battery_step(b, u, e, b_max)
+            for h in range(n_h):
+                if condition_on_next:
+                    w = chain.transition[h, :] * arrivals.pmf_per_state[:, e]
+                else:
+                    w = chain.transition[h, :] * arrivals.pmf_per_state[h, e]
+                kernel[b * n_h + h, b_next * n_h:(b_next + 1) * n_h] += w
+    return kernel
+
+
 class TestKernels:
+    @pytest.mark.parametrize("cond_next", [False, True], ids=["arrival-on-h", "arrival-on-next"])
+    @pytest.mark.parametrize("make", [
+        lambda c: two_state_env(0.9, 0.5, 0.8, 0.0, b_max=30, condition_on_next=c),
+        three_weather_env,
+        lambda c: three_weather_env(c, e_max=300),
+    ], ids=["two-weather", "three-weather", "wide-arrivals"])
+    def test_slot_kernel_equals_reference_bytes(self, make, cond_next):
+        # consumptions up to and past b_max, where every level empties
+        env = make(cond_next)
+        b_max = env.battery.b_max
+        for u in (0, 1, 2, b_max, b_max + 1, b_max + 3):
+            got = slot_kernel(env.chain, env.arrivals, u, b_max, condition_on_next=cond_next)
+            want = reference_slot_kernel(env.chain, env.arrivals, u, b_max, cond_next)
+            assert got.shape == want.shape and got.dtype == want.dtype
+            assert got.tobytes() == want.tobytes()
+
     def test_slot_kernel_rows_stochastic(self):
         env = fig5_env(4)
         for u in range(4):
@@ -297,19 +343,6 @@ class TestSampling:
         assert (arr[0][0], arr[1][0], arr[2][0]) == (b2, h2, spill)
 
 
-def three_weather_env(cond_next, e_max=2):
-    """Three weather states, one transition of probability zero, arrivals 0..e_max."""
-    pmf = np.random.default_rng(5).dirichlet(np.ones(e_max + 1), size=3)
-    return HarvestEnvironment(
-        chain=HarvestChain(states=("G", "M", "B"), transition=np.array(
-            [[0.6, 0.3, 0.1], [0.2, 0.5, 0.3], [0.0, 0.4, 0.6]])),
-        arrivals=ArrivalModel(pmf_per_state=pmf),
-        battery=BatteryConfig(b_max=4, cost=(0, 1, 2)),
-        epoch=EpochConfig(3, 0.9),
-        condition_on_next=cond_next,
-    )
-
-
 class TestExogenousPaths:
     @pytest.mark.parametrize("cond_next", [False, True], ids=["arrival-on-h", "arrival-on-next"])
     @pytest.mark.parametrize("make", [
@@ -338,6 +371,29 @@ class TestExogenousPaths:
         assert np.array_equal(weather[:, -1], h)
         if env.arrivals.e_max > 255:
             assert arrivals.max() > 255
+
+
+    # slot counts that tile into blocks evenly or leave a short last block,
+    # from one slot up to a walkthrough rollout's 2000 epochs of 3 slots
+    @pytest.mark.parametrize("slots", [1, 2, 3, 13, 15, 16, 17, 6000])
+    @pytest.mark.parametrize("cond_next", [False, True], ids=["arrival-on-h", "arrival-on-next"])
+    def test_every_slot_count_walks_like_slot_steps(self, slots, cond_next):
+        env = three_weather_env(cond_next)
+        rng = np.random.default_rng(slots)
+        n_ep = 3
+        u_h, u_e = rng.random((2, n_ep, slots, 1))
+        h0 = np.arange(n_ep) % env.n_h
+        weather, arrivals = env.exogenous_paths(h0, u_h, u_e)
+        assert weather.shape == (n_ep, slots + 1) and arrivals.shape == (n_ep, slots, 1)
+        assert weather.flags.c_contiguous and arrivals.flags.c_contiguous
+        h = h0
+        want_w, want_e = [h], []
+        for s in range(slots):
+            b2, h, spill = env.slot_step(np.zeros(n_ep, dtype=int), h, 0, u_h[:, s, 0], u_e[:, s, 0])
+            want_w.append(h)
+            want_e.append(b2 + spill)
+        assert np.array_equal(weather, np.stack(want_w, axis=1))
+        assert np.array_equal(arrivals[..., 0], np.stack(want_e, axis=1))
 
 
 # "(b, h) of every state", the inverse of state_index, written out by hand

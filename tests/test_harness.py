@@ -318,6 +318,20 @@ class TestSimulate:
         res = simulate(FixedModeController(3, env), dataset, 1, 10, 0)
         assert res[0].energy_used == 3   # one mode-3 epoch, then broke
 
+    # each start lies outside the b_max=5, two-weather env; some were walked
+    # as if they were states, others failed deep inside the rollout
+    @pytest.mark.parametrize("start", [(9, 1), (-1, 0), (6, 0), (0, 2), (0, -1),
+                                       (2.0, 0), (2, 0.5), (True, 0)])
+    def test_mc_start_must_be_a_state(self, dataset, start):
+        env = fig_env(b_max=5)
+        for ctrl in (MmsController(np.zeros(env.n_states, dtype=np.int64), env),
+                     IncTableController(always_proceed_policy(env), env),
+                     OracleController(solve_oracle(env, dataset, eps=1e-3)),
+                     RandomFeasibleController(env), FixedModeController(3, env)):
+            with pytest.raises(ValueError, match="start states must") as ex:
+                exit_probability_mc(ctrl, dataset, start, 200, seed=0)
+            assert type(ex.value) is ValueError, ctrl.kind
+
     def test_aggregate_interval(self):
         from ehinfer.harness import EpisodeResult
 

@@ -6,9 +6,9 @@ weather state and the arrival by `np.searchsorted` on the cumulative
 tables and clips the battery in plain Python. It calls the controllers
 with scalars, one decision at a time.
 
-The table controllers are walked as closed-loop maps, without a decide
-call; the last test holds that walk to the decision loop every other
-controller runs.
+The table controllers and the oracle are walked over state rows, without
+a decide call; the last test holds that walk to the decision loop every
+other controller runs.
 """
 
 import numpy as np
@@ -328,8 +328,8 @@ def test_single_mode_env_matches_scalar_reference():
 
 
 class DecideOnly:
-    """A table controller seen only through decide or decide_sub, so the
-    rollout runs its decision loop on it instead of walking the table."""
+    """A table or oracle controller seen only through decide or decide_sub,
+    so the rollout runs its decision loop on it instead of walking it."""
 
     def __init__(self, ctrl):
         self.kind, self.incremental, self.env = ctrl.kind, ctrl.incremental, ctrl.env
@@ -346,8 +346,9 @@ def outcome(run):
         return str(ex)
 
 
-def table_controllers(env, rng):
-    """Feasible, unfiltered and always-proceeding tables, and FixedMode."""
+def walked_controllers(env, dataset, rng):
+    """Feasible, unfiltered and always-proceeding tables, FixedMode, and the
+    oracle wherever it has two modes to choose from."""
     k, n_inc = env.n_modes, env.n_states * env.n_modes * env.epoch.T
     return [
         *feasible_tables(env, rng),
@@ -356,23 +357,32 @@ def table_controllers(env, rng):
         # reaches the last mode and steps past it: the sentinel step
         IncTableController(np.ones(n_inc, dtype=np.int64), env),
         FixedModeController(int(rng.integers(k)), env),
+        *([OracleController(solve_oracle(env, dataset, eps=1e-3))] if k > 1 else []),
     ]
 
 
 @settings(max_examples=40, deadline=None)
 @given(case=small_envs(min_k=1), seed=st.integers(0, 2**16),
-       episodes=st.sampled_from([1, 3]), epochs=st.sampled_from([1, 2, 25]))
+       episodes=st.sampled_from([1, 3]), epochs=st.sampled_from([1, 2, 25]),
+       ties=st.booleans())
 @example(case=(two_state_env(0.9, 0.5, 0.8, 0.3, b_max=3, costs=(0,), T=2),
-               np.random.default_rng(0)), seed=3, episodes=1, epochs=1)
+               np.random.default_rng(0)), seed=3, episodes=1, epochs=1, ties=False)
 # its unfiltered MmS table fails episode 0 later than another episode
 @example(case=(two_state_env(0.9, 0.5, 0.8, 0.0, b_max=4, costs=(0, 1, 2), T=4),
-               np.random.default_rng(0)), seed=0, episodes=3, epochs=25)
-def test_table_walk_matches_decision_loop(case, seed, episodes, epochs):
+               np.random.default_rng(0)), seed=0, episodes=3, epochs=25, ties=False)
+@example(case=(two_state_env(0.9, 0.5, 0.8, 0.3, b_max=2, costs=(0, 1), T=1),
+               np.random.default_rng(1)), seed=4, episodes=1, epochs=1, ties=True)
+# modes 1 and 2 cost the same, so their continuations tie exactly
+@example(case=(two_state_env(0.7, 0.4, 0.6, 0.2, b_max=5, costs=(0, 1, 1, 3), T=3),
+               np.random.default_rng(2)), seed=7, episodes=3, epochs=25, ties=True)
+def test_table_walk_matches_decision_loop(case, seed, episodes, epochs, ties):
     env, rng = case
     k = env.n_modes
-    dataset = ConfidenceDataset(rng.random((40, k)), rng.integers(0, 2, (40, k)))
+    # confidences of 0, 1/2 and 1 tie within and across records
+    z = rng.integers(0, 3, (40, k)) / 2 if ties else rng.random((40, k))
+    dataset = ConfidenceDataset(z, rng.integers(0, 2, (40, k)))
     start = (int(rng.integers(env.battery.b_max + 1)), int(rng.integers(env.n_h)))
-    for ctrl in table_controllers(env, rng):
+    for ctrl in walked_controllers(env, dataset, rng):
         slow = DecideOnly(ctrl)
         got = outcome(lambda: simulate(ctrl, dataset, episodes, epochs, seed))
         want = outcome(lambda: simulate(slow, dataset, episodes, epochs, seed))

@@ -177,8 +177,18 @@ def test_nan_accuracy_rejected(build, at):
     env = two_state_env(0.9, 0.5, 0.8, 0.0, b_max=3)     # every mode affordable somewhere
     rho = np.array(RHO, dtype=float)
     rho[at] = np.nan
-    with pytest.raises(ValueError, match="feasible rewards must lie in"):
+    with pytest.raises(ValueError, match=r"rho must lie in \[0, 1\]"):
         build(env, rho)
+
+
+@pytest.mark.parametrize("build", [build_mms_mdp, build_inc_iag_mdp])
+@pytest.mark.parametrize("bad", [np.nan, 1.5, np.inf, -1.0])
+def test_accuracy_of_an_unaffordable_mode_rejected(build, bad):
+    # at b_max=2 no battery level pays for mode 3 (cost 3), so no feasible
+    # one-shot reward holds its accuracy; rho itself is checked all the same
+    env = two_state_env(0.9, 0.5, 0.8, 0.0, b_max=2)
+    with pytest.raises(ValueError, match=r"rho must lie in \[0, 1\]"):
+        build(env, np.array([0.005, 0.5, 0.6, bad]))
 
 
 class TestIncMdp:
