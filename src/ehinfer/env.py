@@ -339,7 +339,7 @@ class HarvestEnvironment:
         grid = grid.reshape(blocks, size, n_ep).swapaxes(0, 1)
         # row i: the next state from every state at slot i of every block, as
         # (block and episode, state), then composed over the block
-        comp = self._draw(grid[..., None], slice(None), dtype=h_type).reshape(size, -1, n_h)
+        comp = self._draw(grid[..., None], np.arange(n_h), dtype=h_type).reshape(size, -1, n_h)
         group = np.arange(blocks * n_ep)        # the (block, episode) pairs
         first = n_h * group[:, None]            # the flat index of each pair's state 0
         for i in range(1, size):
@@ -357,13 +357,21 @@ class HarvestEnvironment:
             comp[:, group, starts.ravel()].reshape(size, blocks, n_ep).transpose(2, 1, 0))
         return np.ascontiguousarray(path[:, :slots + 1])
 
-    def _draw(self, u, rows, arrivals=False, dtype=None):
+    def _draw(self, u, rows, arrivals=False, dtype=int):
         """Inverse-cdf draws with uniforms u from the given rows of the chain's
         (or, if arrivals, the arrival pmfs') cumulative table: the number of
         cumulative entries below u.
+
+        The entries are counted one column at a time, so memory stays that of
+        the broadcast of u and rows whatever the width of the table.
         """
-        cum = self._tables["cum_arrivals" if arrivals else "cum_chain"][rows]
-        return (np.asarray(u)[..., None] > cum).sum(axis=-1, dtype=dtype)
+        cols = self._tables["cum_arrivals" if arrivals else "cum_chain"].T
+        if not len(cols):           # a single outcome, drawn every time
+            return np.zeros(np.broadcast(u, rows).shape, dtype=dtype)[()]
+        count = (u > cols[0][rows]).astype(dtype)
+        for col in cols[1:]:
+            count += u > col[rows]
+        return count
 
     def to_config(self):
         return {

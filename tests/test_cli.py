@@ -717,13 +717,30 @@ class TestCalibrate:
         assert "bad dataset" in err and f"{field} must hold numbers" in err
         assert not (sandbox / "cal.jsonl").exists()
 
+    # each line must hold exactly one JSON document
+    @pytest.mark.parametrize("edit", [
+        lambda lines: lines[:3] + [lines[3] + " " + lines[4]] + lines[5:],
+        lambda lines: lines[:3] + [lines[3] + " garbage"] + lines[4:],
+        lambda lines: ["\ufeff" + lines[0]] + lines[1:],
+        lambda lines: lines[:3] + lines[3].split(', "correct"') + lines[4:],
+    ], ids=["two-records", "trailing-garbage", "leading-bom", "split-record"])
+    def test_malformed_line_is_input_error(self, sandbox, capsys, edit):
+        lines = gen(sandbox, n=10).read_text().splitlines()
+        (sandbox / "bad.jsonl").write_text("\n".join(edit(lines)) + "\n", encoding="utf-8")
+        assert main(["calibrate", "--dataset", "bad.jsonl", "--tau", "0.5",
+                     "--out", "cal.jsonl"]) == 2
+        assert "bad dataset" in capsys.readouterr().err
+        assert not (sandbox / "cal.jsonl").exists()
+
 
 class TestDatasetPinned:
     """Seeded `gen-data` and `calibrate` datasets, byte for byte.
 
     The SHA-256 values were recorded while `save_jsonl` still wrote one
     `json.dumps` per record; writing each distinct number once per block
-    must not move a byte.
+    must not move a byte. "fit" was re-recorded when the temperature fit
+    moved from a golden-section search to Newton's method, which moved its
+    tau by 3.1e-8 to a lower NLL.
     """
 
     GOLDEN = {
@@ -734,7 +751,7 @@ class TestDatasetPinned:
         "spec3":
             "ce6dbcb587b3c4cc36a8e6ede34d8a85a623a430454eafd7fa1dd25470816b33",
         "fit":
-            "d9d510bab0ea4c8e1d27e9c4ab973537b6fb62f4dbbc363a7812aa1e5b01fb97",
+            "0de51046b2653613204595aef8868c9852cb3a7254c25a24d575dbde2d73d220",
         "tau":
             "d6ffafb05dd5ce759ae8372fddf22c9ce3ec75906a7a66df5005d167b7b75196",
     }

@@ -175,6 +175,44 @@ class TestTemperature:
         with pytest.raises(MissingLogits):
             temperature_scale(big_dataset)
 
+    # planted temperatures inside the bracket, and past both of its ends
+    @pytest.mark.parametrize("spec,seed,scale", [
+        (default_spec(), 21, 1.0),
+        (default_spec(), 22, 0.5),
+        (default_spec(), 23, 2.0),
+        (default_spec(), 24, 30.0),     # tau clamps at 20
+        (default_spec(), 25, 0.01),     # tau clamps at 0.05
+        (SyntheticSpec(accuracies=(0.1, 0.6, 0.8), n_classes=10), 26, 1.5),
+    ])
+    def test_newton_matches_golden_section(self, spec, seed, scale):
+        ds = generate_synthetic(np.random.default_rng(seed), spec, 1000, with_logits=True)
+        ds = ConfidenceDataset(ds.z, ds.correct, ds.logits * scale, ds.labels)
+        tau, rescaled = temperature_scale(ds)
+        ref = _golden_section_tau(ds)
+        assert abs(tau - ref) <= 1e-6
+        assert _pooled_nll(ds, tau) <= _pooled_nll(ds, ref) + 1e-12
+        at_tau = ConfidenceDataset(ds.z, ds.correct, ds.logits / tau, ds.labels)
+        assert np.allclose(rescaled.z, _softmax_conf(at_tau), rtol=0, atol=1e-12)
+        assert np.array_equal(rescaled.z[:, 0], ds.z[:, 0])
+        assert np.array_equal(rescaled.correct, ds.correct)
+
+    def test_flat_nll_keeps_tau_one(self):
+        # constant logit rows give every temperature the same NLL
+        logits = np.broadcast_to(np.arange(6.0)[:, None, None], (6, 2, 5))
+        ds = ConfidenceDataset(np.full((6, 3), 0.2), np.zeros((6, 3)), logits, np.arange(6) % 5)
+        with np.errstate(all="raise"):
+            tau, rescaled = temperature_scale(ds)
+        assert tau == 1.0
+        assert np.allclose(rescaled.z[:, 1:], 0.2, rtol=0, atol=1e-15)
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_one_record_gives_a_finite_tau_in_the_bracket(self, seed):
+        ds = generate_synthetic(np.random.default_rng(seed), default_spec(), 1, with_logits=True)
+        with np.errstate(all="raise"):
+            taus = [temperature_scale(ds)[0] for _ in range(2)]
+        assert taus[0] == taus[1]
+        assert np.isfinite(taus[0]) and 0.05 <= taus[0] <= 20
+
 
 def _softmax_conf(ds):
     z = ds.z.copy()
@@ -185,6 +223,26 @@ def _softmax_conf(ds):
         p /= p.sum(axis=1, keepdims=True)
         z[:, k] = p.max(axis=1)
     return z
+
+
+def _golden_section_tau(ds):
+    """The temperature fit as a golden-section search on [0.05, 20] down to an
+    interval of 1e-6: the slow reference for temperature_scale's Newton search."""
+    inv_phi = (np.sqrt(5.0) - 1.0) / 2.0
+    a, b = 0.05, 20.0
+    c = b - inv_phi * (b - a)
+    d = a + inv_phi * (b - a)
+    fc, fd = _pooled_nll(ds, c), _pooled_nll(ds, d)
+    while b - a > 1e-6:
+        if fc < fd:
+            b, d, fd = d, c, fc
+            c = b - inv_phi * (b - a)
+            fc = _pooled_nll(ds, c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + inv_phi * (b - a)
+            fd = _pooled_nll(ds, d)
+    return 0.5 * (a + b)
 
 
 def _pooled_nll(ds, tau):

@@ -3,6 +3,7 @@ import inspect
 import itertools
 import json
 import re
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -394,6 +395,38 @@ class TestExogenousPaths:
             want_e.append(b2 + spill)
         assert np.array_equal(weather, np.stack(want_w, axis=1))
         assert np.array_equal(arrivals[..., 0], np.stack(want_e, axis=1))
+
+    def test_single_outcome_tables(self):
+        # one weather state and no arrivals leave both cumulative tables without columns
+        env = HarvestEnvironment(
+            chain=HarvestChain(states=("S",), transition=np.array([[1.0]])),
+            arrivals=ArrivalModel(pmf_per_state=np.array([[1.0]])),
+            battery=BatteryConfig(b_max=3, cost=(0, 1)),
+            epoch=EpochConfig(2, 0.9),
+        )
+        u_h, u_e = np.random.default_rng(4).random((2, 3, 5, 2))
+        weather, arrivals = env.exogenous_paths(np.zeros(3, dtype=int), u_h, u_e)
+        assert weather.shape == (3, 11) and weather.dtype == np.uint8 and not weather.any()
+        assert arrivals.shape == (3, 5, 2) and arrivals.dtype == np.uint8 and not arrivals.any()
+        assert env.slot_step(2, 0, 1, 0.99, 0.99) == (1, 0, 0)
+        b2, h2, spill = env.slot_step(np.array([3, 0]), np.array([0, 0]), 0, u_h[0, 0], u_e[0, 0])
+        assert b2.tolist() == [3, 0] and h2.tolist() == [0, 0] and spill.tolist() == [0, 0]
+
+    def test_memory_does_not_grow_with_the_arrival_width(self):
+        # a walkthrough rollout's draws with 301 arrival counts: gathering a
+        # cumulative row per slot would hold (20, 6000, 300) floats, about 275 MiB
+        env = three_weather_env(False, e_max=300)
+        rng = np.random.default_rng(9)
+        u_h, u_e = rng.random((2, 20, 2000, 3))
+        h0 = np.arange(20) % env.n_h
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            env.exogenous_paths(h0, u_h, u_e)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2 ** 20
 
 
 # "(b, h) of every state", the inverse of state_index, written out by hand
