@@ -12,7 +12,6 @@ import json
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import betaincinv, ndtr
 
 from .env import json_number
 
@@ -135,6 +134,9 @@ def generate_synthetic(rng, spec, n_records, with_logits=False):
     temperature 1 reproduces z at the predicted class, for exercising
     temperature scaling.
     """
+    # here, not at the top: scipy.special is the slowest import of the command line
+    from scipy.special import betaincinv, ndtr
+
     if n_records < 1:
         raise EmptyDataset("n_records must be >= 1")
     k_inf = spec.n_exits - 1
@@ -185,20 +187,32 @@ def temperature_scale(dataset):
     bracket kept by the slope's sign bisects it, or stops at 0.05 or 20 if that
     end is untried. A flat NLL (constant logit rows) gives tau = 1. Returns
     (tau, rescaled dataset), the confidences the max softmax probability at tau.
+    Each step walks the logits in blocks of whole records, about JSONL_BLOCK
+    numbers each, and keeps a few floats per logit row.
     """
     if dataset.logits is None or dataset.labels is None:
         raise MissingLogits("temperature scaling needs logits and labels")
-    (n, k, _), x = dataset.logits.shape, dataset.logits
-    d = (x - x.max(axis=-1, keepdims=True)).reshape(n * k, -1)
-    d_label = d[np.arange(n * k), np.repeat(dataset.labels, k)].mean()
-    w = np.empty_like(d)                # exp(beta*d), one pass per step
+    n, k, c = dataset.logits.shape
+    x = dataset.logits.reshape(n * k, c)
+    top = x.max(axis=1)
+    d_label = (x[np.arange(n * k), np.repeat(dataset.labels, k)] - top).mean()
+    block = k * max(1, JSONL_BLOCK // max(1, k * c))    # rows of whole records
+    d_buf, w_buf = np.empty((block, c)), np.empty((block, c))
+    # per row, the sums over classes of w = exp(beta*d), w*d and w*d*d, d = x - max
+    s0, s1, s2 = np.empty(n * k), np.empty(n * k), np.empty(n * k)
     ends, untried, beta = [0.05, 20.0], [True, True], 1.0
     while True:
-        np.exp(np.multiply(d, beta, out=w), out=w)
-        s0 = w.sum(axis=1)
-        mean_d = np.einsum("ij,ij->i", w, d) / s0
+        for lo in range(0, n * k, block):
+            hi = min(lo + block, n * k)
+            d, w = d_buf[:hi - lo], w_buf[:hi - lo]
+            np.subtract(x[lo:hi], top[lo:hi, None], out=d)
+            np.exp(np.multiply(d, beta, out=w), out=w)
+            w.sum(axis=1, out=s0[lo:hi])
+            np.einsum("ij,ij->i", w, d, out=s1[lo:hi])
+            np.einsum("ij,ij,ij->i", w, d, d, out=s2[lo:hi])
+        mean_d = s1 / s0
         slope = mean_d.mean() - d_label
-        curve = (np.einsum("ij,ij,ij->i", w, d, d) / s0 - mean_d * mean_d).mean()
+        curve = (s2 / s0 - mean_d * mean_d).mean()
         near = int(slope > 0)           # a positive slope puts the minimum below beta
         ends[near], untried[near] = beta, False
         far = ends[1 - near]
@@ -267,9 +281,16 @@ def reliability_report(dataset):
     return bins, ece
 
 
-# numbers per block of save_jsonl: bounds the words held in memory at once
+# numbers per block of save_jsonl, load_jsonl and temperature_scale: bounds
+# the Python objects, or the scratch floats, held at once
 JSONL_BLOCK = 8192
 _DECODER = json.JSONDecoder()      # load_jsonl's, made once: json.loads adds a call per line
+# what each field's block array must hold, and the rule it breaks otherwise: a
+# string or a null would be converted later, or keep the blocks from joining
+_FIELDS = {"z": (np.number, "z must hold numbers"),
+           "correct": (np.number, "correct must hold numbers"),
+           "logits": (np.number, "logits must hold numbers"),
+           "label": (np.integer, "labels must be integers")}
 
 
 def _words(values):
@@ -336,10 +357,34 @@ def _holds_bool(value):
     return type(value) is bool or (type(value) is list and any(map(_holds_bool, value)))
 
 
+def _to_arrays(rows, blocks, first, last):
+    """Move the rows of each field read from lines first to last into an array;
+    returns how many numbers they hold."""
+    numbers = 0
+    for key, vals in rows.items():
+        if vals:
+            arr = np.asarray(vals)
+            kind, rule = _FIELDS[key]
+            if not np.issubdtype(arr.dtype, kind):
+                lines = f"line {first}" if first == last else f"lines {first}-{last}"
+                raise ValueError(f"{lines}: {rule}, not {arr.dtype}")
+            blocks[key].append(arr)
+            numbers += arr.size
+            vals.clear()
+    return numbers
+
+
 def load_jsonl(path):
     """The dataset of a save_jsonl file; a line that is not exactly one JSON
-    document, or a JSON boolean in any field, is a ValueError."""
-    zs, cs, ls, ys = [], [], [], []
+    document, or a field holding anything but JSON numbers (integers for the
+    label), is a ValueError.
+
+    Records are read in blocks of about JSONL_BLOCK numbers, the first block
+    one record, and each block becomes arrays before the next is read.
+    """
+    rows = {key: [] for key in _FIELDS}         # the block being read
+    blocks = {key: [] for key in _FIELDS}       # the arrays of the blocks read
+    step, first, i = 1, 1, 0
     with open(path) as fh:
         for i, line in enumerate(fh, 1):
             line = line.strip()
@@ -351,22 +396,28 @@ def load_jsonl(path):
             # records hold no strings and no key holds a "u" or an "f", so a line
             # without them holds no true or false; one letter is a fast search
             if "u" in line or "f" in line:
-                for key in ("z", "correct", "logits", "label"):
+                for key in _FIELDS:
                     if _holds_bool(row.get(key)):
                         raise ValueError(f"line {i}: {key} must hold numbers, not true or false")
-            zs.append(row["z"])
-            cs.append(row["correct"])
+            rows["z"].append(row["z"])
+            rows["correct"].append(row["correct"])
             if "logits" in row:
-                ls.append(row["logits"])
+                rows["logits"].append(row["logits"])
             if "label" in row:
-                ys.append(row["label"])
-    if not zs:
+                rows["label"].append(row["label"])
+            if len(rows["z"]) == step:
+                numbers = _to_arrays(rows, blocks, first, i)
+                if len(blocks["z"]) == 1:       # the one-record first block gives the width
+                    step = max(1, JSONL_BLOCK // max(1, numbers))
+                first = i + 1
+    if rows["z"]:
+        _to_arrays(rows, blocks, first, i)
+    n = sum(map(len, blocks["z"]))
+    if not n:
         raise EmptyDataset(f"no records in {path}")
-    for name, vals in (("logits", ls), ("label", ys)):
-        if 0 < len(vals) < len(zs):
-            raise ValueError(f"{len(vals)} of {len(zs)} records carry {name}; "
-                             "need all or none")
-    logits = np.asarray(ls) if ls else None
-    labels = np.asarray(ys) if ys else None
-    return ConfidenceDataset(np.asarray(zs), np.asarray(cs), logits, labels)
-
+    for name in ("logits", "label"):
+        count = sum(map(len, blocks[name]))
+        if 0 < count < n:
+            raise ValueError(f"{count} of {n} records carry {name}; need all or none")
+    return ConfidenceDataset(*(np.concatenate(blocks.pop(key)) if blocks[key] else None
+                               for key in _FIELDS))

@@ -2,6 +2,8 @@ import ast
 import hashlib
 import json
 import os
+import subprocess
+import sys
 from dataclasses import asdict
 from pathlib import Path
 
@@ -31,6 +33,25 @@ def gen(sandbox, name="ds.jsonl", n=400, seed=7, extra=()):
                "--out", str(sandbox / name), *extra])
     assert rc == 0
     return sandbox / name
+
+
+def calibrate_edited(sandbox, capsys, field, value, mode=("--fit",)):
+    """Stderr of calibrate on a 50-record --logits file whose eighth record holds
+    value as its label, as one logit, or as the second entry of z or correct;
+    the command must exit 2 and write nothing."""
+    lines = gen(sandbox, n=50, extra=("--logits",)).read_text().splitlines()
+    row = json.loads(lines[7])
+    if field == "label":
+        row["label"] = value
+    elif field == "logits":
+        row["logits"][1][3] = value
+    else:
+        row[field][1] = value
+    lines[7] = json.dumps(row)
+    (sandbox / "bad.jsonl").write_text("\n".join(lines) + "\n")
+    assert main(["calibrate", "--dataset", "bad.jsonl", *mode, "--out", "cal.jsonl"]) == 2
+    assert not (sandbox / "cal.jsonl").exists()
+    return capsys.readouterr().err
 
 
 def sha(path):
@@ -184,7 +205,8 @@ class TestSolve:
         assert main(["solve", "--kind", "oracle", "--env", "env.json",
                      "--out", "x.json"]) == 2
 
-    @pytest.mark.parametrize("field,value", [("z", float("nan")), ("correct", 2)])
+    @pytest.mark.parametrize("field,value", [("z", float("nan")), ("correct", 2),
+                                             ("z", "0.5"), ("correct", "1")])
     def test_bad_dataset_is_input_error(self, sandbox, capsys, field, value):
         lines = gen(sandbox).read_text().splitlines()
         row = json.loads(lines[0])
@@ -684,38 +706,22 @@ class TestCalibrate:
     ])
     @pytest.mark.parametrize("mode", [("--fit",), ("--tau", "0.5")])
     def test_bad_label_or_logit_is_input_error(self, sandbox, capsys, field, value, match, mode):
-        lines = gen(sandbox, n=50, extra=("--logits",)).read_text().splitlines()
-        row = json.loads(lines[7])
-        if field == "label":
-            row["label"] = value
-        else:
-            row["logits"][1][3] = value
-        lines[7] = json.dumps(row)
-        (sandbox / "bad.jsonl").write_text("\n".join(lines) + "\n")
-        assert main(["calibrate", "--dataset", "bad.jsonl", *mode, "--out", "cal.jsonl"]) == 2
-        err = capsys.readouterr().err
+        err = calibrate_edited(sandbox, capsys, field, value, mode)
         assert "bad dataset" in err and match in err
-        assert not (sandbox / "cal.jsonl").exists()
 
 
     @pytest.mark.parametrize("field,value", [
         ("z", True), ("correct", True), ("correct", False), ("logits", False), ("label", True),
     ])
     def test_json_boolean_is_input_error(self, sandbox, capsys, field, value):
-        lines = gen(sandbox, n=50, extra=("--logits",)).read_text().splitlines()
-        row = json.loads(lines[7])
-        if field == "label":
-            row["label"] = value
-        elif field == "logits":
-            row["logits"][1][3] = value
-        else:
-            row[field][1] = value
-        lines[7] = json.dumps(row)
-        (sandbox / "bad.jsonl").write_text("\n".join(lines) + "\n")
-        assert main(["calibrate", "--dataset", "bad.jsonl", "--fit", "--out", "cal.jsonl"]) == 2
-        err = capsys.readouterr().err
+        err = calibrate_edited(sandbox, capsys, field, value)
         assert "bad dataset" in err and f"{field} must hold numbers" in err
-        assert not (sandbox / "cal.jsonl").exists()
+
+    # ConfidenceDataset converted numeric text to floats, so these loaded as numbers
+    @pytest.mark.parametrize("field,value", [("z", "0.5"), ("correct", "1"), ("logits", "-1.25")])
+    def test_json_string_is_input_error(self, sandbox, capsys, field, value):
+        err = calibrate_edited(sandbox, capsys, field, value)
+        assert "bad dataset" in err and f"{field} must hold numbers" in err
 
     # each line must hold exactly one JSON document
     @pytest.mark.parametrize("edit", [
@@ -846,6 +852,15 @@ class TestLibraryDefaults:
         gen(sandbox, n=50)
         summary = json.loads((sandbox / "ds.jsonl.summary.json").read_text())
         assert summary["spec"] == json.loads(json.dumps(asdict(default_spec())))
+
+
+def test_import_leaves_scipy_special_out():
+    # scipy.special costs about a quarter of the command line's import time
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    code = "import sys, ehinfer.cli; print('scipy.special' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": src}, check=True)
+    assert out.stdout.strip() == "False"
 
 
 class TestFailureMap:

@@ -1,5 +1,6 @@
 import json
 import tracemalloc
+from contextlib import contextmanager
 
 import numpy as np
 import pytest
@@ -145,6 +146,36 @@ class TestDatasetContainer:
             big_dataset.z[0, 0] = 0.5
 
 
+@contextmanager
+def _traced_peak():
+    """Yields a one-item list that holds, on exit, the tracemalloc peak in bytes
+    above what was allocated on entry."""
+    peak = [None]
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        yield peak
+        peak[0] = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+
+
+# planted temperatures inside the bracket, and past both of its ends
+_PLANTED = [
+    (default_spec(), 21, 1.0),
+    (default_spec(), 22, 0.5),
+    (default_spec(), 23, 2.0),
+    (default_spec(), 24, 30.0),     # tau clamps at 20
+    (default_spec(), 25, 0.01),     # tau clamps at 0.05
+    (SyntheticSpec(accuracies=(0.1, 0.6, 0.8), n_classes=10), 26, 1.5),
+]
+
+
+def _planted(spec, seed, scale):
+    ds = generate_synthetic(np.random.default_rng(seed), spec, 1000, with_logits=True)
+    return ConfidenceDataset(ds.z, ds.correct, ds.logits * scale, ds.labels)
+
+
 class TestTemperature:
     def test_recovers_planted_temperature(self):
         ds = generate_synthetic(np.random.default_rng(1), default_spec(),
@@ -175,18 +206,9 @@ class TestTemperature:
         with pytest.raises(MissingLogits):
             temperature_scale(big_dataset)
 
-    # planted temperatures inside the bracket, and past both of its ends
-    @pytest.mark.parametrize("spec,seed,scale", [
-        (default_spec(), 21, 1.0),
-        (default_spec(), 22, 0.5),
-        (default_spec(), 23, 2.0),
-        (default_spec(), 24, 30.0),     # tau clamps at 20
-        (default_spec(), 25, 0.01),     # tau clamps at 0.05
-        (SyntheticSpec(accuracies=(0.1, 0.6, 0.8), n_classes=10), 26, 1.5),
-    ])
+    @pytest.mark.parametrize("spec,seed,scale", _PLANTED)
     def test_newton_matches_golden_section(self, spec, seed, scale):
-        ds = generate_synthetic(np.random.default_rng(seed), spec, 1000, with_logits=True)
-        ds = ConfidenceDataset(ds.z, ds.correct, ds.logits * scale, ds.labels)
+        ds = _planted(spec, seed, scale)
         tau, rescaled = temperature_scale(ds)
         ref = _golden_section_tau(ds)
         assert abs(tau - ref) <= 1e-6
@@ -204,6 +226,26 @@ class TestTemperature:
             tau, rescaled = temperature_scale(ds)
         assert tau == 1.0
         assert np.allclose(rescaled.z[:, 1:], 0.2, rtol=0, atol=1e-15)
+
+    # one record per block up to the whole array in one block: every bit equal
+    @pytest.mark.parametrize("block", [1, 100, JSONL_BLOCK, 10 ** 9])
+    @pytest.mark.parametrize("spec,seed,scale", _PLANTED)
+    def test_blocks_match_the_whole_array_fit(self, spec, seed, scale, block):
+        ds = _planted(spec, seed, scale)
+        ref_tau, ref = _whole_array_fit(ds)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(confidence, "JSONL_BLOCK", block)
+            tau, rescaled = temperature_scale(ds)
+        assert tau == ref_tau
+        assert np.array_equal(rescaled.z, ref.z)
+
+    def test_fit_memory_is_a_few_floats_per_row(self):
+        ds = generate_synthetic(np.random.default_rng(1), default_spec(), 1000,
+                                with_logits=True)
+        with _traced_peak() as peak:
+            temperature_scale(ds)
+        # the whole-array fit holds d and exp(beta*d): two 4.8 MB arrays
+        assert peak[0] < 2 * 2 ** 20
 
     @pytest.mark.parametrize("seed", range(8))
     def test_one_record_gives_a_finite_tau_in_the_bracket(self, seed):
@@ -223,6 +265,33 @@ def _softmax_conf(ds):
         p /= p.sum(axis=1, keepdims=True)
         z[:, k] = p.max(axis=1)
     return z
+
+
+def _whole_array_fit(dataset):
+    """temperature_scale with d and exp(beta*d) held for every logit at once: the
+    slow reference for its record blocks, which must give the same bits."""
+    (n, k, _), x = dataset.logits.shape, dataset.logits
+    d = (x - x.max(axis=-1, keepdims=True)).reshape(n * k, -1)
+    d_label = d[np.arange(n * k), np.repeat(dataset.labels, k)].mean()
+    w = np.empty_like(d)
+    ends, untried, beta = [0.05, 20.0], [True, True], 1.0
+    while True:
+        np.exp(np.multiply(d, beta, out=w), out=w)
+        s0 = w.sum(axis=1)
+        mean_d = np.einsum("ij,ij->i", w, d) / s0
+        slope = mean_d.mean() - d_label
+        curve = (np.einsum("ij,ij,ij->i", w, d, d) / s0 - mean_d * mean_d).mean()
+        near = int(slope > 0)
+        ends[near], untried[near] = beta, False
+        far = ends[1 - near]
+        step = (beta - slope / curve if abs(slope) < curve * abs(far - beta)
+                else far if untried[1 - near] else 0.5 * sum(ends))
+        if slope == 0 or abs(step - beta) <= 1e-12 * beta:
+            break
+        beta = step
+    z = dataset.z.copy()
+    z[:, 1:] = (1.0 / s0).reshape(n, k)
+    return float(1.0 / beta), ConfidenceDataset(z, dataset.correct, dataset.logits, dataset.labels)
 
 
 def _golden_section_tau(ds):
@@ -321,17 +390,117 @@ def _reference_jsonl(ds):
     return "".join(lines)
 
 
+def _draw_dataset(data, min_exits):
+    """A small dataset of any float64 values and a JSONL_BLOCK that splits it.
+
+    A dataset with logits needs an informed exit to be read back.
+    """
+    k = data.draw(st.integers(min_exits, 5), label="exits")
+    n_classes = data.draw(st.integers(1, 6), label="classes")
+    with_logits = data.draw(st.booleans(), label="logits")
+    with_labels = data.draw(st.booleans(), label="labels")
+    # a small block, so that short datasets cross block boundaries
+    block = data.draw(st.integers(1, 64), label="block")
+    width = 2 * k + with_logits * (k - 1) * n_classes + with_labels
+    per_block = max(1, block // width)
+    n = data.draw(st.sampled_from([1, per_block - 1, per_block, per_block + 1,
+                                   2 * per_block + 2]).filter(bool), label="records")
+    # pools of 1 to 64 values: a block repeats a few of them or holds many
+    zs = data.draw(st.lists(_UNIT, min_size=1, max_size=64), label="z values")
+    ls = data.draw(st.lists(_FINITE, min_size=1, max_size=64), label="logit values")
+    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1), label="seed"))
+    logits = rng.choice(ls, (n, k - 1, n_classes)) if with_logits else None
+    labels = None
+    if with_labels:
+        high = n_classes if with_logits else data.draw(st.integers(1, 2 ** 62), label="high")
+        labels = rng.integers(0, high, n)
+    ds = ConfidenceDataset(rng.choice(zs, (n, k)), rng.integers(0, 2, (n, k)), logits, labels)
+    return ds, block
+
+
+def _assert_same(back, ds):
+    """Every array of two datasets equal, bit for bit, in the same dtype."""
+    for name in ("z", "correct", "logits", "labels"):
+        a, b = getattr(back, name), getattr(ds, name)
+        assert (a is None) == (b is None), name
+        if a is not None:
+            assert a.dtype == b.dtype, name
+            assert np.array_equal(a.view(np.uint8), b.view(np.uint8)), name
+
+
+def _whole_file_load(path):
+    """load_jsonl with every record held as Python lists until the end: the slow
+    reference for its blocks. It lets numeric strings through."""
+    def holds_bool(value):
+        return type(value) is bool or (type(value) is list and any(map(holds_bool, value)))
+
+    zs, cs, ls, ys = [], [], [], []
+    with open(path) as fh:
+        for i, line in enumerate(fh, 1):
+            line = line.strip()
+            if not line:
+                continue
+            row, end = json.JSONDecoder().raw_decode(line)
+            if end != len(line):
+                raise ValueError(f"line {i}: data after the record")
+            for key in ("z", "correct", "logits", "label"):
+                if holds_bool(row.get(key)):
+                    raise ValueError(f"line {i}: {key} must hold numbers, not true or false")
+            zs.append(row["z"])
+            cs.append(row["correct"])
+            if "logits" in row:
+                ls.append(row["logits"])
+            if "label" in row:
+                ys.append(row["label"])
+    if not zs:
+        raise EmptyDataset(f"no records in {path}")
+    for name, vals in (("logits", ls), ("label", ys)):
+        if 0 < len(vals) < len(zs):
+            raise ValueError(f"{len(vals)} of {len(zs)} records carry {name}; need all or none")
+    logits = np.asarray(ls) if ls else None
+    labels = np.asarray(ys) if ys else None
+    return ConfidenceDataset(np.asarray(zs), np.asarray(cs), logits, labels)
+
+
+def _faulty_file(tmp_path, edit, line):
+    """Ten records of 13 numbers (3 exits, 3 classes) with edit applied to the
+    record on the given line; a JSONL_BLOCK of 26 reads them two to a block."""
+    spec = SyntheticSpec(accuracies=(1 / 3, 0.5, 0.7), n_classes=3)
+    ds = generate_synthetic(np.random.default_rng(4), spec, 10, with_logits=True)
+    lines = _reference_jsonl(ds).splitlines()
+    row = json.loads(lines[line - 1])
+    edit(row)
+    lines[line - 1] = json.dumps(row)
+    path = tmp_path / "bad.jsonl"
+    path.write_text("\n".join(lines) + "\n")
+    return path
+
+
+_FAULTS = {
+    "ragged-z": lambda row: row["z"].pop(),
+    "ragged-logits": lambda row: row["logits"][1].pop(),
+    "float-label": lambda row: row.__setitem__("label", 1.0),
+    "boolean": lambda row: row["correct"].__setitem__(1, True),
+    "string": lambda row: row["z"].__setitem__(1, "0.5"),
+    "partial-logits": lambda row: row.pop("logits"),
+    "partial-label": lambda row: row.pop("label"),
+}
+
+_STRINGS = {
+    "z": lambda row: row["z"].__setitem__(2, "0.5"),
+    "correct": lambda row: row["correct"].__setitem__(1, "1"),
+    "logits": lambda row: row["logits"][1].__setitem__(0, "-1.25"),
+    "label": lambda row: row.__setitem__("label", "2"),
+}
+
+
 class TestJsonl:
     def test_roundtrip(self, tmp_path):
         ds = generate_synthetic(np.random.default_rng(5), default_spec(), 64,
                                 with_logits=True)
         path = tmp_path / "ds.jsonl"
         save_jsonl(ds, path)
-        back = load_jsonl(path)
-        assert np.array_equal(back.z, ds.z)
-        assert np.array_equal(back.correct, ds.correct)
-        assert np.allclose(back.logits, ds.logits)
-        assert np.array_equal(back.labels, ds.labels)
+        _assert_same(load_jsonl(path), ds)
 
     @pytest.mark.parametrize("with_logits", [True, False])
     def test_bytes_match_per_element_writer(self, tmp_path, with_logits):
@@ -344,31 +513,66 @@ class TestJsonl:
     @given(data=st.data())
     @settings(max_examples=100, deadline=None)
     def test_bytes_match_per_element_writer_on_any_numbers(self, tmp_path_factory, data):
-        k = data.draw(st.integers(1, 5), label="exits")
-        n_classes = data.draw(st.integers(1, 6), label="classes")
-        with_logits = data.draw(st.booleans(), label="logits")
-        with_labels = data.draw(st.booleans(), label="labels")
-        # a small block, so that short datasets cross block boundaries
-        block = data.draw(st.integers(1, 64), label="block")
-        width = 2 * k + with_logits * (k - 1) * n_classes + with_labels
-        per_block = max(1, block // width)
-        n = data.draw(st.sampled_from([1, per_block - 1, per_block, per_block + 1]).filter(bool),
-                      label="records")
-        # pools of 1 to 64 values: a block repeats a few of them or holds many
-        zs = data.draw(st.lists(_UNIT, min_size=1, max_size=64), label="z values")
-        ls = data.draw(st.lists(_FINITE, min_size=1, max_size=64), label="logit values")
-        rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1), label="seed"))
-        logits = rng.choice(ls, (n, k - 1, n_classes)) if with_logits else None
-        labels = None
-        if with_labels:
-            high = n_classes if with_logits else data.draw(st.integers(1, 2 ** 62), label="high")
-            labels = rng.integers(0, high, n)
-        ds = ConfidenceDataset(rng.choice(zs, (n, k)), rng.integers(0, 2, (n, k)), logits, labels)
+        ds, block = _draw_dataset(data, min_exits=1)
         path = tmp_path_factory.mktemp("jsonl") / "ds.jsonl"
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(confidence, "JSONL_BLOCK", block)
             save_jsonl(ds, path)
         assert path.read_text() == _reference_jsonl(ds)
+
+    # repr text of a float64 reads back to the same bits, across reader blocks
+    @given(data=st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_roundtrip_on_any_numbers(self, tmp_path_factory, data):
+        ds, block = _draw_dataset(data, min_exits=2)
+        path = tmp_path_factory.mktemp("jsonl") / "ds.jsonl"
+        save_jsonl(ds, path)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(confidence, "JSONL_BLOCK", block)
+            _assert_same(load_jsonl(path), ds)
+
+    # the same file read whole and in blocks, with whole numbers in some records
+    # written as JSON integers and blank lines between records
+    @given(data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_blocks_match_the_whole_file_reader(self, tmp_path_factory, data):
+        ds, block = _draw_dataset(data, min_exits=2)
+        lines = []
+        for line in _reference_jsonl(ds).splitlines():
+            if data.draw(st.booleans(), label="integers"):
+                row = json.loads(line)
+                row["z"] = [int(v) if v.is_integer() else v for v in row["z"]]
+                line = json.dumps(row)
+            lines += [""] * data.draw(st.integers(0, 1), label="blank") + [line]
+        path = tmp_path_factory.mktemp("jsonl") / "ds.jsonl"
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(confidence, "JSONL_BLOCK", block)
+            _assert_same(load_jsonl(path), _whole_file_load(path))
+
+    # a small block puts line 1 in the one-record first block and line 7 in a later one
+    @pytest.mark.parametrize("line", [1, 7])
+    @pytest.mark.parametrize("fault", _FAULTS)
+    def test_malformed_file_is_refused_in_any_block(self, tmp_path, fault, line):
+        path = _faulty_file(tmp_path, _FAULTS[fault], line)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(confidence, "JSONL_BLOCK", 26)
+            with pytest.raises(ValueError):
+                load_jsonl(path)
+        if fault != "string":           # the whole-file reader converts numeric strings
+            with pytest.raises(ValueError):
+                _whole_file_load(path)
+
+    # np.asarray turns ["0.5", 0.25] into text and ConfidenceDataset the text into floats
+    @pytest.mark.parametrize("line,where", [(1, "line 1"), (7, "lines 6-7")])
+    @pytest.mark.parametrize("field", _STRINGS)
+    def test_json_strings_rejected(self, tmp_path, field, line, where):
+        path = _faulty_file(tmp_path, _STRINGS[field], line)
+        rule = "labels must be integers" if field == "label" else f"{field} must hold numbers"
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(confidence, "JSONL_BLOCK", 26)
+            with pytest.raises(ValueError, match=f"{where}: {rule}"):
+                load_jsonl(path)
 
     # every third logit repeated, or nearly all distinct like a real network's
     @pytest.mark.parametrize("stride", [3, 1000])
@@ -387,15 +591,20 @@ class TestJsonl:
     def test_writer_memory_is_one_block(self, tmp_path):
         ds = generate_synthetic(np.random.default_rng(1), default_spec(), 1000,
                                 with_logits=True)
-        tracemalloc.start()
-        try:
-            base = tracemalloc.get_traced_memory()[0]
+        with _traced_peak() as peak:
             save_jsonl(ds, tmp_path / "ds.jsonl")
-            peak = tracemalloc.get_traced_memory()[1] - base
-        finally:
-            tracemalloc.stop()
         # a whole-file build holds every word of the 12 MB file at once
-        assert peak < 2 * 2 ** 20
+        assert peak[0] < 2 * 2 ** 20
+
+    def test_reader_memory_is_the_arrays_and_one_block(self, tmp_path):
+        ds = generate_synthetic(np.random.default_rng(1), default_spec(), 1000,
+                                with_logits=True)
+        save_jsonl(ds, tmp_path / "ds.jsonl")
+        with _traced_peak() as peak:
+            load_jsonl(tmp_path / "ds.jsonl")
+        # the blocks and the joined arrays take 9.6 MB; the whole file as
+        # Python lists takes about 25 MB
+        assert peak[0] < 11 * 2 ** 20
 
     def test_roundtrip_without_logits(self, tmp_path):
         ds = generate_synthetic(np.random.default_rng(6), default_spec(), 16)
