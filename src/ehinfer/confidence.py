@@ -56,9 +56,10 @@ class ConfidenceDataset:
                 raise ValueError(f"labels must be integers, not {labels.dtype}")
             if labels.shape != (z.shape[0],):
                 raise ValueError("labels must be (n_records,)")
-            n_classes = np.inf if logits is None else logits.shape[2]
-            if not np.all((labels >= 0) & (labels < n_classes)):
-                raise ValueError(f"labels must lie in [0, {n_classes})")
+            # without logits the bound is the int64 maximum, so uint64 labels cannot wrap
+            top = np.iinfo(np.int64).max if logits is None else logits.shape[2] - 1
+            if not np.all((labels >= 0) & (labels <= top)):
+                raise ValueError(f"labels must lie in [0, {top}]")
             labels = np.ascontiguousarray(labels, dtype=np.int64)
         for arr in (z, correct, logits, labels):
             if arr is not None:
@@ -393,6 +394,8 @@ def load_jsonl(path):
             row, end = _DECODER.raw_decode(line)
             if end != len(line):
                 raise ValueError(f"line {i}: data after the record")
+            if type(row) is not dict:
+                raise ValueError(f"line {i}: a record must be a JSON object")
             # records hold no strings and no key holds a "u" or an "f", so a line
             # without them holds no true or false; one letter is a fast search
             if "u" in line or "f" in line:

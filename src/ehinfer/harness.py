@@ -24,19 +24,20 @@ update on its summed arrivals, an incremental epoch slot by slot. DQN
 training evaluates its network through the same `simulate`. The exact
 exit analyses read the models the controllers were solved on: the
 IncIAgEE slot chain for incremental policies, and the oracle solution's
-continuation for the oracle.
+continuation for the oracle. `exit_probability_matrix` walks the slot
+chain's sparse transition matrix, and `sweep` with jobs > 1 runs its cells
+in a process pool; each imports scipy.sparse or the pool itself, so the
+rest of the harness loads neither.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from itertools import product
 
 import numpy as np
-import scipy.sparse as sp
 
 from . import dqn as dqn_mod
 from . import mdp as mdp_mod
@@ -485,6 +486,8 @@ def exit_probability_matrix(policy, env):
     unless policy is a pause/proceed table of env, and InfeasibleAction if
     it proceeds where the battery cannot pay for the next mode.
     """
+    import scipy.sparse as sp
+
     actions = _action_table(policy, env, True)
     bad = np.flatnonzero(_unaffordable(actions, env, True))
     if len(bad):
@@ -646,6 +649,8 @@ def sweep(grid, kinds, dataset, eps=1e-6, jobs=1):
     args = [(grid, cell, tuple(kinds), dataset.z, dataset.correct, eps)
             for cell in cells]
     if jobs > 1:
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             per_cell = list(pool.map(_sweep_cell, args))
     else:

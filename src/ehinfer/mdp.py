@@ -11,16 +11,24 @@ Solved tables are plain arrays in state-index order: values (S,), action
 values (S, A) and policies (S,) of action indices. States are named only
 in artifact files, by the keys of `state_keys`; `by_key` reads each
 stored value back by its key.
+
+A model's transition matrix is a `_sparse.TransitionMatrix`, a CSR array.
+scipy.sparse is imported by the code that builds one (`FiniteMdp` and the
+two builders), not by this module, so a command that builds no model never
+loads it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 import numpy as np
-import scipy.sparse as sp
 
 from .env import read_artifact, write_json
+
+if TYPE_CHECKING:
+    from ._sparse import TransitionMatrix
 
 
 class SingularEvaluation(RuntimeError):
@@ -29,14 +37,6 @@ class SingularEvaluation(RuntimeError):
 
 class NotConverged(RuntimeError):
     """An iterative solver used up max_iter before reaching its tolerance."""
-
-
-class TransitionMatrix(sp.csr_array):
-    """CSR transition matrix; nbytes, as on an ndarray, is its stored size."""
-
-    @property
-    def nbytes(self):
-        return self.data.nbytes + self.indices.nbytes + self.indptr.nbytes
 
 
 @dataclass(frozen=True)
@@ -56,6 +56,10 @@ class FiniteMdp:
     discount: float
 
     def __post_init__(self):
+        # here and in the builders, not at the top: see the module docstring
+        import scipy.sparse as sp
+        from ._sparse import TransitionMatrix
+
         r = np.ascontiguousarray(self.reward, dtype=float)
         f = np.ascontiguousarray(self.feasible, dtype=bool)
         if r.ndim != 2 or f.shape != r.shape:
@@ -251,6 +255,8 @@ def build_mms_mdp(env, rho):
     Action k runs mode k for the whole epoch; reward is its average
     accuracy rho[k]; feasible iff its full cost fits the battery.
     """
+    import scipy.sparse as sp
+
     rho = _accuracies(env, rho)
     n_s = env.n_states
     n_a = env.n_modes
@@ -274,6 +280,8 @@ def build_inc_iag_mdp(env, rho):
     epoch return shows up gamma_slot**(T-1) later than in the one-shot
     model.
     """
+    import scipy.sparse as sp
+
     rho = _accuracies(env, rho)
     k, t = env.n_modes, env.epoch.T
     n_s = env.n_states * k * t

@@ -723,6 +723,18 @@ class TestCalibrate:
         err = calibrate_edited(sandbox, capsys, field, value)
         assert "bad dataset" in err and f"{field} must hold numbers" in err
 
+    # ["fu"] and null once ended in an AttributeError traceback (exit 1)
+    @pytest.mark.parametrize("line", ['["fu"]', '"fu"', "5", "null"])
+    def test_line_that_is_not_an_object_is_input_error(self, sandbox, capsys, line):
+        lines = gen(sandbox, n=10).read_text().splitlines()
+        lines[3] = line
+        (sandbox / "bad.jsonl").write_text("\n".join(lines) + "\n")
+        assert main(["calibrate", "--dataset", "bad.jsonl", "--tau", "0.5",
+                     "--out", "cal.jsonl"]) == 2
+        err = capsys.readouterr().err
+        assert "bad dataset" in err and "line 4: a record must be a JSON object" in err
+        assert not (sandbox / "cal.jsonl").exists()
+
     # each line must hold exactly one JSON document
     @pytest.mark.parametrize("edit", [
         lambda lines: lines[:3] + [lines[3] + " " + lines[4]] + lines[5:],
@@ -854,13 +866,50 @@ class TestLibraryDefaults:
         assert summary["spec"] == json.loads(json.dumps(asdict(default_spec())))
 
 
-def test_import_leaves_scipy_special_out():
-    # scipy.special costs about a quarter of the command line's import time
+def fresh(code, *args, cwd=None):
+    """The last stdout line of code run in a fresh interpreter, split into words."""
     src = str(Path(__file__).resolve().parent.parent / "src")
-    code = "import sys, ehinfer.cli; print('scipy.special' in sys.modules)"
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                         env={**os.environ, "PYTHONPATH": src}, check=True)
-    assert out.stdout.strip() == "False"
+    out = subprocess.run([sys.executable, "-c", code, *args], capture_output=True, text=True,
+                         cwd=cwd, env={**os.environ, "PYTHONPATH": src}, check=True)
+    return out.stdout.splitlines()[-1].split()
+
+
+def test_import_leaves_scipy_special_out():
+    # scipy.special and scipy.sparse take about half the command line's import
+    # time; the process pool is for sweep --jobs alone
+    lazy = ("scipy.special", "scipy.sparse", "concurrent.futures")
+    code = f"import sys, ehinfer.cli; print(*(m in sys.modules for m in {lazy}))"
+    assert fresh(code) == ["False"] * 3
+
+
+class TestFreshProcess:
+    """The test process has imported scipy.sparse already, so only a fresh
+    interpreter shows which commands load it."""
+
+    def run(self, sandbox, *argv):
+        code = ("import sys; from ehinfer.cli import main; rc = main(sys.argv[1:]); "
+                "print(rc, 'scipy.sparse' in sys.modules)")
+        return fresh(code, *argv, cwd=sandbox)
+
+    def test_gen_data_leaves_scipy_sparse_out(self, sandbox):
+        argv = ["gen-data", "--n", "50", "--seed", "1", "--out", "ds.jsonl"]
+        assert self.run(sandbox, *argv) == ["0", "False"]
+
+    def test_simulate_mms_leaves_scipy_sparse_out(self, sandbox):
+        ds = gen(sandbox)
+        assert main(["solve", "--kind", "mms", "--env", "env.json",
+                     "--dataset", str(ds), "--out", "mms.json"]) == 0
+        argv = ["simulate", "--env", "env.json", "--dataset", str(ds), "--controller", "mms",
+                "--policy", "mms.json", "--episodes", "2", "--epochs", "100",
+                "--seed", "0", "--out", "r.csv"]
+        assert self.run(sandbox, *argv) == ["0", "False"]
+
+    def test_solve_inc_iag_writes_the_in_process_bytes(self, sandbox):
+        argv = ["solve", "--kind", "inc-iag", "--env", "env.json",
+                "--rho", "0.005,0.53,0.69,0.83", "--out"]
+        assert self.run(sandbox, *argv, "fresh.json") == ["0", "True"]
+        assert main(argv + ["here.json"]) == 0
+        assert (sandbox / "fresh.json").read_bytes() == (sandbox / "here.json").read_bytes()
 
 
 class TestFailureMap:

@@ -134,6 +134,15 @@ class TestDatasetContainer:
         with pytest.raises(ValueError, match="lie in"):
             ConfidenceDataset(np.full((2, 2), 0.5), np.zeros((2, 2)), None, [0, -3])
 
+    def test_labels_above_the_int64_maximum_rejected(self):
+        # an int64 cast would wrap 2**63 + 1 to -(2**63 - 1)
+        top = np.iinfo(np.int64).max
+        z, correct = np.full((2, 2), 0.5), np.zeros((2, 2))
+        with pytest.raises(ValueError, match="lie in"):
+            ConfidenceDataset(z, correct, None, np.array([0, top + 2], dtype=np.uint64))
+        ds = ConfidenceDataset(z, correct, None, np.array([0, top], dtype=np.uint64))
+        assert ds.labels.tolist() == [0, top]
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_logit_rejected(self, bad):
         logits = np.zeros((2, 1, 3))
@@ -605,6 +614,22 @@ class TestJsonl:
         # the blocks and the joined arrays take 9.6 MB; the whole file as
         # Python lists takes about 25 MB
         assert peak[0] < 11 * 2 ** 20
+
+    # a list or a string with a "u" or an "f" once reached row.get (AttributeError),
+    # a number or null a subscript (TypeError)
+    @pytest.mark.parametrize("line", ['["fu"]', '"fu"', "5", "null"])
+    def test_line_that_is_not_an_object_rejected(self, tmp_path, line):
+        path = tmp_path / "ds.jsonl"
+        path.write_text('{"z": [0.25, 0.5], "correct": [0, 1]}\n' + line + "\n")
+        with pytest.raises(ValueError, match="line 2: a record must be a JSON object"):
+            load_jsonl(path)
+
+    def test_label_above_the_int64_maximum_rejected(self, tmp_path):
+        # numpy reads it as uint64, which an int64 cast wrapped to -(2**63 - 1)
+        path = tmp_path / "ds.jsonl"
+        path.write_text('{"z": [0.25, 0.5], "correct": [0, 1], "label": 9223372036854775809}\n')
+        with pytest.raises(ValueError, match="labels must lie in"):
+            load_jsonl(path)
 
     def test_roundtrip_without_logits(self, tmp_path):
         ds = generate_synthetic(np.random.default_rng(6), default_spec(), 16)

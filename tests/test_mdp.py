@@ -350,6 +350,11 @@ class TestSparseIncModel:
             # one tie rule: the saved policy does not depend on the solver
             assert np.array_equal(pol, pol_ref), build.__name__
 
+    def test_nbytes_is_the_stored_size(self):
+        # the benchmark's mdp.build_inc_iag_mdp.dense_bytes reads this property
+        t = build_inc_iag_mdp(reference_env(b_max=100), RHO).transition
+        assert t.nbytes == t.data.nbytes + t.indices.nbytes + t.indptr.nbytes == 251_144
+
     def test_build_stays_small_at_b_max_300(self):
         env = reference_env(b_max=300)      # dense tensor would be 835 MB
         tracemalloc.start()
