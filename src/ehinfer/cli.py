@@ -170,6 +170,13 @@ def cmd_solve(args):
 
 # --------------------------------------------------------------- train-dqn
 
+def _train_config(**fields):
+    try:
+        return dqn_mod.TrainConfig(**fields)
+    except ValueError as ex:
+        raise CliExit(EXIT_TRAINING, f"bad training configuration: {ex}")
+
+
 def cmd_train_dqn(args):
     seed = _resolve_seed(args.seed)
     _check_writable(args.out)
@@ -182,6 +189,8 @@ def cmd_train_dqn(args):
         "dataset_fingerprint": oracle_mod.dataset_fingerprint(ds),
     }
     if args.steps == 0:
+        # the checkpoint's meta records the lr, so it is checked here too
+        _train_config(mode=args.mode, lr=args.lr)
         env.check_exits(ds.n_exits)     # dqn.train checks it on the other path
         rng = np.random.default_rng(seed)
         if args.mode == "incremental":
@@ -194,15 +203,11 @@ def cmd_train_dqn(args):
         dqn_mod.save_checkpoint(net, args.out, env, meta=meta)
         dqn_mod.save_curve([], curve_path, meta=meta)
         return 0
-    try:
-        cfg = dqn_mod.TrainConfig(
-            mode=args.mode, lr=args.lr, total_steps=args.steps,
-            batch_size=args.batch_size, buffer_capacity=args.buffer,
-            target_sync=args.target_sync, eps_decay_steps=args.eps_decay,
-            eval_every=args.eval_every, eval_epochs=args.eval_epochs,
-            seed=seed)
-    except ValueError as ex:
-        raise CliExit(EXIT_TRAINING, f"bad training configuration: {ex}")
+    cfg = _train_config(
+        mode=args.mode, lr=args.lr, total_steps=args.steps,
+        batch_size=args.batch_size, buffer_capacity=args.buffer,
+        target_sync=args.target_sync, eps_decay_steps=args.eps_decay,
+        eval_every=args.eval_every, eval_epochs=args.eval_epochs, seed=seed)
     net, curve = dqn_mod.train(env, ds, cfg)
     dqn_mod.save_checkpoint(net, args.out, env, meta=meta)
     dqn_mod.save_curve(curve, curve_path, meta=meta)

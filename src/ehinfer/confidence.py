@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .env import json_number
+from .env import check_positive, json_number
 
 
 class EmptyDataset(ValueError):
@@ -240,8 +240,7 @@ def distort_calibration(dataset, tau):
     untouched, so the distorted dataset is miscalibrated by construction.
     The free exit is left alone.
     """
-    if tau <= 0:
-        raise ValueError("tau must be positive")
+    check_positive("tau", tau)
     z = dataset.z.copy()
     k_exits = dataset.n_exits
     for k in range(1, k_exits):

@@ -19,7 +19,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .env import json_number, read_artifact, stationary_distribution, write_csv, write_json
+from .env import (check_positive, json_number, read_artifact, stationary_distribution,
+                  write_csv, write_json)
 
 
 class DimensionMismatch(ValueError):
@@ -251,8 +252,7 @@ class TrainConfig:
             raise ValueError("mode must be 'incremental' or 'oneshot'")
         for name in ("lr", "batch_size", "buffer_capacity", "target_sync",
                      "eps_decay_steps", "total_steps", "eval_every", "eval_epochs"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
+            check_positive(name, getattr(self, name))
         if self.warmup < 0:
             raise ValueError("warmup must be nonnegative")
 

@@ -50,6 +50,13 @@ def json_number(name, value, integer=False):
     return value
 
 
+def check_positive(name, value):
+    """value if it is a finite number above 0; else (NaN too) ValueError."""
+    if not 0 < value < math.inf:
+        raise ValueError(f"{name} must be positive and finite, got {value!r}")
+    return value
+
+
 def read_json(path):
     """The JSON object in path; any other JSON value is a ValueError."""
     with open(path) as fh:

@@ -11,16 +11,15 @@ evaluated under the same seed face identical arrival and environment-state
 paths. No decision changes those paths, so it draws them whole before the
 rollout (`env.exogenous_paths`, which walks the weather in blocks of about
 sqrt(slots) slots) and then steps every episode together through the
-decisions and the battery alone. A table controller (MmS, FixedMode,
-IncIAgEE) is a fixed map from state to action, so the rollout walks it as
-that closed loop: one gather per epoch (one-shot) or slot (incremental)
-from a table of next states built once per rollout, with the outage, exit
-counts and feasibility check taken after the walk. The oracle is walked
-over the same state rows: per epoch, one gather of its masked
-continuation, an add of the record's confidences, an argmax and one
-gather of the next row. The DQN and RandomFeasible controllers are asked
-for their decisions: a one-shot epoch with one decision and one battery
-update on its summed arrivals, an incremental epoch slot by slot. DQN
+decisions and the battery alone. Every controller is walked over the
+env's state rows: once per rollout a table of next rows per arrival count
+and action is built, and an epoch (one-shot, on its summed arrivals) or a
+slot (incremental) is one gather from it, with the outage, exit counts and
+feasibility check taken after the walk. The kinds differ only in how a
+step picks its actions: a table controller (MmS, FixedMode, IncIAgEE) has
+its actions composed into the table, the oracle takes the argmax of the
+record's confidences plus its masked continuation, and the DQN and
+RandomFeasible controllers are asked through decide or decide_sub. DQN
 training evaluates its network through the same `simulate`. The exact
 exit analyses read the models the controllers were solved on: the
 IncIAgEE slot chain for incremental policies, and the oracle solution's
@@ -43,8 +42,8 @@ from . import dqn as dqn_mod
 from . import mdp as mdp_mod
 from . import oracle as oracle_mod
 from .confidence import exit_accuracy
-from .env import (IncompatibleController, InfeasibleAction, battery_step, energy_rate,
-                  json_number, stationary_distribution, two_state_env, write_csv)
+from .env import (IncompatibleController, InfeasibleAction, battery_step, check_positive,
+                  energy_rate, json_number, stationary_distribution, two_state_env, write_csv)
 
 
 def _action_table(policy, env, incremental):
@@ -65,15 +64,16 @@ def _action_table(policy, env, incremental):
     return actions
 
 
-def _unaffordable(actions, env, incremental):
-    """Where a checked action table picks a mode (one-shot) or a step (incremental;
-    the last mode's step too) that its state's battery cannot pay for."""
+def _unaffordable(env, incremental):
+    """(row, action) mask of the actions a state's battery cannot pay for: a
+    mode of a (b, h) row (one-shot), or a step of a (b, h, xi, tau) row
+    (incremental; the last mode's step too)."""
     b = env.state_coords()[0]
     if incremental:
-        steps = actions.reshape(env.n_states, env.n_modes, env.epoch.T) == 1
-        xi = np.arange(env.n_modes)[:, None]
-        return (steps & ~env.can_proceed(b[:, None, None], xi)).ravel()
-    return ~env.affordable(b)[np.arange(env.n_states), actions]
+        mask = np.zeros((env.n_states, env.n_modes, env.epoch.T, 2), dtype=bool)
+        mask[..., 1] = ~env.can_proceed(b[:, None, None], np.arange(env.n_modes)[:, None])
+        return mask.reshape(-1, 2)
+    return ~env.affordable(b)
 
 
 class MmsController:
@@ -201,15 +201,12 @@ def _rollout(controller, dataset, b, h, rec_idx, u_h, u_e, u_dec):
     weather and arrival from u_h[i, n, tau] and u_e[i, n, tau]; u_dec[i, n]
     is the controller's private uniform. No decision changes the weather or
     the arrivals, so env.exogenous_paths draws them for every slot first,
-    walking the weather in blocks. A table controller (MmS, FixedMode,
-    IncIAgEE) is then walked as the closed-loop map it is, one gather per
-    epoch or slot (_table_walk), and the oracle over the same state rows,
-    one masked argmax and one gather per epoch (_oracle_walk); any other is
-    asked for its decisions (_decision_walk). Raises ValueError unless every
-    start is a state of the env, InfeasibleAction if a controller picks a
-    mode or a step the battery cannot pay for, at the earliest epoch and
-    slot for the first episode, and IncompatibleController unless the
-    dataset fits the controller's env.
+    walking the weather in blocks. _walk then steps every controller over
+    the env's state rows, one tabled next row per epoch or slot. Raises
+    ValueError unless every start is a state of the env, InfeasibleAction
+    if a controller picks a mode or a step the battery cannot pay for, at
+    the earliest epoch and slot for the first episode, and
+    IncompatibleController unless the dataset fits the controller's env.
 
     Returns per-episode (hits (E,), exit histogram (E, K), energy used,
     overflow, outage (E,)).
@@ -224,13 +221,7 @@ def _rollout(controller, dataset, b, h, rec_idx, u_h, u_e, u_dec):
         raise ValueError(f"start states must be integers 0 <= b <= {b_max} "
                          f"and 0 <= h < {env.n_h}")
     weather, arrivals = env.exogenous_paths(h, u_h, u_e)
-    if isinstance(controller, (MmsController, FixedModeController, IncTableController)):
-        modes, outage, b = _table_walk(controller, b0, weather, arrivals)
-    elif isinstance(controller, OracleController):
-        modes, outage, b = _oracle_walk(controller, dataset, b0, weather, arrivals, rec_idx)
-    else:
-        modes, outage, b = _decision_walk(controller, dataset, b0, weather, arrivals,
-                                          rec_idx, u_dec)
+    modes, outage, b = _walk(controller, dataset, b0, weather, arrivals, rec_idx, u_dec)
     costs = env._tables["cost"]
     # cost[0] is 0, so an epoch spends the cost of the mode it ends in
     energy = costs[modes].sum(axis=1)
@@ -242,170 +233,110 @@ def _rollout(controller, dataset, b, h, rec_idx, u_h, u_e, u_dec):
     return hits, hist, energy, overflow, outage
 
 
-def _table_walk(controller, b, weather, arrivals):
-    """(modes (E, N), outage (E,), final battery (E,)) of a table controller.
+def _walk(controller, dataset, b, weather, arrivals, rec_idx, u_dec):
+    """(modes (E, N), outage (E,), final battery (E,)) of any controller.
 
-    A table row is a state: (b, h) one-shot, (b, h, xi, tau) incremental.
-    The walk carries the row with the weather and slot set to 0, q; the
-    harvesting paths give the weather and the slot, so adding them gives the
-    row j. The next q after arrivals e is a function of j and e alone,
-    tabled once per rollout as after[e * n + j]: the battery after the spend
-    and the arrivals, and the mode reached (0 again once an epoch ends). So a
-    step, an epoch one-shot (on its summed arrivals) or a slot incremental,
-    is one add and one gather. A row whose action the battery cannot pay for
-    walks on with the battery floored at 0; every trajectory is exact up to
-    the earliest such step, where the search after the walk raises.
+    A row is a state: (b, h) one-shot, (b, h, xi, tau) incremental. A step
+    is an epoch one-shot (on its summed arrivals) or a slot incremental. The
+    walk carries the row with the weather and slot set to 0, q; the
+    harvesting paths give each step's weather, slot and arrival count e, so
+    its row is q plus an offset and indexes after[e * n + row, action], the
+    next q: the battery after the spend and the arrivals, and the mode
+    reached (0 again once an epoch ends). The kinds differ only in how a
+    step picks its actions. A table controller's actions are composed into
+    after once, so its step is one add and one gather. The oracle takes the
+    argmax of z plus its row's masked continuation (oracle._scores at a
+    zero confidence row). Any other controller is asked: decide once per
+    epoch, at the weather of its first slot, or decide_sub once per slot,
+    with arrays of every episode. An action the battery cannot pay for walks
+    on with the battery floored at 0 (a step past the last mode stays at
+    it); every trajectory is exact up to the earliest such step, where the
+    search after the walk raises, for the first episode.
     """
     env = controller.env
-    actions, incremental = controller.actions, controller.incremental
-    n, k, t_slots = len(actions), env.n_modes, env.epoch.T
-    b_max, cost = env.battery.b_max, env._tables["cost"]
-    level = env.state_coords()[0]                   # the battery level of every row
-    if incremental:
-        grid = (env.n_states, k, t_slots)
-        level = np.broadcast_to(level[:, None, None], grid).ravel()
-        xi = np.broadcast_to(np.arange(k)[:, None], grid).ravel()
-        ends = np.broadcast_to(np.arange(t_slots) == t_slots - 1, grid).ravel()
-        # a step past the last mode is refused after the walk, but walks on in range
-        reached = np.minimum(xi + actions, k - 1)
-        steps = arrivals.reshape(len(arrivals), -1)
-        e = np.arange(env.arrivals.e_max + 1)[:, None]
-        after = mdp_mod.inc_state_index(
-            env, battery_step(level, cost[reached] - cost[xi], e, b_max), 0,
-            np.where(ends, 0, reached), 0)
-        offset = mdp_mod.inc_state_index(env, 0, weather[:, :-1].astype(np.int64), 0,
-                                         np.arange(steps.shape[1]) % t_slots)
-        q = mdp_mod.inc_state_index(env, b, 0, 0, 0)
-    else:
-        steps = arrivals.sum(axis=2, dtype=np.int64)
-        e = np.arange(env.arrivals.e_max * t_slots + 1)[:, None]
-        after = env.state_index(battery_step(level, cost[actions], e, b_max), 0)
-        offset = env.state_index(0, weather[:, :-1:t_slots].astype(np.int64))
-        q = env.state_index(b, 0)
-    after = after.ravel()
-    rows = steps.T.astype(np.int64, order="C")      # (steps, E), a step's row contiguous
-    rows *= n
-    rows += offset.T
-    for row in rows:
-        row += q
-        q = after[row]
-    j = rows % n
-    bad = _unaffordable(actions, env, incremental)[j]
-    if bad.any():
-        jm = j.flat[np.argmax(bad)]     # the earliest step, the first episode
-        raise InfeasibleAction(
-            f"{controller.kind} proceed at b={level[jm]}, xi={xi[jm]}" if incremental
-            else f"{controller.kind} chose mode {actions[jm]} at b={level[jm]}")
-    if incremental:
-        starts, last = j[::t_slots], j[t_slots - 1::t_slots]
-        modes = xi[last] + actions[last]
-    else:
-        starts, modes = j, actions[j]
-    return modes.T, _outage(env, level[starts]), level[q]
-
-
-def _oracle_walk(controller, dataset, b, weather, arrivals, rec_idx):
-    """(modes (E, N), outage (E,), final battery (E,)) of an OracleController.
-
-    The oracle's choice is the argmax of z plus its row's masked
-    continuation (oracle._scores at a zero confidence row: -inf where the
-    battery cannot pay), so it is walked over state rows as _table_walk
-    walks a one-shot table. The walk carries q, the row of the battery with
-    the weather set to 0. An epoch's row is q plus its start weather plus
-    e * n, e its summed arrivals, so the masked continuation is tabled once
-    per e and the next q per (row, mode). An epoch is then one add for the
-    row, a gather of its scores, an add of z, an argmax and a gather of the
-    next q. cost[0] is 0 and z is finite, so mode 0 always outscores the
-    -inf of a mode the battery cannot pay for: every choice is affordable,
-    and no check is needed.
-    """
-    env = controller.env
-    n, t_slots = env.n_states, env.epoch.T
+    incremental = controller.incremental
+    k, t_slots = env.n_modes, env.epoch.T
     b_max, cost = env.battery.b_max, env._tables["cost"]
     level, h = env.state_coords()
-    e = np.arange(env.arrivals.e_max * t_slots + 1)
-    cm = oracle_mod._scores(env, controller.solution.continuation, level, h,
-                            np.zeros((n, env.n_modes)))
-    cm = np.tile(cm, (len(e), 1))                   # (e * n + row, K)
-    after = env.state_index(battery_step(level[:, None], cost, e[:, None, None], b_max), 0)
-    after = after.reshape(len(cm), -1)              # (e * n + row, K)
-    rows = arrivals.sum(axis=2, dtype=np.int64).T.copy()    # (N, E), an epoch's row contiguous
-    rows *= n
-    rows += env.state_index(0, weather[:, :-1:t_slots].astype(np.int64)).T
-    z = dataset.z[rec_idx.T]                        # (N, E, K)
-    modes = np.empty(rows.shape, dtype=np.intp)
-    q = env.state_index(b, 0)
-    for row, z_n, mode in zip(rows, z, modes):
-        row += q
-        scores = cm[row]
-        scores += z_n
-        scores.argmax(axis=1, out=mode)
-        q = after[row, mode]
-    return modes.T, _outage(env, level[rows % n]), level[q]
-
-
-def _outage(env, b):
-    """Per episode (E,), the epochs whose start battery b (N, E) cannot pay for mode 1."""
-    outage = np.zeros(b.shape[1], dtype=np.int64)
-    if env.n_modes > 1:
-        outage += (b < env._tables["cost"][1]).sum(axis=0)
-    return outage
-
-
-def _decision_walk(controller, dataset, b, weather, arrivals, rec_idx, u_dec):
-    """(modes (E, N), outage (E,), final battery (E,)) of a deciding controller.
-
-    A one-shot epoch makes one decide call, at the weather of its first
-    slot, and one battery update, on the epoch's summed arrivals. An
-    incremental epoch asks decide_sub at every slot; the slot spends the
-    step cost of its mode if the controller proceeds, and updates the
-    battery. Controllers see arrays: decide gets (b, h, z, u) of every
-    episode once per epoch, decide_sub (b, h, xi, tau, z_xi, u) once per
-    slot.
-    """
-    env = controller.env
-    n_ep, n_epochs, t_slots = arrivals.shape
-    costs, b_max = env._tables["cost"], env.battery.b_max
-    # ends in an int64-max sentinel, so proceeding from the last mode never fits
-    step_cost = env._tables["step_cost"]
-    rows = np.arange(n_ep)
-    outage = np.zeros(n_ep, dtype=np.int64)
-    modes = np.empty((n_ep, n_epochs), dtype=np.min_scalar_type(env.n_modes - 1))
-    if not controller.incremental:
-        # One update per epoch equals T slot updates with the spend in slot 0:
-        # arrivals are >= 0 and the check keeps the spend within b, so the floor
-        # at 0 never binds, and min(min(x + a, M) + a', M) = min(x + a + a', M).
-        epoch_arrivals = arrivals.sum(axis=2, dtype=np.int64)
-        starts = weather[:, :-1:t_slots].astype(np.int64)     # the weather at slot 0
-    for n in range(n_epochs):
-        z = dataset.z[rec_idx[:, n]]
-        if env.n_modes > 1:
-            outage += b < costs[1]
-        if controller.incremental:
-            # widened, as starts is: controllers add Python ints to h, which a
-            # narrow type may not hold
-            h = weather[:, n * t_slots:(n + 1) * t_slots].astype(np.int64)
-            mode = np.zeros(n_ep, dtype=np.int64)      # xi, the mode reached so far
-            for tau in range(t_slots):
-                alpha = controller.decide_sub(b, h[:, tau], mode, tau, z[rows, mode], u_dec[:, n])
-                spend = step_cost[mode] * alpha
-                bad = spend > b
-                if bad.any():
-                    i = np.flatnonzero(bad)[0]
-                    raise InfeasibleAction(
-                        f"{controller.kind} proceed at b={b[i]}, xi={mode[i]}")
-                mode = mode + alpha
-                b = battery_step(b, spend, arrivals[:, n, tau], b_max)
-        else:
-            mode = controller.decide(b, starts[:, n], z, u_dec[:, n])
-            spend = costs[mode]
-            bad = spend > b
-            if bad.any():
-                i = np.flatnonzero(bad)[0]
-                raise InfeasibleAction(f"{controller.kind} chose mode {mode[i]} at b={b[i]}")
-            b = battery_step(b, spend, epoch_arrivals[:, n], b_max)
-        modes[:, n] = mode
-    return modes, outage, b
+    if incremental:
+        grid = (env.n_states, k, t_slots)
+        level, h = (np.broadcast_to(x[:, None, None], grid).ravel() for x in (level, h))
+        xi = np.broadcast_to(np.arange(k)[:, None], grid).ravel()
+        ends = np.broadcast_to(np.arange(t_slots) == t_slots - 1, grid).ravel()
+        reached = np.minimum(xi[:, None] + np.arange(2), k - 1)     # (row, pause/proceed)
+        e = np.arange(env.arrivals.e_max + 1)[:, None, None]
+        after = mdp_mod.inc_state_index(
+            env, battery_step(level[:, None], cost[reached] - cost[xi, None], e, b_max), 0,
+            np.where(ends[:, None], 0, reached), 0)
+        steps, weather = arrivals.reshape(len(arrivals), -1), weather[:, :-1]
+        q = mdp_mod.inc_state_index(env, b, 0, 0, 0)
+    else:
+        e = np.arange(env.arrivals.e_max * t_slots + 1)[:, None, None]
+        after = env.state_index(battery_step(level[:, None], cost, e, b_max), 0)
+        steps, weather = arrivals.sum(axis=2, dtype=np.int64), weather[:, :-1:t_slots]
+        q = env.state_index(b, 0)
+    n, n_e = len(level), len(e)
+    after = after.reshape(n_e * n, -1)              # (e * n + row, action)
+    # each step's e * n plus its row less q, (steps, E) with a step's row
+    # contiguous, built in place: e * n adds e * (b_max + 1) to a row's battery
+    rows = steps.T.astype(np.int64, order="C")
+    rows *= env.n_states
+    rows += weather.T
+    if incremental:
+        rows *= k * t_slots
+        rows += np.arange(len(rows))[:, None] % t_slots
+    acts = None                                     # each step's action, (steps, E)
+    if isinstance(controller, (MmsController, FixedModeController, IncTableController)):
+        after = after[np.arange(len(after)), np.tile(controller.actions, n_e)]
+        for row in rows:
+            row += q
+            q = after[row]
+    elif isinstance(controller, OracleController):
+        acts = np.empty(rows.shape, dtype=np.intp)
+        cm = oracle_mod._scores(env, controller.solution.continuation, level, h,
+                                np.zeros((n, k)))
+        cm = np.tile(cm, (n_e, 1))                  # (e * n + row, K)
+        for row, z, act in zip(rows, dataset.z[rec_idx.T], acts):
+            row += q
+            scores = cm[row]
+            scores += z
+            scores.argmax(axis=1, out=act)
+            q = after[row, act]
+    else:
+        # in the narrowest type: a long rollout asks for many decisions
+        acts = np.empty(rows.shape, dtype=np.min_scalar_type(after.shape[1] - 1))
+        episodes = np.arange(len(q))
+        for s, (row, act) in enumerate(zip(rows, acts)):
+            row += q
+            j = row % n
+            epoch, tau = divmod(s, t_slots) if incremental else (s, 0)
+            if tau == 0:
+                z = dataset.z[rec_idx[:, epoch]]
+            if incremental:
+                xi_j = xi[j]
+                act[...] = controller.decide_sub(level[j], h[j], xi_j, tau, z[episodes, xi_j],
+                                                 u_dec[:, epoch])
+            else:
+                act[...] = controller.decide(level[j], h[j], z, u_dec[:, epoch])
+            q = after[row, act]
+    rows %= n
+    if acts is None:
+        acts = controller.actions[rows]
+    bad = _unaffordable(env, incremental)[rows, acts]
+    if bad.any():
+        first = np.argmax(bad)      # the earliest step, the first episode
+        jm = rows.flat[first]
+        raise InfeasibleAction(
+            f"{controller.kind} proceed at b={level[jm]}, xi={xi[jm]}" if incremental
+            else f"{controller.kind} chose mode {acts.flat[first]} at b={level[jm]}")
+    if incremental:
+        last = slice(t_slots - 1, None, t_slots)
+        starts, modes = rows[::t_slots], xi[rows[last]] + acts[last]
+    else:
+        starts, modes = rows, acts
+    # cost[0] is 0, so with a single mode no epoch is an outage
+    outage = (level[starts] < cost[min(1, k - 1)]).sum(axis=0)
+    return modes.T, outage, level[q]
 
 
 def simulate(controller, dataset, episodes, epochs, seed):
@@ -489,7 +420,7 @@ def exit_probability_matrix(policy, env):
     import scipy.sparse as sp
 
     actions = _action_table(policy, env, True)
-    bad = np.flatnonzero(_unaffordable(actions, env, True))
+    bad = np.flatnonzero(_unaffordable(env, True)[np.arange(len(actions)), actions])
     if len(bad):
         raise InfeasibleAction(f"policy proceeds at {mdp_mod.state_keys(env, True)[bad[0]]}")
     k, t, n = env.n_modes, env.epoch.T, len(actions)
@@ -529,7 +460,7 @@ def exit_probability_mms(policy, env):
     and InfeasibleAction if it picks a mode the battery cannot pay for.
     """
     actions = _action_table(policy, env, False)
-    bad = np.flatnonzero(_unaffordable(actions, env, False))
+    bad = np.flatnonzero(_unaffordable(env, False)[np.arange(len(actions)), actions])
     if len(bad):
         raise InfeasibleAction(
             f"policy chooses mode {actions[bad[0]]} at {mdp_mod.state_keys(env, False)[bad[0]]}")
@@ -643,8 +574,11 @@ def sweep(grid, kinds, dataset, eps=1e-6, jobs=1):
     oracle, as in `solve`. Network-based kinds are rejected: a sweep would
     have to train one network per cell, which is out of scope here. Cells
     run independently (optionally in parallel); row order is deterministic
-    in cell order.
+    in cell order. Raises ValueError, before any cell runs, unless eps is
+    positive and finite and jobs at least 1.
     """
+    check_positive("eps", eps)
+    _check_counts(jobs=jobs)
     cells = grid.cells()
     args = [(grid, cell, tuple(kinds), dataset.z, dataset.correct, eps)
             for cell in cells]

@@ -25,7 +25,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .env import read_artifact, write_json
+from .env import check_positive, read_artifact, write_json
 
 if TYPE_CHECKING:
     from ._sparse import TransitionMatrix
@@ -150,8 +150,7 @@ def fixed_point(operator, n, eps, max_iter, what):
     Returns (v, residuals), one residual per sweep. Raises NotConverged
     naming `what` when max_iter sweeps do not reach eps.
     """
-    if eps <= 0:
-        raise ValueError("eps must be positive")
+    check_positive("eps", eps)
     v = np.zeros(n)
     residuals = []
     for _ in range(max_iter):

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .env import json_number, read_artifact, write_json
+from .env import check_positive, json_number, read_artifact, write_json
 from .mdp import NotConverged, action_max, by_key, greedy, solve_affine_value, state_keys
 
 # records scored together by the policy-improvement step and the oracle exit
@@ -139,8 +139,7 @@ def solve_oracle(env, dataset, gamma=None, eps=1e-6, max_iter=10**5):
     stops once it is <= eps, or when improvement changes no choice. Raises
     NotConverged after max_iter evaluations.
     """
-    if eps <= 0:
-        raise ValueError("eps must be positive")
+    check_positive("eps", eps)
     gamma = env.epoch.discount_epoch if gamma is None else float(gamma)
     choices = np.zeros((len(dataset), env.n_states), dtype=np.min_scalar_type(env.n_modes - 1))
     reward, freq, *_ = _improve(env, dataset.z, np.zeros((env.n_modes, env.n_states)), choices)

@@ -305,13 +305,15 @@ class TestSolve:
         assert main(["solve", "--kind", "mms", "--env", "nope.json",
                      "--rho", "0.1,0.2,0.3,0.4", "--out", "x.json"]) == 2
 
+    # inf exited 0 after one sweep and wrote the policy; nan ran 10**6 sweeps
     @pytest.mark.parametrize("kind", ["inc-iag", "oracle"])
-    @pytest.mark.parametrize("eps", ["0", "-1e-6"])
+    @pytest.mark.parametrize("eps", ["0", "-1e-6", "-1", "inf", "nan"])
     def test_nonpositive_eps_is_input_error(self, sandbox, capsys, kind, eps):
         ds = gen(sandbox, n=200)
         assert main(["solve", "--kind", kind, "--env", "env.json", "--dataset", str(ds),
                      f"--eps={eps}", "--out", "x.json"]) == 2
         assert "eps must be positive" in capsys.readouterr().err
+        assert not (sandbox / "x.json").exists()
 
 
 class TestSimulate:
@@ -380,11 +382,16 @@ class TestTrainDqn:
                      "--steps", "100", flag, "0", "--seed", "0",
                      "--out", "net.json"]) == 4
 
-    def test_bad_learning_rate(self, sandbox):
+    def test_bad_learning_rate(self, sandbox, capsys):
+        # --lr nan trained NaN weights, and simulate refused the checkpoint
         ds = gen(sandbox, n=200)
-        assert main(["train-dqn", "--env", "env.json", "--dataset", str(ds),
-                     "--steps", "100", "--lr", "-1", "--seed", "0",
-                     "--out", "net.json"]) == 4
+        for steps in ("100", "0"):
+            for lr in ("-1", "nan", "inf"):
+                assert main(["train-dqn", "--env", "env.json", "--dataset", str(ds),
+                             "--steps", steps, "--lr", lr, "--seed", "0",
+                             "--out", "net.json"]) == 4
+                assert "lr must be positive and finite" in capsys.readouterr().err
+                assert not (sandbox / "net.json").exists()
 
     def test_periodic_chain_is_input_error(self, sandbox, capsys):
         # simulate refused this env with exit 2; training ended in a traceback
@@ -684,6 +691,16 @@ class TestCalibrate:
         summary = json.loads((sandbox / "cal.jsonl.summary.json").read_text())
         assert summary["tau"] > 0
 
+    # tau = inf exited 0 and wrote "tau": Infinity, which is not JSON
+    @pytest.mark.parametrize("tau", ["inf", "nan", "0"])
+    def test_tau_must_be_positive_and_finite(self, sandbox, capsys, tau):
+        ds = gen(sandbox, n=50)
+        assert main(["calibrate", "--dataset", str(ds), f"--tau={tau}",
+                     "--out", "warped.jsonl"]) == 2
+        assert "tau must be positive and finite" in capsys.readouterr().err
+        assert not (sandbox / "warped.jsonl").exists()
+        assert not (sandbox / "warped.jsonl.summary.json").exists()
+
     def test_fixed_tau_distorts(self, sandbox):
         ds = gen(sandbox)
         rc = main(["calibrate", "--dataset", str(ds), "--tau", "0.5",
@@ -832,6 +849,18 @@ class TestSweep:
                      "--kinds", "RandomFeasible", "--seed", "0",
                      "--out", "rows.csv"]) == 2
         assert match in capsys.readouterr().err
+        assert not (sandbox / "rows.csv").exists()
+
+    # --jobs 0 or -4 ran the cells serially
+    @pytest.mark.parametrize("jobs", ["0", "-4"])
+    def test_jobs_below_one_is_input_error(self, sandbox, capsys, jobs):
+        ds = gen(sandbox, n=50)
+        grid = sandbox / "grid.json"
+        grid.write_text(json.dumps({"b_max": [2], "episodes": 1, "epochs": 5}))
+        assert main(["sweep", "--grid", str(grid), "--dataset", str(ds),
+                     "--kinds", "RandomFeasible", f"--jobs={jobs}", "--seed", "0",
+                     "--out", "rows.csv"]) == 2
+        assert "jobs must be at least 1" in capsys.readouterr().err
         assert not (sandbox / "rows.csv").exists()
 
     def test_zero_episodes_is_input_error(self, sandbox):

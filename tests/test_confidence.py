@@ -363,8 +363,10 @@ class TestDistortion:
         assert shift[0] > shift[1] > shift[2]
 
     def test_bad_tau(self, big_dataset):
-        with pytest.raises(ValueError):
-            distort_calibration(big_dataset, 0.0)
+        # tau = inf set every informed confidence to 1/2
+        for tau in (0.0, -1.0, np.inf, np.nan):
+            with pytest.raises(ValueError, match="tau must be positive and finite"):
+                distort_calibration(big_dataset, tau)
 
     @given(tau=st.floats(0.25, 4.0))
     @settings(max_examples=20, deadline=None)

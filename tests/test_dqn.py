@@ -400,8 +400,10 @@ class TestTraining:
         assert curve[-1][1] == result.accuracy
 
     def test_config_validation(self):
-        with pytest.raises(ValueError):
-            TrainConfig(lr=-1e-4)
+        # a NaN lr trained a network of NaN weights
+        for lr in (-1e-4, np.nan, np.inf):
+            with pytest.raises(ValueError, match="lr must be positive and finite"):
+                TrainConfig(lr=lr)
         with pytest.raises(ValueError):
             TrainConfig(mode="tabular")
 

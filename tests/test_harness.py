@@ -171,8 +171,8 @@ class TestIncompatibilities:
         with pytest.raises(IncompatibleController):
             IncTableController(pol, env5)   # mms-sized table, inc controller
 
-    # the rollout gathers with these actions and spends step_cost[xi] * alpha,
-    # so a negative, out-of-range, boolean or fractional action must not get in
+    # the rollout gathers its next rows with these actions, so a negative,
+    # out-of-range, boolean or fractional action must not get in
     @pytest.mark.parametrize("bad", [-1, 4, True, 1.0])
     def test_mms_actions_must_be_modes(self, bad):
         env = fig_env(b_max=5)
@@ -532,6 +532,19 @@ class TestSweep:
                          b_max=(3,), seeds=(0,), episodes=1, epochs=10)
         sweep(grid, ("IncIAgEE", "OsIAwOracle"), dataset, eps=1e-5)
         assert seen == [("value_iteration", 1e-5), ("solve_oracle", 1e-5)]
+
+    # jobs < 1 ran serially, and a kind without a solver never saw eps
+    @pytest.mark.parametrize("bad,match", [
+        ({"jobs": 0}, "jobs must be at least 1"), ({"jobs": -4}, "jobs must be at least 1"),
+        ({"eps": np.nan}, "eps must be positive"), ({"eps": np.inf}, "eps must be positive")])
+    def test_bad_jobs_or_eps_rejected_before_any_cell(self, dataset, monkeypatch, bad, match):
+        ran = []
+        monkeypatch.setattr(harness, "_sweep_cell", ran.append)
+        grid = SweepGrid(p_g=(0.9,), p_b=(0.5,), pe_g=(0.8,), pe_b=(0.0,),
+                         b_max=(3,), seeds=(0,), episodes=1, epochs=10)
+        with pytest.raises(ValueError, match=match):
+            sweep(grid, ("MmS",), dataset, **bad)
+        assert ran == []
 
     def test_unknown_kind_rejected(self, dataset):
         grid = SweepGrid(p_g=(0.9,), p_b=(0.5,), pe_g=(0.8,), pe_b=(0.0,),

@@ -6,9 +6,12 @@ weather state and the arrival by `np.searchsorted` on the cumulative
 tables and clips the battery in plain Python. It calls the controllers
 with scalars, one decision at a time.
 
-The table controllers and the oracle are walked over state rows, without
-a decide call; the last test holds that walk to the decision loop every
-other controller runs.
+Every controller is walked over the env's state rows with one tabled
+next row per step. The kinds differ only in how a step picks its actions:
+a table controller's are composed into the table, the oracle takes its
+masked argmax, and any other controller is asked through decide or
+decide_sub. The last test holds the table and oracle steps to the asked
+step.
 """
 
 import numpy as np
@@ -247,6 +250,19 @@ class TopModeController:
         return np.full(np.shape(b), self.env.n_modes - 1)
 
 
+class AlwaysProceed:
+    """An incremental decider that proceeds at every slot, past the last mode too."""
+
+    kind = "AlwaysProceed"
+    incremental = True
+
+    def __init__(self, env):
+        self.env = env
+
+    def decide_sub(self, b, h, xi, tau, z_xi, u_dec):
+        return np.ones(np.shape(b), dtype=np.int64)
+
+
 def test_infeasible_choice_raises():
     env = two_state_env(0.9, 0.5, 0.0, 0.0, b_max=3)
     dataset = ConfidenceDataset(np.full((5, 4), 0.5), np.ones((5, 4)))
@@ -294,6 +310,7 @@ def test_infeasible_choices_raise_like_scalar_reference(case, seed):
     dataset = ConfidenceDataset(rng.random((40, k)), rng.integers(0, 2, (40, k)))
     for ctrl in (MmsController(rng.integers(k, size=env.n_states), env),
                  TopModeController(env),
+                 AlwaysProceed(env),
                  IncTableController(rng.integers(2, size=n_inc), env),
                  IncTableController(np.ones(n_inc, dtype=np.int64), env)):
         assert_raises_like_reference(ctrl, dataset, 3, 25, seed)
@@ -329,7 +346,8 @@ def test_single_mode_env_matches_scalar_reference():
 
 class DecideOnly:
     """A table or oracle controller seen only through decide or decide_sub,
-    so the rollout runs its decision loop on it instead of walking it."""
+    so the walk asks it for each step's actions instead of composing its
+    table or taking the oracle's argmax."""
 
     def __init__(self, ctrl):
         self.kind, self.incremental, self.env = ctrl.kind, ctrl.incremental, ctrl.env
@@ -376,6 +394,9 @@ def walked_controllers(env, dataset, rng):
 @example(case=(two_state_env(0.7, 0.4, 0.6, 0.2, b_max=5, costs=(0, 1, 1, 3), T=3),
                np.random.default_rng(2)), seed=7, episodes=3, epochs=25, ties=True)
 def test_table_walk_matches_decision_loop(case, seed, episodes, epochs, ties):
+    """The composed table step and the oracle's argmax step give what the
+    asked step gives on the same controller: episodes, exit counts and
+    InfeasibleAction messages."""
     env, rng = case
     k = env.n_modes
     # confidences of 0, 1/2 and 1 tie within and across records

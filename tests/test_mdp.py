@@ -119,6 +119,13 @@ class TestNotConverged:
         with pytest.raises(NotConverged):
             policy_iteration(mdp, max_iter=1)
 
+    # inf stopped after one sweep, and NaN ran every sweep before NotConverged
+    @pytest.mark.parametrize("eps", [np.inf, np.nan, 0.0, -1.0])
+    def test_tolerance_must_be_positive_and_finite(self, eps):
+        mdp = build_mms_mdp(two_state_env(0.9, 0.5, 0.8, 0.0, b_max=5), RHO)
+        with pytest.raises(ValueError, match="eps must be positive and finite"):
+            value_iteration(mdp, eps=eps, max_iter=10)
+
     def test_is_a_runtime_error(self):
         # the CLI maps RuntimeError to its solver-failure exit code
         assert issubclass(NotConverged, RuntimeError)

@@ -108,8 +108,10 @@ class TestSolve:
             solve_oracle(fig_env(b_max=3), dataset, eps=1e-8, max_iter=2)
 
     def test_bad_eps(self, dataset):
-        with pytest.raises(ValueError):
-            solve_oracle(fig_env(), dataset, eps=0.0)
+        # inf stopped after one evaluation with a residual far above any tolerance
+        for eps in (0.0, -1.0, np.inf, np.nan):
+            with pytest.raises(ValueError, match="eps must be positive and finite"):
+                solve_oracle(fig_env(), dataset, eps=eps, max_iter=2)
 
     def test_exit_count_mismatch(self):
         spec3 = SyntheticSpec(accuracies=(0.005, 0.55, 0.8), n_classes=200)
