@@ -16,7 +16,7 @@ import sys
 
 import numpy as np
 
-from .env import HarvestEnvironment, read_json, write_csv, write_json
+from .env import HarvestEnvironment, check_positive, read_json, write_csv, write_json
 from . import confidence as conf
 from . import mdp as mdp_mod
 from . import oracle as oracle_mod
@@ -114,6 +114,8 @@ def _rho_from_args(args):
 
 
 def cmd_solve(args):
+    # every kind takes --eps, although policy iteration (mms) has no tolerance
+    check_positive("eps", args.eps)
     env = _load_env(args.env)
     meta = {"env_fingerprint": env.fingerprint(), "kind": args.kind,
             "gamma": env.epoch.discount_epoch}
@@ -188,9 +190,14 @@ def cmd_train_dqn(args):
         "env_fingerprint": env.fingerprint(),
         "dataset_fingerprint": oracle_mod.dataset_fingerprint(ds),
     }
+    fields = dict(
+        mode=args.mode, lr=args.lr, batch_size=args.batch_size,
+        buffer_capacity=args.buffer, target_sync=args.target_sync,
+        eps_decay_steps=args.eps_decay, eval_every=args.eval_every,
+        eval_epochs=args.eval_epochs, seed=seed)
     if args.steps == 0:
-        # the checkpoint's meta records the lr, so it is checked here too
-        _train_config(mode=args.mode, lr=args.lr)
+        # the fields a run checks, at the default total_steps: 0 is no run length
+        _train_config(**fields)
         env.check_exits(ds.n_exits)     # dqn.train checks it on the other path
         rng = np.random.default_rng(seed)
         if args.mode == "incremental":
@@ -203,11 +210,7 @@ def cmd_train_dqn(args):
         dqn_mod.save_checkpoint(net, args.out, env, meta=meta)
         dqn_mod.save_curve([], curve_path, meta=meta)
         return 0
-    cfg = _train_config(
-        mode=args.mode, lr=args.lr, total_steps=args.steps,
-        batch_size=args.batch_size, buffer_capacity=args.buffer,
-        target_sync=args.target_sync, eps_decay_steps=args.eps_decay,
-        eval_every=args.eval_every, eval_epochs=args.eval_epochs, seed=seed)
+    cfg = _train_config(total_steps=args.steps, **fields)
     net, curve = dqn_mod.train(env, ds, cfg)
     dqn_mod.save_checkpoint(net, args.out, env, meta=meta)
     dqn_mod.save_curve(curve, curve_path, meta=meta)

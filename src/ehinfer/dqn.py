@@ -10,7 +10,11 @@ differences. All of a network's weights and biases are views into one flat
 vector; a training step writes its gradient into a preallocated network of
 the same layout and Adam updates the flat vector in place. Training
 evaluates the greedy network as a harness controller through
-`harness.simulate`, the same rollout every controller runs on.
+`harness.simulate`, the same rollout every controller runs on. There the
+controller holds the input of every state row, encoded once by
+`encode_inc` or `encode_os` at zero confidence; each rollout step gathers
+its episodes' rows, writes their confidences in, and runs one batched
+`_forward_cached` into per-layer arrays allocated once per rollout.
 """
 
 from __future__ import annotations
@@ -74,13 +78,17 @@ def forward(net, x):
     return _forward_cached(net, x)[-1]
 
 
-def _forward_cached(net, x):
-    """Activations of every layer, input first and Q-values last."""
+def _forward_cached(net, x, out=None):
+    """Activations of every layer, input first and Q-values last.
+
+    out, if given, holds one array per layer, (len(x), width) each, that
+    the layer's activations are written into instead of new arrays.
+    """
     acts = [x]
     a = x
     last = len(net.weights) - 1
     for i, (w, b) in enumerate(zip(net.weights, net.biases)):
-        a = a @ w
+        a = np.matmul(a, w, out=None if out is None else out[i])
         a += b
         if i < last:
             np.maximum(a, 0.0, out=a)
@@ -306,7 +314,8 @@ def train(env, dataset, cfg):
     gamma = env.epoch.discount_slot if inc else env.epoch.discount_epoch
     net = QNetwork.create(rng, dim, n_actions)
     target = net.copy()
-    buf = ReplayBuffer(cfg.buffer_capacity, dim, n_actions)
+    # a run of total_steps pushes never wraps a ring of as many rows
+    buf = ReplayBuffer(min(cfg.buffer_capacity, cfg.total_steps), dim, n_actions)
     opt = Adam(net.flat, lr=cfg.lr)
     grads = net.copy()
     pi0 = stationary_distribution(env.chain)

@@ -18,15 +18,16 @@ slot (incremental) is one gather from it, with the outage, exit counts and
 feasibility check taken after the walk. The kinds differ only in how a
 step picks its actions: a table controller (MmS, FixedMode, IncIAgEE) has
 its actions composed into the table, the oracle takes the argmax of the
-record's confidences plus its masked continuation, and the DQN and
-RandomFeasible controllers are asked through decide or decide_sub. DQN
-training evaluates its network through the same `simulate`. The exact
-exit analyses read the models the controllers were solved on: the
-IncIAgEE slot chain for incremental policies, and the oracle solution's
-continuation for the oracle. `exit_probability_matrix` walks the slot
-chain's sparse transition matrix, and `sweep` with jobs > 1 runs its cells
-in a process pool; each imports scipy.sparse or the pool itself, so the
-rest of the harness loads neither.
+record's confidences plus its masked continuation, a DQN controller runs
+one batched forward on its rows' inputs, encoded once per controller, and
+RandomFeasible is asked through decide. DQN training evaluates its
+network through the same `simulate`. The exact exit analyses read the
+models the controllers were solved on: the IncIAgEE slot chain for
+incremental policies, and the oracle solution's continuation for the
+oracle. `exit_probability_matrix` walks the slot chain's sparse
+transition matrix, and `sweep` with jobs > 1 runs its cells in a process
+pool; each imports scipy.sparse or the pool itself, so the rest of the
+harness loads neither.
 """
 
 from __future__ import annotations
@@ -64,16 +65,40 @@ def _action_table(policy, env, incremental):
     return actions
 
 
+def _state_rows(env, incremental):
+    """(b, h) of every (b, h) state row in state-index order, or (b, h, xi,
+    tau) of every incremental row in mdp.inc_state_index order."""
+    level, h = env.state_coords()
+    if not incremental:
+        return level, h
+    grid = (env.n_states, env.n_modes, env.epoch.T)
+    return tuple(np.broadcast_to(x, grid).ravel() for x in (
+        level[:, None, None], h[:, None, None], np.arange(env.n_modes)[:, None],
+        np.arange(env.epoch.T)))
+
+
 def _unaffordable(env, incremental):
     """(row, action) mask of the actions a state's battery cannot pay for: a
     mode of a (b, h) row (one-shot), or a step of a (b, h, xi, tau) row
     (incremental; the last mode's step too)."""
-    b = env.state_coords()[0]
     if incremental:
-        mask = np.zeros((env.n_states, env.n_modes, env.epoch.T, 2), dtype=bool)
-        mask[..., 1] = ~env.can_proceed(b[:, None, None], np.arange(env.n_modes)[:, None])
-        return mask.reshape(-1, 2)
-    return ~env.affordable(b)
+        b, _, xi, _ = _state_rows(env, True)
+        mask = np.zeros((len(b), 2), dtype=bool)
+        mask[:, 1] = ~env.can_proceed(b, xi)
+        return mask
+    return ~env.affordable(env.state_coords()[0])
+
+
+def _row_inputs(env, incremental):
+    """Network input of every state row (_state_rows order) at zero
+    confidence, (rows, d) and read-only; the rollout writes each step's
+    confidences into its own copy of the rows it gathers."""
+    if incremental:
+        x = dqn_mod.encode_inc(env, *_state_rows(env, True), 0.0)
+    else:
+        x = dqn_mod.encode_os(env, *_state_rows(env, False), 0.0)
+    x.setflags(write=False)
+    return x
 
 
 class MmsController:
@@ -132,6 +157,7 @@ class IncDqnController:
             raise IncompatibleController("network shape does not match incremental encoding")
         self.net = net
         self.env = env
+        self.inputs = _row_inputs(env, True)
 
     def decide_sub(self, b, h, xi, tau, z_xi, u_dec):
         x = dqn_mod.encode_inc(self.env, b, h, xi, tau, z_xi)
@@ -149,6 +175,7 @@ class OsDqnController:
             raise IncompatibleController("network shape does not match one-shot encoding")
         self.net = net
         self.env = env
+        self.inputs = _row_inputs(env, False)
 
     def decide(self, b, h, z, u_dec):
         x = dqn_mod.encode_os(self.env, b, h, z)
@@ -202,11 +229,13 @@ def _rollout(controller, dataset, b, h, rec_idx, u_h, u_e, u_dec):
     is the controller's private uniform. No decision changes the weather or
     the arrivals, so env.exogenous_paths draws them for every slot first,
     walking the weather in blocks. _walk then steps every controller over
-    the env's state rows, one tabled next row per epoch or slot. Raises
-    ValueError unless every start is a state of the env, InfeasibleAction
-    if a controller picks a mode or a step the battery cannot pay for, at
-    the earliest epoch and slot for the first episode, and
-    IncompatibleController unless the dataset fits the controller's env.
+    the env's state rows, one tabled next row per epoch or slot; it asks
+    for decisions only from controllers that are not tables, the oracle
+    or a DQN. Raises ValueError unless every start is a state of the env,
+    InfeasibleAction if a controller picks a mode or a step the battery
+    cannot pay for, at the earliest epoch and slot for the first episode,
+    and IncompatibleController unless the dataset fits the controller's
+    env.
 
     Returns per-episode (hits (E,), exit histogram (E, K), energy used,
     overflow, outage (E,)).
@@ -246,23 +275,25 @@ def _walk(controller, dataset, b, weather, arrivals, rec_idx, u_dec):
     step picks its actions. A table controller's actions are composed into
     after once, so its step is one add and one gather. The oracle takes the
     argmax of z plus its row's masked continuation (oracle._scores at a
-    zero confidence row). Any other controller is asked: decide once per
-    epoch, at the weather of its first slot, or decide_sub once per slot,
-    with arrays of every episode. An action the battery cannot pay for walks
-    on with the battery floored at 0 (a step past the last mode stays at
-    it); every trajectory is exact up to the earliest such step, where the
-    search after the walk raises, for the first episode.
+    zero confidence row). A DQN controller gathers its rows' inputs
+    (controller.inputs, z = 0) into one array, writes z in, runs one
+    forward into per-layer arrays allocated once per walk, masks the
+    unaffordable actions to -inf and takes the argmax: the ops of decide
+    and decide_sub, on the same shapes. Any other controller is asked:
+    decide once per epoch, at the weather of its first slot, or decide_sub
+    once per slot, with arrays of every episode. An action the battery
+    cannot pay for walks on with the battery floored at 0 (a step past the
+    last mode stays at it); every trajectory is exact up to the earliest
+    such step, where the search after the walk raises, for the first
+    episode.
     """
     env = controller.env
     incremental = controller.incremental
     k, t_slots = env.n_modes, env.epoch.T
     b_max, cost = env.battery.b_max, env._tables["cost"]
-    level, h = env.state_coords()
     if incremental:
-        grid = (env.n_states, k, t_slots)
-        level, h = (np.broadcast_to(x[:, None, None], grid).ravel() for x in (level, h))
-        xi = np.broadcast_to(np.arange(k)[:, None], grid).ravel()
-        ends = np.broadcast_to(np.arange(t_slots) == t_slots - 1, grid).ravel()
+        level, h, xi, slot = _state_rows(env, True)
+        ends = slot == t_slots - 1
         reached = np.minimum(xi[:, None] + np.arange(2), k - 1)     # (row, pause/proceed)
         e = np.arange(env.arrivals.e_max + 1)[:, None, None]
         after = mdp_mod.inc_state_index(
@@ -271,6 +302,7 @@ def _walk(controller, dataset, b, weather, arrivals, rec_idx, u_dec):
         steps, weather = arrivals.reshape(len(arrivals), -1), weather[:, :-1]
         q = mdp_mod.inc_state_index(env, b, 0, 0, 0)
     else:
+        level, h = _state_rows(env, False)
         e = np.arange(env.arrivals.e_max * t_slots + 1)[:, None, None]
         after = env.state_index(battery_step(level[:, None], cost, e, b_max), 0)
         steps, weather = arrivals.sum(axis=2, dtype=np.int64), weather[:, :-1:t_slots]
@@ -301,6 +333,30 @@ def _walk(controller, dataset, b, weather, arrivals, rec_idx, u_dec):
             scores = cm[row]
             scores += z
             scores.argmax(axis=1, out=act)
+            q = after[row, act]
+    elif isinstance(controller, (IncDqnController, OsDqnController)):
+        net, inputs = controller.net, controller.inputs
+        unaffordable = _unaffordable(env, incremental)
+        n_ep = len(q)
+        j = np.empty(n_ep, dtype=np.int64)
+        x = np.empty((n_ep, inputs.shape[1]))
+        layers = [np.empty((n_ep, d)) for d in net.sizes[1:]]
+        masked = np.empty((n_ep, after.shape[1]), dtype=bool)
+        acts = np.empty(rows.shape, dtype=np.min_scalar_type(after.shape[1] - 1))
+        for s, (row, act) in enumerate(zip(rows, acts)):
+            row += q
+            np.remainder(row, n, out=j)
+            inputs.take(j, axis=0, out=x)
+            # the confidences are the last input column (the current mode's,
+            # incremental) or the last K (one-shot) of encode_inc, encode_os
+            if incremental:
+                x[:, -1] = dataset.z[rec_idx[:, s // t_slots], xi[j]]
+            else:
+                x[:, -k:] = dataset.z[rec_idx[:, s]]
+            out = dqn_mod._forward_cached(net, x, layers)[-1]
+            unaffordable.take(j, axis=0, out=masked)
+            np.copyto(out, -np.inf, where=masked)
+            out.argmax(axis=1, out=act)
             q = after[row, act]
     else:
         # in the narrowest type: a long rollout asks for many decisions

@@ -305,8 +305,9 @@ class TestSolve:
         assert main(["solve", "--kind", "mms", "--env", "nope.json",
                      "--rho", "0.1,0.2,0.3,0.4", "--out", "x.json"]) == 2
 
-    # inf exited 0 after one sweep and wrote the policy; nan ran 10**6 sweeps
-    @pytest.mark.parametrize("kind", ["inc-iag", "oracle"])
+    # inf exited 0 after one sweep and wrote the policy; nan ran 10**6 sweeps;
+    # mms, whose policy iteration has no tolerance, never read --eps
+    @pytest.mark.parametrize("kind", ["mms", "inc-iag", "oracle"])
     @pytest.mark.parametrize("eps", ["0", "-1e-6", "-1", "inf", "nan"])
     def test_nonpositive_eps_is_input_error(self, sandbox, capsys, kind, eps):
         ds = gen(sandbox, n=200)
@@ -381,6 +382,19 @@ class TestTrainDqn:
         assert main(["train-dqn", "--env", "env.json", "--dataset", str(ds),
                      "--steps", "100", flag, "0", "--seed", "0",
                      "--out", "net.json"]) == 4
+
+    # with --steps 0 only --mode and --lr were checked, and these exited 0
+    # with an untrained checkpoint
+    @pytest.mark.parametrize("flags", [("--batch-size", "-5", "--eval-every", "0"),
+                                       ("--buffer", "0"), ("--target-sync", "-1"),
+                                       ("--eps-decay", "0"), ("--eval-epochs", "0")])
+    def test_zero_steps_checks_every_field(self, sandbox, capsys, flags):
+        ds = gen(sandbox, n=200)
+        assert main(["train-dqn", "--env", "env.json", "--dataset", str(ds),
+                     "--steps", "0", *flags, "--seed", "0", "--out", "net.json"]) == 4
+        assert "bad training configuration" in capsys.readouterr().err
+        assert not (sandbox / "net.json").exists()
+        assert not (sandbox / "net.json.curve.csv").exists()
 
     def test_bad_learning_rate(self, sandbox, capsys):
         # --lr nan trained NaN weights, and simulate refused the checkpoint

@@ -1,5 +1,6 @@
 import hashlib
 import json
+from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -272,6 +273,12 @@ def test_flat_step_matches_reference_bit_for_bit(sizes, n, gamma, lr, seed):
                    zip(net.parameters(), ref.weights + ref.biases, strict=True))
         x = rng.random((n, sizes[0]))
         assert np.array_equal(forward(net, x), reference_forward_cached(ref, x)[-1])
+        # the rollout's forward, into arrays allocated beforehand
+        layers = [np.full((n, d), np.nan) for d in net.sizes[1:]]
+        acts = dqn_mod._forward_cached(net, x, layers)
+        assert all(a is out for a, out in zip(acts[1:], layers, strict=True))
+        assert all(np.array_equal(a, r) for a, r in
+                   zip(acts, reference_forward_cached(ref, x), strict=True))
 
 
 class TestReplay:
@@ -362,9 +369,20 @@ class TestTraining:
         digest.update(repr(curve).encode())
         assert digest.hexdigest() == self.GOLDEN[mode]
 
+    # a 10**5-row ring was allocated for runs of a few thousand steps
+    @pytest.mark.parametrize("capacity,rows", [(500, 400), (100, 100)])
+    def test_buffer_holds_no_more_rows_than_the_run(self, setup, monkeypatch, capacity, rows):
+        env, ds = setup
+        made = []
+        monkeypatch.setattr(dqn_mod, "ReplayBuffer",
+                            lambda *a: made.append(ReplayBuffer(*a)) or made[-1])
+        train(env, ds, replace(self.smoke_cfg("incremental"), buffer_capacity=capacity))
+        assert [(b.capacity, len(b.x), len(b.x2)) for b in made] == [(rows, rows, rows)]
+
     def test_oneshot_encodes_each_state_once(self, setup, monkeypatch):
         # the next state's encoding is carried into the following step: one
-        # encoding per step plus the first state and one per evaluation epoch
+        # encoding per step plus the first state, and one for the evaluation
+        # at the last step, whose controller encodes all its state rows at once
         env, ds = setup
         calls = []
         encode = dqn_mod.encode_os
@@ -373,7 +391,7 @@ class TestTraining:
                           eps_decay_steps=100, target_sync=50, eval_every=200,
                           eval_epochs=5, lr=1e-3)
         train(env, ds, cfg)
-        assert len(calls) == 1 + cfg.total_steps + cfg.eval_epochs
+        assert len(calls) == 1 + cfg.total_steps + 1
 
     def test_seed_changes_run(self, setup):
         env, ds = setup

@@ -9,9 +9,10 @@ with scalars, one decision at a time.
 Every controller is walked over the env's state rows with one tabled
 next row per step. The kinds differ only in how a step picks its actions:
 a table controller's are composed into the table, the oracle takes its
-masked argmax, and any other controller is asked through decide or
-decide_sub. The last test holds the table and oracle steps to the asked
-step.
+masked argmax, a DQN controller runs one batched forward on its gathered
+row inputs, and any other controller is asked through decide or
+decide_sub. The last tests hold the table, oracle and DQN steps to the
+asked step, and check that the walk asks none of those kinds.
 """
 
 import numpy as np
@@ -20,15 +21,16 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ehinfer.confidence import ConfidenceDataset
-from ehinfer.dqn import (QNetwork, encode_inc, encode_os, forward, inc_input_dim,
-                         os_input_dim)
+from ehinfer.dqn import (QNetwork, _inc_feasible, encode_inc, encode_os, forward,
+                         inc_input_dim, os_input_dim)
 from ehinfer.env import (ArrivalModel, BatteryConfig, EpochConfig, HarvestChain,
                          HarvestEnvironment, InfeasibleAction,
                          stationary_distribution, two_state_env)
 from ehinfer.harness import (EpisodeResult, FixedModeController, IncDqnController,
                              IncTableController, MmsController, OracleController,
-                             OsDqnController, RandomFeasibleController,
+                             OsDqnController, RandomFeasibleController, _unaffordable,
                              exit_probability_mc, simulate)
+from ehinfer.mdp import inc_state_index
 from ehinfer.oracle import solve_oracle
 
 NEAR_TIE = 1e-12
@@ -345,9 +347,10 @@ def test_single_mode_env_matches_scalar_reference():
 
 
 class DecideOnly:
-    """A table or oracle controller seen only through decide or decide_sub,
-    so the walk asks it for each step's actions instead of composing its
-    table or taking the oracle's argmax."""
+    """A table, oracle or DQN controller seen only through decide or
+    decide_sub, so the walk asks it for each step's actions instead of
+    composing its table, taking the oracle's argmax or running the DQN
+    step."""
 
     def __init__(self, ctrl):
         self.kind, self.incremental, self.env = ctrl.kind, ctrl.incremental, ctrl.env
@@ -365,10 +368,13 @@ def outcome(run):
 
 
 def walked_controllers(env, dataset, rng):
-    """Feasible, unfiltered and always-proceeding tables, FixedMode, and the
-    oracle wherever it has two modes to choose from."""
+    """Feasible, unfiltered and always-proceeding tables, FixedMode, small
+    random networks of both DQN kinds, and the oracle wherever it has two
+    modes to choose from."""
     k, n_inc = env.n_modes, env.n_states * env.n_modes * env.epoch.T
     return [
+        IncDqnController(QNetwork.create(rng, inc_input_dim(env), 2, hidden=(8,)), env),
+        OsDqnController(QNetwork.create(rng, os_input_dim(env), k, hidden=(8,)), env),
         *feasible_tables(env, rng),
         MmsController(rng.integers(k, size=env.n_states), env),
         IncTableController(rng.integers(2, size=n_inc), env),
@@ -394,9 +400,11 @@ def walked_controllers(env, dataset, rng):
 @example(case=(two_state_env(0.7, 0.4, 0.6, 0.2, b_max=5, costs=(0, 1, 1, 3), T=3),
                np.random.default_rng(2)), seed=7, episodes=3, epochs=25, ties=True)
 def test_table_walk_matches_decision_loop(case, seed, episodes, epochs, ties):
-    """The composed table step and the oracle's argmax step give what the
-    asked step gives on the same controller: episodes, exit counts and
-    InfeasibleAction messages."""
+    """The composed table step, the oracle's argmax step and the DQN step
+    give what the asked step gives on the same controller: episodes, exit
+    counts and InfeasibleAction messages. Both DQN steps run one batched
+    forward over the same episodes, so they agree bit for bit, near ties
+    too."""
     env, rng = case
     k = env.n_modes
     # confidences of 0, 1/2 and 1 tie within and across records
@@ -420,3 +428,45 @@ def test_table_walk_matches_decision_loop(case, seed, episodes, epochs, ties):
             want = outcome(lambda: exit_probability_mc(slow, dataset, start, rollouts, seed))
             assert type(got) is type(want)
             assert got == want if isinstance(want, str) else np.array_equal(got, want)
+
+
+def test_walk_asks_no_table_oracle_or_dqn_controller(monkeypatch):
+    env = two_state_env(0.9, 0.5, 0.8, 0.0, b_max=3)
+    rng = np.random.default_rng(0)
+    dataset = ConfidenceDataset(rng.random((40, 4)), rng.integers(0, 2, (40, 4)))
+    ctrls = walked_controllers(env, dataset, rng)
+    assert {type(c) for c in ctrls} == {MmsController, IncTableController, FixedModeController,
+                                        OracleController, IncDqnController, OsDqnController}
+
+    def asked(*args):
+        raise AssertionError("the walk asked for a decision")
+
+    for cls in (MmsController, FixedModeController, OracleController, OsDqnController):
+        monkeypatch.setattr(cls, "decide", asked)
+    for cls in (IncTableController, IncDqnController):
+        monkeypatch.setattr(cls, "decide_sub", asked)
+    for ctrl in ctrls:
+        outcome(lambda: simulate(ctrl, dataset, 3, 25, seed=1))
+        outcome(lambda: exit_probability_mc(ctrl, dataset, (2, 1), 30, seed=1))
+
+
+@settings(max_examples=15, deadline=None)
+@given(case=small_envs(min_k=1))
+def test_row_inputs_and_masks_match_the_scalar_encodings(case):
+    env, rng = case
+    k, t = env.n_modes, env.epoch.T
+    inc = IncDqnController(QNetwork.create(rng, inc_input_dim(env), 2, hidden=(8,)), env)
+    os_ = OsDqnController(QNetwork.create(rng, os_input_dim(env), k, hidden=(8,)), env)
+    inc_mask, os_mask = _unaffordable(env, True), _unaffordable(env, False)
+    assert inc.inputs.shape == (env.n_states * k * t, inc_input_dim(env))
+    assert os_.inputs.shape == (env.n_states, os_input_dim(env))
+    for b in range(env.battery.b_max + 1):
+        for h in range(env.n_h):
+            row = env.state_index(b, h)
+            assert np.array_equal(os_.inputs[row], encode_os(env, b, h, np.zeros(k)))
+            assert np.array_equal(~os_mask[row], env.affordable(b))
+            for xi in range(k):
+                for tau in range(t):
+                    row = inc_state_index(env, b, h, xi, tau)
+                    assert np.array_equal(inc.inputs[row], encode_inc(env, b, h, xi, tau, 0.0))
+                    assert np.array_equal(~inc_mask[row], _inc_feasible(env, b, xi))
