@@ -7,14 +7,11 @@ learns either the incremental per-slot pause/proceed choice from
 greedy exploration, and the adaptive-moment optimizer are implemented
 directly on numpy arrays so gradients can be checked against finite
 differences. All of a network's weights and biases are views into one flat
-vector; a training step writes its gradient into a preallocated network of
-the same layout and Adam updates the flat vector in place. Training
-evaluates the greedy network as a harness controller through
-`harness.simulate`, the same rollout every controller runs on. There the
-controller holds the input of every state row, encoded once by
-`encode_inc` or `encode_os` at zero confidence; each rollout step gathers
-its episodes' rows, writes their confidences in, and runs one batched
-`_forward_cached` into per-layer arrays allocated once per rollout.
+vector that Adam updates in place from a preallocated gradient network.
+Training and its evaluation (`harness.simulate`) step over the same state
+rows: the input of every row is encoded once by `encode_inc` or
+`encode_os` at zero confidence, a step's confidences are written into a
+copy, and the next row is one gather from the rollout's next-row table.
 """
 
 from __future__ import annotations
@@ -23,8 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .env import (check_positive, json_number, read_artifact, stationary_distribution,
-                  write_csv, write_json)
+from .env import check_positive, json_number, read_artifact, write_csv, write_json
 
 
 class DimensionMismatch(ValueError):
@@ -285,13 +281,6 @@ def greedy_action(net, x, feasible):
     return np.argmax(q, axis=-1)
 
 
-def _slot(env, rng, b, h, consumption):
-    """One sampled slot from a single state; draws u_h, then u_e."""
-    u_h = rng.random()
-    b, h, _ = env.slot_step(b, h, consumption, u_h, rng.random())
-    return b, h
-
-
 def train(env, dataset, cfg):
     """Deep Q-learning against the sampled environment and dataset.
 
@@ -300,11 +289,16 @@ def train(env, dataset, cfg):
     env.epoch.discount_slot; one-shot mode steps once per epoch with reward
     equal to the chosen mode's confidence, discounted by discount_epoch.
     Both are continuing tasks (the battery carries across epochs), so no
-    transition is terminal. Returns the trained network and a learning
-    curve of (env step, greedy accuracy, mean recent loss) rows; each
-    greedy accuracy is one `harness.simulate` episode of cfg.eval_epochs
-    epochs, seeded from the training seed and the step.
+    transition is terminal. The actor is a state row of the rollout's walk:
+    env.harvest_slot draws each slot's weather and arrival, and the walk's
+    tables give the next row, its input (encoded once, with the record's
+    confidence written in) and its feasible actions. Returns the trained
+    network and a learning curve of (env step, greedy accuracy, mean recent
+    loss) rows; each greedy accuracy is one `harness.simulate` episode of
+    cfg.eval_epochs epochs, seeded from the training seed and the step.
     """
+    from . import harness       # harness imports this module
+
     env.check_exits(dataset.n_exits)
     rng = np.random.default_rng(cfg.seed)
     eval_seed = int(rng.integers(2**31))
@@ -318,19 +312,29 @@ def train(env, dataset, cfg):
     buf = ReplayBuffer(min(cfg.buffer_capacity, cfg.total_steps), dim, n_actions)
     opt = Adam(net.flat, lr=cfg.lr)
     grads = net.copy()
-    pi0 = stationary_distribution(env.chain)
 
-    b = env.battery.b_max
-    h = int(np.searchsorted(np.cumsum(pi0), rng.random()))
-    t = env.epoch.T
+    coords = harness._state_rows(env, inc)      # (b, h) or (b, h, xi, tau) of every row
+    inputs, after = harness._row_inputs(env, inc), harness._next_rows(env, inc)
+    feasible = ~harness._unaffordable(env, inc)
+    n, t = len(coords[0]), env.epoch.T
+    stride = n // env.n_states                  # rows per (b, h): K * T, or 1 one-shot
+
+    def observe(row, z):        # the row's input, with the record's confidences written in
+        x = inputs[row].copy()
+        if inc:
+            x[-1] = z[coords[2][row]]
+        else:
+            x[-len(z):] = z
+        return x
+
+    row = stride * env.state_index(env.battery.b_max, harness._start_weather(env, rng.random()))
     z = dataset.z[int(rng.integers(len(dataset)))]
-    xi, tau = 0, 0
-    x, feas = ((encode_inc(env, b, h, xi, tau, z[xi]), _inc_feasible(env, b, xi)) if inc
-               else (encode_os(env, b, h, z), env.affordable(b)))
+    x = observe(row, z)
     curve = []
     recent_losses = []
     grad_steps = 0
     for step in range(1, cfg.total_steps + 1):
+        feas = feasible[row]
         if rng.random() < _epsilon(cfg, step):
             # one feasible action uniformly; rng.integers(1) draws no bits
             choices = np.flatnonzero(feas)
@@ -338,27 +342,26 @@ def train(env, dataset, cfg):
         else:
             a = greedy_action(net, x, feas)
         if inc:
-            cost = env.battery.cost[xi + a] - env.battery.cost[xi]
-            b2, h2 = _slot(env, rng, b, h, cost)
-            if tau == t - 1:
-                reward = float(z[xi + a])
-                z = dataset.z[int(rng.integers(len(dataset)))]
-                xi, tau = 0, 0
-            else:
-                reward = 0.0
-                xi, tau = xi + a, tau + 1
+            xi, tau = coords[2][row], coords[3][row]
+            h, e = env.harvest_slot(coords[1][row], rng.random(), rng.random())
             # continuing task: epoch ends reset (xi, tau) but the battery
             # carries over, so bootstrapping must cross the epoch boundary
-            x2, feas2 = encode_inc(env, b2, h2, xi, tau, z[xi]), _inc_feasible(env, b2, xi)
+            nxt = after[e * n + row, a] + h * stride + (tau + 1) % t
+            ends = tau == t - 1
+            reward = float(z[xi + a]) if ends else 0.0
         else:
-            reward = float(z[a])
-            b2, h2 = _slot(env, rng, b, h, env.battery.cost[a])
-            for _ in range(t - 1):
-                b2, h2 = _slot(env, rng, b2, h2, 0)
+            ends, reward = True, float(z[a])
+            # spends fit the battery, so one clip of the summed arrivals is the slotwise one
+            h, arrived = coords[1][row], 0
+            for _ in range(t):
+                h, e = env.harvest_slot(h, rng.random(), rng.random())
+                arrived += e
+            nxt = after[arrived * n + row, a] + h
+        if ends:
             z = dataset.z[int(rng.integers(len(dataset)))]
-            x2, feas2 = encode_os(env, b2, h2, z), env.affordable(b2)
-        buf.push(x, a, reward, x2, feas2, False)
-        b, h, x, feas = b2, h2, x2, feas2
+        x2 = observe(nxt, z)
+        buf.push(x, a, reward, x2, feasible[nxt], False)
+        row, x = nxt, x2
 
         if buf.size >= max(cfg.warmup, cfg.batch_size):
             batch = buf.sample(rng, cfg.batch_size)
@@ -369,7 +372,6 @@ def train(env, dataset, cfg):
                 target = net.copy()
 
         if step % cfg.eval_every == 0 or step == cfg.total_steps:
-            from . import harness       # harness imports this module
             controller = harness.IncDqnController if inc else harness.OsDqnController
             acc = harness.simulate(controller(net, env), dataset, 1, cfg.eval_epochs,
                                    eval_seed + step)[0].accuracy

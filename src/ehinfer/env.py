@@ -292,29 +292,24 @@ class HarvestEnvironment:
         """Whether an incremental controller at mode xi can afford the next mode."""
         return self._tables["step_cost"][xi] <= b
 
-    def slot_step(self, b, h, consumption, u_h, u_e):
-        """One slot of dynamics by inverse-cdf draws, for scalars or arrays.
+    def harvest_slot(self, h, u_h, u_e):
+        """(h', e) of one slot by inverse-cdf draws, for scalars or arrays.
 
         The next weather state is drawn with uniform u_h from the row of h,
         the arrival with u_e from the arrival pmf of h (or of the next state
-        under condition_on_next); the battery then spends `consumption`.
-        Returns (b', h', overflow), overflow being the packets lost to the
-        full battery.
+        under condition_on_next); battery_step then spends and stores.
         """
         h_next = self._draw(u_h, h)
-        e = self._draw(u_e, h_next if self.condition_on_next else h, arrivals=True)
-        b_max = self.battery.b_max
-        overflow = np.maximum(b - consumption + e - b_max, 0)
-        return battery_step(b, consumption, e, b_max), h_next, overflow
+        return h_next, self._draw(u_e, h_next if self.condition_on_next else h, arrivals=True)
 
     def exogenous_paths(self, h0, u_h, u_e):
         """The harvesting process of E episodes, drawn before any decision.
 
         Weather and arrivals do not depend on what a controller does, so the
-        draws of slot_step can all be made up front: u_h and u_e are (E, N, T)
+        draws of harvest_slot can all be made up front: u_h and u_e are (E, N, T)
         uniforms of N epochs of T slots, h0 (E,) the start states. Returns the
         weather state at every slot start, (E, N*T + 1), whose column s + 1 is
-        slot_step's h' of slot s, and the arrivals of every slot, (E, N, T).
+        harvest_slot's h' of slot s, and the arrivals of every slot, (E, N, T).
         Both hold the narrowest unsigned type that fits. The weather is walked
         in blocks of slots (_weather_path), and each slot's arrival is drawn
         at the path's own state.

@@ -3,31 +3,25 @@
 Controllers are thin adapters around solved policies (arrays of action
 indices in state-index order), oracle solutions, or trained networks,
 exposing either a per-epoch mode choice (one-shot) or a per-slot
-pause/proceed choice (incremental); they decide for arrays of states, one
-entry per episode. Each controller is bound to the environment it was
-made for, `controller.env`, and the simulator runs that one. It pre-draws
-all environment randomness per episode so different controllers
-evaluated under the same seed face identical arrival and environment-state
-paths. No decision changes those paths, so it draws them whole before the
-rollout (`env.exogenous_paths`, which walks the weather in blocks of about
-sqrt(slots) slots) and then steps every episode together through the
-decisions and the battery alone. Every controller is walked over the
-env's state rows: once per rollout a table of next rows per arrival count
-and action is built, and an epoch (one-shot, on its summed arrivals) or a
-slot (incremental) is one gather from it, with the outage, exit counts and
-feasibility check taken after the walk. The kinds differ only in how a
-step picks its actions: a table controller (MmS, FixedMode, IncIAgEE) has
-its actions composed into the table, the oracle takes the argmax of the
-record's confidences plus its masked continuation, a DQN controller runs
-one batched forward on its rows' inputs, encoded once per controller, and
-RandomFeasible is asked through decide. DQN training evaluates its
-network through the same `simulate`. The exact exit analyses read the
-models the controllers were solved on: the IncIAgEE slot chain for
-incremental policies, and the oracle solution's continuation for the
-oracle. `exit_probability_matrix` walks the slot chain's sparse
-transition matrix, and `sweep` with jobs > 1 runs its cells in a process
-pool; each imports scipy.sparse or the pool itself, so the rest of the
-harness loads neither.
+pause/proceed choice (incremental) for arrays of states, one per episode.
+Each controller is bound to the environment it was made for,
+`controller.env`, and the simulator runs that one. No decision changes
+the weather or the arrivals, so the simulator draws them per episode
+before the rollout (`env.exogenous_paths`), and controllers evaluated
+under the same seed face the same paths. It then walks every episode
+together over the env's state rows: an epoch (one-shot, on its summed
+arrivals) or a slot (incremental) is one gather from a table of next rows
+per arrival count and action, built once per rollout. The kinds differ
+only in how a step picks its actions: a table controller (MmS, FixedMode,
+IncIAgEE) has them composed into the table, the oracle takes the argmax of
+the record's confidences plus its masked continuation, a DQN controller
+runs one batched forward on its rows' inputs, encoded once per controller,
+and RandomFeasible is asked through decide. DQN training steps its actor
+over the same rows and tables, and evaluates its network through
+`simulate`. The exact exit analyses read the models the controllers were
+solved on: the IncIAgEE slot chain, and the oracle solution's
+continuation. `exit_probability_matrix` (sparse walk) and `sweep` with
+jobs > 1 (process pool) import scipy.sparse or the pool themselves.
 """
 
 from __future__ import annotations
@@ -87,6 +81,26 @@ def _unaffordable(env, incremental):
         mask[:, 1] = ~env.can_proceed(b, xi)
         return mask
     return ~env.affordable(env.state_coords()[0])
+
+
+def _next_rows(env, incremental):
+    """after[e * n + row, action]: the row, weather and slot set to 0, that
+    each of the n state rows reaches under each action when e packets arrive
+    over its step, an epoch one-shot (on the summed arrivals) or a slot
+    incremental; the mode reached is 0 again once an epoch ends."""
+    k, t_slots = env.n_modes, env.epoch.T
+    b_max, cost = env.battery.b_max, env._tables["cost"]
+    if incremental:
+        level, _, xi, slot = _state_rows(env, True)
+        reached = np.minimum(xi[:, None] + np.arange(2), k - 1)     # (row, pause/proceed)
+        e = np.arange(env.arrivals.e_max + 1)[:, None, None]
+        after = mdp_mod.inc_state_index(
+            env, battery_step(level[:, None], cost[reached] - cost[xi, None], e, b_max), 0,
+            np.where(slot[:, None] == t_slots - 1, 0, reached), 0)
+    else:
+        e = np.arange(env.arrivals.e_max * t_slots + 1)[:, None, None]
+        after = env.state_index(battery_step(env.state_coords()[0][:, None], cost, e, b_max), 0)
+    return after.reshape(-1, after.shape[-1])
 
 
 def _row_inputs(env, incremental):
@@ -226,16 +240,13 @@ def _rollout(controller, dataset, b, h, rec_idx, u_h, u_e, u_dec):
 
     Epoch n of episode i serves record rec_idx[i, n] and draws slot tau's
     weather and arrival from u_h[i, n, tau] and u_e[i, n, tau]; u_dec[i, n]
-    is the controller's private uniform. No decision changes the weather or
-    the arrivals, so env.exogenous_paths draws them for every slot first,
-    walking the weather in blocks. _walk then steps every controller over
-    the env's state rows, one tabled next row per epoch or slot; it asks
-    for decisions only from controllers that are not tables, the oracle
-    or a DQN. Raises ValueError unless every start is a state of the env,
-    InfeasibleAction if a controller picks a mode or a step the battery
-    cannot pay for, at the earliest epoch and slot for the first episode,
-    and IncompatibleController unless the dataset fits the controller's
-    env.
+    is the controller's private uniform. env.exogenous_paths draws the
+    weather and arrivals of every slot first, then _walk steps the
+    controller over the env's state rows. Raises ValueError unless every
+    start is a state of the env, InfeasibleAction if a controller picks a
+    mode or a step the battery cannot pay for, at the earliest epoch and
+    slot for the first episode, and IncompatibleController unless the
+    dataset fits the controller's env.
 
     Returns per-episode (hits (E,), exit histogram (E, K), energy used,
     overflow, outage (E,)).
@@ -265,50 +276,38 @@ def _rollout(controller, dataset, b, h, rec_idx, u_h, u_e, u_dec):
 def _walk(controller, dataset, b, weather, arrivals, rec_idx, u_dec):
     """(modes (E, N), outage (E,), final battery (E,)) of any controller.
 
-    A row is a state: (b, h) one-shot, (b, h, xi, tau) incremental. A step
-    is an epoch one-shot (on its summed arrivals) or a slot incremental. The
+    A row is a state: (b, h) one-shot, (b, h, xi, tau) incremental. The
     walk carries the row with the weather and slot set to 0, q; the
     harvesting paths give each step's weather, slot and arrival count e, so
-    its row is q plus an offset and indexes after[e * n + row, action], the
-    next q: the battery after the spend and the arrivals, and the mode
-    reached (0 again once an epoch ends). The kinds differ only in how a
-    step picks its actions. A table controller's actions are composed into
-    after once, so its step is one add and one gather. The oracle takes the
-    argmax of z plus its row's masked continuation (oracle._scores at a
-    zero confidence row). A DQN controller gathers its rows' inputs
-    (controller.inputs, z = 0) into one array, writes z in, runs one
-    forward into per-layer arrays allocated once per walk, masks the
-    unaffordable actions to -inf and takes the argmax: the ops of decide
-    and decide_sub, on the same shapes. Any other controller is asked:
-    decide once per epoch, at the weather of its first slot, or decide_sub
-    once per slot, with arrays of every episode. An action the battery
-    cannot pay for walks on with the battery floored at 0 (a step past the
-    last mode stays at it); every trajectory is exact up to the earliest
-    such step, where the search after the walk raises, for the first
-    episode.
+    its row is q plus an offset, and its next q one gather from the table of
+    _next_rows. A table controller's actions are composed into that table
+    once, so its step is one add and one gather. The oracle takes the argmax
+    of z plus its row's masked continuation (oracle._scores at a zero
+    confidence row). A DQN controller gathers its rows' inputs
+    (controller.inputs, z = 0) into one array, writes z in, runs one forward
+    into per-layer arrays allocated once per walk, masks the unaffordable
+    actions to -inf and takes the argmax: the ops of decide and decide_sub,
+    on the same shapes. Any other controller is asked: decide once per
+    epoch, at the weather of its first slot, or decide_sub once per slot,
+    with arrays of every episode. An action the battery cannot pay for walks
+    on with the battery floored at 0 (a step past the last mode stays at
+    it); every trajectory is exact up to the earliest such step, where the
+    search after the walk raises, for the first episode.
     """
     env = controller.env
     incremental = controller.incremental
     k, t_slots = env.n_modes, env.epoch.T
-    b_max, cost = env.battery.b_max, env._tables["cost"]
+    cost = env._tables["cost"]
     if incremental:
-        level, h, xi, slot = _state_rows(env, True)
-        ends = slot == t_slots - 1
-        reached = np.minimum(xi[:, None] + np.arange(2), k - 1)     # (row, pause/proceed)
-        e = np.arange(env.arrivals.e_max + 1)[:, None, None]
-        after = mdp_mod.inc_state_index(
-            env, battery_step(level[:, None], cost[reached] - cost[xi, None], e, b_max), 0,
-            np.where(ends[:, None], 0, reached), 0)
+        level, h, xi, _ = _state_rows(env, True)
         steps, weather = arrivals.reshape(len(arrivals), -1), weather[:, :-1]
         q = mdp_mod.inc_state_index(env, b, 0, 0, 0)
     else:
         level, h = _state_rows(env, False)
-        e = np.arange(env.arrivals.e_max * t_slots + 1)[:, None, None]
-        after = env.state_index(battery_step(level[:, None], cost, e, b_max), 0)
         steps, weather = arrivals.sum(axis=2, dtype=np.int64), weather[:, :-1:t_slots]
         q = env.state_index(b, 0)
-    n, n_e = len(level), len(e)
-    after = after.reshape(n_e * n, -1)              # (e * n + row, action)
+    after = _next_rows(env, incremental)            # (e * n + row, action)
+    n = len(level)
     # each step's e * n plus its row less q, (steps, E) with a step's row
     # contiguous, built in place: e * n adds e * (b_max + 1) to a row's battery
     rows = steps.T.astype(np.int64, order="C")
@@ -319,7 +318,7 @@ def _walk(controller, dataset, b, weather, arrivals, rec_idx, u_dec):
         rows += np.arange(len(rows))[:, None] % t_slots
     acts = None                                     # each step's action, (steps, E)
     if isinstance(controller, (MmsController, FixedModeController, IncTableController)):
-        after = after[np.arange(len(after)), np.tile(controller.actions, n_e)]
+        after = after[np.arange(len(after)), np.tile(controller.actions, len(after) // n)]
         for row in rows:
             row += q
             q = after[row]
@@ -327,7 +326,7 @@ def _walk(controller, dataset, b, weather, arrivals, rec_idx, u_dec):
         acts = np.empty(rows.shape, dtype=np.intp)
         cm = oracle_mod._scores(env, controller.solution.continuation, level, h,
                                 np.zeros((n, k)))
-        cm = np.tile(cm, (n_e, 1))                  # (e * n + row, K)
+        cm = np.tile(cm, (len(after) // n, 1))      # (e * n + row, K)
         for row, z, act in zip(rows, dataset.z[rec_idx.T], acts):
             row += q
             scores = cm[row]
@@ -412,9 +411,6 @@ def simulate(controller, dataset, episodes, epochs, seed):
     """
     _check_counts(episodes=episodes, epochs=epochs)
     env = controller.env
-    # without its last entry, so a uniform above a rounded-down total still
-    # lands on the last state, as in env._draw
-    cum_pi = np.cumsum(stationary_distribution(env.chain))[:-1]
     t_slots = env.epoch.T
     rec_idx = np.empty((episodes, epochs), dtype=np.int64)
     u_h = np.empty((episodes, epochs, t_slots))
@@ -430,7 +426,7 @@ def simulate(controller, dataset, episodes, epochs, seed):
         u_start[i] = rng.random()
     b0 = np.full(episodes, env.battery.b_max)
     hits, hist, energy, overflow, outage = _rollout(
-        controller, dataset, b0, np.searchsorted(cum_pi, u_start),
+        controller, dataset, b0, _start_weather(env, u_start),
         rec_idx, u_h, u_e, u_dec)
     return [
         EpisodeResult(
@@ -443,6 +439,12 @@ def simulate(controller, dataset, episodes, epochs, seed):
         )
         for i in range(episodes)
     ]
+
+
+def _start_weather(env, u):
+    """Weather states drawn from the stationary distribution with uniforms u; without
+    its last cumulative entry, a total that rounds below 1 still ends on the last state."""
+    return np.searchsorted(np.cumsum(stationary_distribution(env.chain))[:-1], u)
 
 
 def _check_counts(**counts):

@@ -89,7 +89,6 @@ class OracleSolution:
     v_bar: np.ndarray                 # (S,) mean value per (b,h)
     continuation: np.ndarray          # (A, S) discounted expected next value
     delta: np.ndarray                 # (S, K-1) gaps vs mode 0
-    matrices: PartitionMatrices
     residuals: tuple = field(compare=False)   # Bellman residual after each evaluation
     dataset_fp: str = ""
 
@@ -189,8 +188,7 @@ def _solution(env, gamma, v_bar, residuals, dataset_fp):
     delta = np.ascontiguousarray((cont[0][None, :] - cont[1:]).T)
     for arr in (v_bar, cont, delta):
         arr.setflags(write=False)
-    return OracleSolution(env, gamma, v_bar, cont, delta, build_partition_matrices(env.n_modes),
-                          residuals, dataset_fp)
+    return OracleSolution(env, gamma, v_bar, cont, delta, residuals, dataset_fp)
 
 
 def oracle_choice(solution, b, h, z):
@@ -228,19 +226,6 @@ def region_of(z, b, h, solution):
     region inequalities restricted to feasible modes.
     """
     return int(oracle_choice(solution, b, h, np.asarray(z, dtype=float)))
-
-
-def region_inequalities(z, b, h, solution, j):
-    """Componentwise M_j z >= F_j delta(s) restricted to feasible rivals."""
-    env = solution.env
-    z = np.asarray(z, dtype=float)
-    delta = solution.delta_of(b, h)
-    lhs = solution.matrices.m[j] @ z
-    rhs = solution.matrices.f[j] @ delta
-    affordable = env.affordable(b)
-    others = [i for i in range(env.n_modes) if i != j]
-    keep = [r for r, i in enumerate(others) if affordable[i]]
-    return lhs[keep] >= rhs[keep] - 1e-12
 
 
 def save_solution(solution, path, meta=None):

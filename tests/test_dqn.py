@@ -9,14 +9,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ehinfer import dqn as dqn_mod
-from ehinfer.confidence import default_spec, generate_synthetic
+from ehinfer import harness
+from ehinfer.confidence import ConfidenceDataset, default_spec, generate_synthetic
 from ehinfer.dqn import (Adam, DimensionMismatch, QNetwork, ReplayBuffer,
-                         TrainConfig, encode_inc, encode_os, forward,
+                         TrainConfig, _inc_feasible, encode_inc, encode_os, forward,
                          grad_step, greedy_action, inc_input_dim, load_checkpoint,
                          os_input_dim, save_checkpoint, save_curve,
                          td_loss_and_grads, train)
-from ehinfer.env import two_state_env
+from ehinfer.env import stationary_distribution, two_state_env
 from ehinfer.harness import IncDqnController, OsDqnController, simulate
+from test_env import slot_step
+from test_lockstep import small_envs
 
 
 def tiny_net():
@@ -329,6 +332,23 @@ class TestGreedy:
         assert greedy_action(net, x, np.array([False, True])) == 1
 
 
+class FirstUniform:
+    """A generator whose first argument-free random() returns u; every other
+    call goes to the wrapped generator."""
+
+    def __init__(self, rng, u):
+        self._rng, self._u = rng, u
+
+    def random(self, *args, **kwargs):
+        if args or kwargs or self._u is None:
+            return self._rng.random(*args, **kwargs)
+        u, self._u = self._u, None
+        return u
+
+    def __getattr__(self, name):
+        return getattr(self._rng, name)
+
+
 @pytest.fixture(scope="module")
 def setup():
     env = two_state_env(0.9, 0.5, 0.8, 0.0, b_max=2)
@@ -380,9 +400,8 @@ class TestTraining:
         assert [(b.capacity, len(b.x), len(b.x2)) for b in made] == [(rows, rows, rows)]
 
     def test_oneshot_encodes_each_state_once(self, setup, monkeypatch):
-        # the next state's encoding is carried into the following step: one
-        # encoding per step plus the first state, and one for the evaluation
-        # at the last step, whose controller encodes all its state rows at once
+        # training encodes its state rows once, and so does the controller of
+        # the evaluation at the last step; no step encodes a state
         env, ds = setup
         calls = []
         encode = dqn_mod.encode_os
@@ -391,7 +410,38 @@ class TestTraining:
                           eps_decay_steps=100, target_sync=50, eval_every=200,
                           eval_epochs=5, lr=1e-3)
         train(env, ds, cfg)
-        assert len(calls) == 1 + cfg.total_steps + 1
+        assert len(calls) == 2
+
+    def test_incremental_encodes_its_rows_once(self, setup, monkeypatch):
+        env, ds = setup
+        calls = []
+        encode = dqn_mod.encode_inc
+        monkeypatch.setattr(dqn_mod, "encode_inc", lambda *a: calls.append(a) or encode(*a))
+        train(env, ds, self.smoke_cfg("incremental"))
+        assert len(calls) == 2
+
+    def test_start_weather_stays_on_the_chain(self, monkeypatch):
+        # the stationary weights of this chain sum to 0.9999999999999998, so
+        # a search of the whole cumulative sum sends the largest uniform
+        # below 1 past the last state
+        env = two_state_env(0.01, 0.1, 0.8, 0.3, b_max=2)
+        cum = np.cumsum(stationary_distribution(env.chain))
+        top = np.nextafter(1.0, 0.0)
+        assert cum[-1] < top and np.searchsorted(cum, top) == env.n_h
+        u = np.append(np.linspace(0, cum[-1], 101), top)
+        assert harness._start_weather(env, u).tolist() == \
+            np.minimum(np.searchsorted(cum, u), env.n_h - 1).tolist()
+        # train's first argument-free uniform is its start weather's
+        make_rng = np.random.default_rng
+        monkeypatch.setattr(np.random, "default_rng",
+                            lambda seed: FirstUniform(make_rng(seed), top))
+        made = []
+        monkeypatch.setattr(dqn_mod, "ReplayBuffer",
+                            lambda *a: made.append(ReplayBuffer(*a)) or made[-1])
+        ds = generate_synthetic(make_rng(0), default_spec(), 50)
+        train(env, ds, replace(self.smoke_cfg("incremental"), total_steps=20, warmup=20))
+        n_b = env.battery.b_max + 1
+        assert made[0].x[0, n_b:n_b + env.n_h].tolist() == [0.0, 1.0]
 
     def test_seed_changes_run(self, setup):
         env, ds = setup
@@ -440,6 +490,76 @@ class TestTraining:
             type(spec)(accuracies=(0.005, 0.5, 0.8), n_classes=200), 100)
         with pytest.raises(ValueError):
             train(env, ds3, self.smoke_cfg("incremental"))
+
+
+def reference_transitions(env, dataset, cfg):
+    """(x, action, reward, x2, feasible2) of each of train's steps, by the
+    scalar actor loop: slot_step on the state's (b, h), then encode_inc or
+    encode_os and _inc_feasible or affordable. Only the actor is run, so
+    cfg must leave no gradient step before its last step."""
+    rng = np.random.default_rng(cfg.seed)
+    rng.integers(2**31)                         # the evaluation seed
+    inc = cfg.mode == "incremental"
+    net = QNetwork.create(rng, inc_input_dim(env) if inc else os_input_dim(env),
+                          2 if inc else env.n_modes)
+    cost, t = env.battery.cost, env.epoch.T
+    b = env.battery.b_max
+    # without the last cumulative entry, as simulate draws its start
+    h = int(np.searchsorted(np.cumsum(stationary_distribution(env.chain))[:-1], rng.random()))
+    z = dataset.z[int(rng.integers(len(dataset)))]
+    xi, tau = 0, 0
+    x, feas = ((encode_inc(env, b, h, xi, tau, z[xi]), _inc_feasible(env, b, xi)) if inc
+               else (encode_os(env, b, h, z), env.affordable(b)))
+    steps = []
+    for step in range(1, cfg.total_steps + 1):
+        if rng.random() < dqn_mod._epsilon(cfg, step):
+            choices = np.flatnonzero(feas)
+            a = int(choices[rng.integers(len(choices))])
+        else:
+            a = greedy_action(net, x, feas)
+        if inc:
+            b, h, _ = slot_step(env, b, h, cost[xi + a] - cost[xi], rng.random(), rng.random())
+            if tau == t - 1:
+                reward = float(z[xi + a])
+                z = dataset.z[int(rng.integers(len(dataset)))]
+                xi, tau = 0, 0
+            else:
+                reward = 0.0
+                xi, tau = xi + a, tau + 1
+            x2, feas2 = encode_inc(env, b, h, xi, tau, z[xi]), _inc_feasible(env, b, xi)
+        else:
+            reward = float(z[a])
+            for slot in range(t):
+                b, h, _ = slot_step(env, b, h, cost[a] if slot == 0 else 0,
+                                    rng.random(), rng.random())
+            z = dataset.z[int(rng.integers(len(dataset)))]
+            x2, feas2 = encode_os(env, b, h, z), env.affordable(b)
+        steps.append((x, a, reward, x2, feas2))
+        x, feas = x2, feas2
+    return steps
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=small_envs(min_k=1), mode=st.sampled_from(["incremental", "oneshot"]),
+       seed=st.integers(0, 2**16))
+def test_training_steps_match_the_scalar_actor(case, mode, seed):
+    # the buffer is filled before any gradient step, so every transition is
+    # the actor's: the state rows and their tables against slot_step and the
+    # per-state encodings, bit for bit
+    env, rng = case
+    k, steps = env.n_modes, 60
+    dataset = ConfidenceDataset(rng.random((30, k)), rng.integers(0, 2, (30, k)))
+    cfg = TrainConfig(mode=mode, total_steps=steps, warmup=steps, eps_decay_steps=steps // 2,
+                      eval_every=steps, eval_epochs=1, seed=seed)
+    made = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(dqn_mod, "ReplayBuffer", lambda *a: made.append(ReplayBuffer(*a)) or made[-1])
+        train(env, dataset, cfg)
+    (buf,) = made
+    assert buf.size == steps
+    want = reference_transitions(env, dataset, cfg)
+    for got, ref in zip((buf.x, buf.action, buf.reward, buf.x2, buf.feasible2), zip(*want)):
+        assert np.array_equal(got, np.array(ref))
 
 
 class TestCheckpoints:

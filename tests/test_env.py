@@ -133,6 +133,23 @@ def three_weather_env(cond_next, e_max=2):
     )
 
 
+def slot_step(env, b, h, consumption, u_h, u_e):
+    """(b', h', overflow) of one whole slot, for scalars or arrays: the slot
+    rule written out in one function, the reference that harvest_slot,
+    exogenous_paths and DQN training's steps over state rows are held to.
+
+    The next weather state is drawn with uniform u_h from the row of h,
+    the arrival with u_e from the arrival pmf of h (or of the next state
+    under condition_on_next); the battery then spends `consumption`, and
+    overflow is the packets lost to the full battery.
+    """
+    h_next = env._draw(u_h, h)
+    e = env._draw(u_e, h_next if env.condition_on_next else h, arrivals=True)
+    b_max = env.battery.b_max
+    overflow = np.maximum(b - consumption + e - b_max, 0)
+    return battery_step(b, consumption, e, b_max), h_next, overflow
+
+
 def reference_slot_kernel(chain, arrivals, u, b_max, condition_on_next=False):
     """The slot kernel filled one (b, e, h) at a time, as slot_kernel once was."""
     n_h = chain.n
@@ -192,7 +209,7 @@ class TestKernels:
         b, h = np.full(n, b0), np.full(n, h0)
         for tau in range(env.epoch.T):
             cost = env.battery.cost[a] if tau == 0 else 0
-            b, h, _ = env.slot_step(b, h, cost, rng.random(n), rng.random(n))
+            b, h, _ = slot_step(env, b, h, cost, rng.random(n), rng.random(n))
         counts = np.bincount(env.state_index(b, h), minlength=env.n_states)
         freq = counts / n
         sigma = np.sqrt(np.maximum(row * (1 - row), 1e-12) / n)
@@ -314,15 +331,15 @@ class TestSerialization:
 class TestSampling:
     def test_slot_step_deterministic(self):
         env = fig5_env(5)
-        a = [env.slot_step(4, 0, 1, *np.random.default_rng(3).random(2))
+        a = [slot_step(env, 4, 0, 1, *np.random.default_rng(3).random(2))
              for _ in range(2)]
         assert a[0] == a[1]
 
     def test_slot_step_empirical_marginal(self):
         env = fig5_env(5)
         rng = np.random.default_rng(11)
-        _, hs, _ = env.slot_step(np.full(4000, 5), np.zeros(4000, dtype=int), 0,
-                                 rng.random(4000), rng.random(4000))
+        _, hs, _ = slot_step(env, np.full(4000, 5), np.zeros(4000, dtype=int), 0,
+                             rng.random(4000), rng.random(4000))
         # from G the chain stays with probability 0.9
         assert np.mean(np.array(hs) == 0) == pytest.approx(0.9, abs=0.02)
 
@@ -331,16 +348,17 @@ class TestSampling:
            cond_next=st.booleans())
     def test_slot_step_is_inverse_cdf_then_clip(self, b, h, c, u_h, u_e, cond_next):
         env = two_state_env(0.7, 0.4, 0.6, 0.2, b_max=5, condition_on_next=cond_next)
-        b2, h2, spill = env.slot_step(b, h, c, u_h, u_e)
+        b2, h2, spill = slot_step(env, b, h, c, u_h, u_e)
         cum_h = np.cumsum(env.chain.transition[h])
         assert h2 == min(np.searchsorted(cum_h, u_h), env.n_h - 1)
         cum_e = np.cumsum(env.arrivals.pmf_per_state[h2 if cond_next else h])
         e = min(np.searchsorted(cum_e, u_e), env.arrivals.e_max)
         assert b2 == min(max(b - c + e, 0), 5)
         assert spill == max(b - c + e - 5, 0)
+        assert env.harvest_slot(h, u_h, u_e) == (h2, e)
         # arrays step each element exactly as scalars do
-        arr = env.slot_step(np.array([b, 0]), np.array([h, 1]), c,
-                            np.array([u_h, 0.5]), np.array([u_e, 0.5]))
+        arr = slot_step(env, np.array([b, 0]), np.array([h, 1]), c,
+                        np.array([u_h, 0.5]), np.array([u_e, 0.5]))
         assert (arr[0][0], arr[1][0], arr[2][0]) == (b2, h2, spill)
 
 
@@ -366,8 +384,8 @@ class TestExogenousPaths:
         for n, tau in itertools.product(range(n_epochs), range(t_slots)):
             assert np.array_equal(weather[:, n * t_slots + tau], h)
             # from an empty battery that spends nothing, b' + overflow is the arrival
-            b2, h, spill = env.slot_step(np.zeros(n_ep, dtype=int), h, 0,
-                                         u_h[:, n, tau], u_e[:, n, tau])
+            b2, h, spill = slot_step(env, np.zeros(n_ep, dtype=int), h, 0,
+                                     u_h[:, n, tau], u_e[:, n, tau])
             assert np.array_equal(arrivals[:, n, tau], b2 + spill)
         assert np.array_equal(weather[:, -1], h)
         if env.arrivals.e_max > 255:
@@ -390,7 +408,8 @@ class TestExogenousPaths:
         h = h0
         want_w, want_e = [h], []
         for s in range(slots):
-            b2, h, spill = env.slot_step(np.zeros(n_ep, dtype=int), h, 0, u_h[:, s, 0], u_e[:, s, 0])
+            b2, h, spill = slot_step(env, np.zeros(n_ep, dtype=int), h, 0,
+                                     u_h[:, s, 0], u_e[:, s, 0])
             want_w.append(h)
             want_e.append(b2 + spill)
         assert np.array_equal(weather, np.stack(want_w, axis=1))
@@ -408,8 +427,9 @@ class TestExogenousPaths:
         weather, arrivals = env.exogenous_paths(np.zeros(3, dtype=int), u_h, u_e)
         assert weather.shape == (3, 11) and weather.dtype == np.uint8 and not weather.any()
         assert arrivals.shape == (3, 5, 2) and arrivals.dtype == np.uint8 and not arrivals.any()
-        assert env.slot_step(2, 0, 1, 0.99, 0.99) == (1, 0, 0)
-        b2, h2, spill = env.slot_step(np.array([3, 0]), np.array([0, 0]), 0, u_h[0, 0], u_e[0, 0])
+        assert slot_step(env, 2, 0, 1, 0.99, 0.99) == (1, 0, 0)
+        assert env.harvest_slot(0, 0.99, 0.99) == (0, 0)
+        b2, h2, spill = slot_step(env, np.array([3, 0]), np.array([0, 0]), 0, u_h[0, 0], u_e[0, 0])
         assert b2.tolist() == [3, 0] and h2.tolist() == [0, 0] and spill.tolist() == [0, 0]
 
     def test_memory_does_not_grow_with_the_arrival_width(self):
@@ -464,7 +484,7 @@ class TestOneSlotRule:
     SRC = Path(__file__).resolve().parent.parent / "src" / "ehinfer"
 
     def test_cumulative_tables_are_read_by_one_draw_helper(self):
-        # slot_step and exogenous_paths both draw through _draw, so the
+        # harvest_slot and exogenous_paths both draw through _draw, so the
         # inverse-cdf rule has one copy; __post_init__ builds the tables
         found = [(path.name, i) for path in sorted(self.SRC.glob("*.py"))
                  for i, line in enumerate(path.read_text().splitlines(), 1)

@@ -8,8 +8,21 @@ from ehinfer.env import two_state_env
 from ehinfer.mdp import NotConverged, fixed_point
 from ehinfer.oracle import (OracleSolution, approx_operator,
                             build_partition_matrices, dataset_fingerprint,
-                            load_solution, oracle_choice, region_inequalities,
-                            region_of, save_solution, solve_oracle)
+                            load_solution, oracle_choice, region_of,
+                            save_solution, solve_oracle)
+
+
+def region_inequalities(z, b, h, solution, j):
+    """Componentwise M_j z >= F_j delta(s) restricted to feasible rivals."""
+    env = solution.env
+    z = np.asarray(z, dtype=float)
+    pm = build_partition_matrices(env.n_modes)
+    lhs = pm.m[j] @ z
+    rhs = pm.f[j] @ solution.delta_of(b, h)
+    affordable = env.affordable(b)
+    others = [i for i in range(env.n_modes) if i != j]
+    keep = [r for r, i in enumerate(others) if affordable[i]]
+    return lhs[keep] >= rhs[keep] - 1e-12
 
 
 def fig_env(b_max=5):
@@ -62,7 +75,7 @@ class TestPartitionMatrices:
         s = env.state_index(3, 0)
         cont = solution.continuation[:, s]
         delta = solution.delta_of(3, 0)
-        pm = solution.matrices
+        pm = build_partition_matrices(env.n_modes)
         for j in range(env.n_modes):
             others = [i for i in range(env.n_modes) if i != j]
             rhs = pm.f[j] @ delta
