@@ -2,26 +2,28 @@
 
 Controllers are thin adapters around solved policies (arrays of action
 indices in state-index order), oracle solutions, or trained networks,
-exposing either a per-epoch mode choice (one-shot) or a per-slot
-pause/proceed choice (incremental) for arrays of states, one per episode.
-Each controller is bound to the environment it was made for,
-`controller.env`, and the simulator runs that one. No decision changes
-the weather or the arrivals, so the simulator draws them per episode
-before the rollout (`env.exogenous_paths`), and controllers evaluated
-under the same seed face the same paths. It then walks every episode
-together over the env's state rows: an epoch (one-shot, on its summed
-arrivals) or a slot (incremental) is one gather from a table of next rows
-per arrival count and action, built once per rollout. The kinds differ
-only in how a step picks its actions: a table controller (MmS, FixedMode,
-IncIAgEE) has them composed into the table, the oracle takes the argmax of
-the record's confidences plus its masked continuation, a DQN controller
-runs one batched forward on its rows' inputs, encoded once per controller,
-and RandomFeasible is asked through decide. DQN training steps its actor
-over the same rows and tables, and evaluates its network through
-`simulate`. The exact exit analyses read the models the controllers were
-solved on: the IncIAgEE slot chain, and the oracle solution's
-continuation. `exit_probability_matrix` (sparse walk) and `sweep` with
-jobs > 1 (process pool) import scipy.sparse or the pool themselves.
+choosing a per-epoch mode (one-shot) or a per-slot pause/proceed
+(incremental). Each controller is bound to the environment it was made
+for, `controller.env`, and the simulator runs that one. No decision
+changes the weather or the arrivals, so the simulator draws them per
+episode before the rollout (`env.exogenous_paths`), and controllers
+evaluated under the same seed face the same paths. It then walks every
+episode together over the env's state rows: an epoch (one-shot, on its
+summed arrivals) or a slot (incremental) is one gather from a table of
+next rows per arrival count and action, built once per rollout. The
+kinds differ only in how a step picks its actions: a table controller
+(MmS, FixedMode, IncIAgEE) has them composed into the table, and any
+other controller acts on state rows, `act(j, z, u, out)`: the oracle
+takes the argmax of the confidences plus its masked continuation, a DQN
+controller runs one batched forward, and RandomFeasible truncates u
+times its row's affordable mode count; `decide` and `decide_sub` choose
+the same at (b, h, ...) coordinates, and the walk never calls them. DQN
+training steps its actor over the same rows and tables, and evaluates
+its network through `simulate`. The exact exit analyses read the models
+the controllers were solved on: the IncIAgEE slot chain, and the oracle
+solution's continuation. `exit_probability_matrix` (sparse walk) and
+`sweep` with jobs > 1 (process pool) import scipy.sparse or the pool
+themselves.
 """
 
 from __future__ import annotations
@@ -142,6 +144,12 @@ class OracleController:
     def decide(self, b, h, z, u_dec):
         return oracle_mod.oracle_choice(self.solution, b, h, z)
 
+    def act(self, j, z, u, out):
+        """argmax of z plus rows j of the masked continuation; z broadcasts against j."""
+        scores = self.solution.masked.take(j, axis=0)
+        scores += z
+        scores.argmax(axis=-1, out=out)
+
 
 class IncTableController:
     """Per-slot pause/proceed from a solved (b, h, xi, tau) policy table."""
@@ -160,36 +168,58 @@ class IncTableController:
         return self.table[self.env.state_index(b, h), xi, tau]
 
 
-class IncDqnController:
+class _QController:
+    """Greedy actions of a trained Q-network, for both DQN kinds."""
+
+    def __init__(self, net, env):
+        shape = ((dqn_mod.inc_input_dim(env), 2) if self.incremental
+                 else (dqn_mod.os_input_dim(env), env.n_modes))
+        if (net.sizes[0], net.sizes[-1]) != shape:
+            raise IncompatibleController("network shape does not match {} encoding".format(
+                "incremental" if self.incremental else "one-shot"))
+        self.net = net
+        self.env = env
+        self.inputs = _row_inputs(env, self.incremental)
+        self.unaffordable = _unaffordable(env, self.incremental)
+        self._buffers = None
+
+    def act(self, j, z, u, out):
+        """decide's and decide_sub's ops on the same shapes, in arrays allocated once per
+        number of rows: gather, write z in, forward, -inf where unaffordable, argmax."""
+        if self._buffers is None or len(self._buffers[0]) != len(j):
+            self._buffers = (np.empty((len(j), self.inputs.shape[1])),
+                             [np.empty((len(j), d)) for d in self.net.sizes[1:]],
+                             np.empty((len(j), self.net.sizes[-1]), dtype=bool))
+        x, layers, masked = self._buffers
+        self.inputs.take(j, axis=0, out=x)
+        # the confidences are the last input column (the current mode's,
+        # incremental) or the last K (one-shot) of encode_inc, encode_os
+        if self.incremental:
+            x[:, -1] = z
+        else:
+            x[:, -z.shape[1]:] = z
+        q = dqn_mod._forward_cached(self.net, x, layers)[-1]
+        self.unaffordable.take(j, axis=0, out=masked)
+        np.copyto(q, -np.inf, where=masked)
+        q.argmax(axis=1, out=out)
+
+
+class IncDqnController(_QController):
     """Per-slot pause/proceed from a trained incremental Q-network."""
 
     kind = "IncIAwDQN"
     incremental = True
-
-    def __init__(self, net, env):
-        if net.sizes[0] != dqn_mod.inc_input_dim(env) or net.sizes[-1] != 2:
-            raise IncompatibleController("network shape does not match incremental encoding")
-        self.net = net
-        self.env = env
-        self.inputs = _row_inputs(env, True)
 
     def decide_sub(self, b, h, xi, tau, z_xi, u_dec):
         x = dqn_mod.encode_inc(self.env, b, h, xi, tau, z_xi)
         return dqn_mod.greedy_action(self.net, x, dqn_mod._inc_feasible(self.env, b, xi))
 
 
-class OsDqnController:
+class OsDqnController(_QController):
     """One-shot mode choice from a trained full-confidence Q-network."""
 
     kind = "OsIAwDQN"
     incremental = False
-
-    def __init__(self, net, env):
-        if net.sizes[0] != dqn_mod.os_input_dim(env) or net.sizes[-1] != env.n_modes:
-            raise IncompatibleController("network shape does not match one-shot encoding")
-        self.net = net
-        self.env = env
-        self.inputs = _row_inputs(env, False)
 
     def decide(self, b, h, z, u_dec):
         x = dqn_mod.encode_os(self.env, b, h, z)
@@ -204,10 +234,14 @@ class RandomFeasibleController:
 
     def __init__(self, env):
         self.env = env
+        self.n_feasible = env.affordable(env.state_coords()[0]).sum(axis=-1)    # per (b, h) row
 
     def decide(self, b, h, z, u_dec):
         n_feas = self.env.affordable(b).sum(axis=-1)
         return (u_dec * n_feas).astype(np.int64)
+
+    def act(self, j, z, u, out):
+        out[...] = u * self.n_feasible.take(j)      # truncated, as decide's astype
 
 
 class FixedModeController:
@@ -216,8 +250,8 @@ class FixedModeController:
     incremental = False
 
     def __init__(self, k, env):
-        if not 0 <= k < env.n_modes:
-            raise IncompatibleController(f"mode {k} out of range")
+        if not (_is_integer(k) and 0 <= k < env.n_modes):
+            raise IncompatibleController(f"mode {k!r} is not an integer in 0..{env.n_modes - 1}")
         self.kind = f"FixedMode({k})"
         self.actions = np.minimum(k, env.affordable(env.state_coords()[0]).sum(axis=-1) - 1)
         self.env = env
@@ -281,29 +315,24 @@ def _walk(controller, dataset, b, weather, arrivals, rec_idx, u_dec):
     harvesting paths give each step's weather, slot and arrival count e, so
     its row is q plus an offset, and its next q one gather from the table of
     _next_rows. A table controller's actions are composed into that table
-    once, so its step is one add and one gather. The oracle takes the argmax
-    of z plus its row's masked continuation (oracle._scores at a zero
-    confidence row). A DQN controller gathers its rows' inputs
-    (controller.inputs, z = 0) into one array, writes z in, runs one forward
-    into per-layer arrays allocated once per walk, masks the unaffordable
-    actions to -inf and takes the argmax: the ops of decide and decide_sub,
-    on the same shapes. Any other controller is asked: decide once per
-    epoch, at the weather of its first slot, or decide_sub once per slot,
-    with arrays of every episode. An action the battery cannot pay for walks
-    on with the battery floored at 0 (a step past the last mode stays at
-    it); every trajectory is exact up to the earliest such step, where the
-    search after the walk raises, for the first episode.
+    once, so its step is one add and one gather. Any other controller's
+    act(j, z, u, out) writes the actions of the episodes' rows j into out,
+    given their confidences z (the current mode's, incremental, or all K,
+    one-shot) and decision uniforms u. An action the battery cannot pay for
+    walks on with the battery floored at 0 (a step past the last mode stays
+    at it); every trajectory is exact up to the earliest such step, where
+    the search after the walk raises, for the first episode.
     """
     env = controller.env
     incremental = controller.incremental
     k, t_slots = env.n_modes, env.epoch.T
     cost = env._tables["cost"]
     if incremental:
-        level, h, xi, _ = _state_rows(env, True)
+        level, _, xi, _ = _state_rows(env, True)
         steps, weather = arrivals.reshape(len(arrivals), -1), weather[:, :-1]
         q = mdp_mod.inc_state_index(env, b, 0, 0, 0)
     else:
-        level, h = _state_rows(env, False)
+        level = env.state_coords()[0]
         steps, weather = arrivals.sum(axis=2, dtype=np.int64), weather[:, :-1:t_slots]
         q = env.state_index(b, 0)
     after = _next_rows(env, incremental)            # (e * n + row, action)
@@ -322,58 +351,19 @@ def _walk(controller, dataset, b, weather, arrivals, rec_idx, u_dec):
         for row in rows:
             row += q
             q = after[row]
-    elif isinstance(controller, OracleController):
-        acts = np.empty(rows.shape, dtype=np.intp)
-        cm = oracle_mod._scores(env, controller.solution.continuation, level, h,
-                                np.zeros((n, k)))
-        cm = np.tile(cm, (len(after) // n, 1))      # (e * n + row, K)
-        for row, z, act in zip(rows, dataset.z[rec_idx.T], acts):
-            row += q
-            scores = cm[row]
-            scores += z
-            scores.argmax(axis=1, out=act)
-            q = after[row, act]
-    elif isinstance(controller, (IncDqnController, OsDqnController)):
-        net, inputs = controller.net, controller.inputs
-        unaffordable = _unaffordable(env, incremental)
-        n_ep = len(q)
-        j = np.empty(n_ep, dtype=np.int64)
-        x = np.empty((n_ep, inputs.shape[1]))
-        layers = [np.empty((n_ep, d)) for d in net.sizes[1:]]
-        masked = np.empty((n_ep, after.shape[1]), dtype=bool)
+    else:
+        # the history in the narrowest type: a long rollout takes many actions
         acts = np.empty(rows.shape, dtype=np.min_scalar_type(after.shape[1] - 1))
+        j, chosen = np.empty(len(q), dtype=np.intp), np.empty(len(q), dtype=np.intp)
+        z = None if incremental else dataset.z[rec_idx.T]     # (N, E, K)
         for s, (row, act) in enumerate(zip(rows, acts)):
             row += q
             np.remainder(row, n, out=j)
-            inputs.take(j, axis=0, out=x)
-            # the confidences are the last input column (the current mode's,
-            # incremental) or the last K (one-shot) of encode_inc, encode_os
-            if incremental:
-                x[:, -1] = dataset.z[rec_idx[:, s // t_slots], xi[j]]
-            else:
-                x[:, -k:] = dataset.z[rec_idx[:, s]]
-            out = dqn_mod._forward_cached(net, x, layers)[-1]
-            unaffordable.take(j, axis=0, out=masked)
-            np.copyto(out, -np.inf, where=masked)
-            out.argmax(axis=1, out=act)
-            q = after[row, act]
-    else:
-        # in the narrowest type: a long rollout asks for many decisions
-        acts = np.empty(rows.shape, dtype=np.min_scalar_type(after.shape[1] - 1))
-        episodes = np.arange(len(q))
-        for s, (row, act) in enumerate(zip(rows, acts)):
-            row += q
-            j = row % n
-            epoch, tau = divmod(s, t_slots) if incremental else (s, 0)
-            if tau == 0:
-                z = dataset.z[rec_idx[:, epoch]]
-            if incremental:
-                xi_j = xi[j]
-                act[...] = controller.decide_sub(level[j], h[j], xi_j, tau, z[episodes, xi_j],
-                                                 u_dec[:, epoch])
-            else:
-                act[...] = controller.decide(level[j], h[j], z, u_dec[:, epoch])
-            q = after[row, act]
+            epoch = s // t_slots if incremental else s
+            zs = dataset.z[rec_idx[:, epoch], xi[j]] if incremental else z[s]
+            controller.act(j, zs, u_dec[:, epoch], chosen)
+            act[...] = chosen
+            q = after[row, chosen]
     rows %= n
     if acts is None:
         acts = controller.actions[rows]
@@ -407,7 +397,7 @@ def simulate(controller, dataset, episodes, epochs, seed):
     not the stationary long-run accuracy; the two differ while the full
     start still shows (IncIAgEE on the reference env at b_max=100 over
     2000 epochs: 0.6848 against 0.6773). Raises ValueError unless episodes
-    and epochs are at least 1.
+    and epochs are integers of at least 1.
     """
     _check_counts(episodes=episodes, epochs=epochs)
     env = controller.env
@@ -447,8 +437,15 @@ def _start_weather(env, u):
     return np.searchsorted(np.cumsum(stationary_distribution(env.chain))[:-1], u)
 
 
+def _is_integer(n):
+    """Whether n is a Python or numpy integer; a bool is an int, but no count or mode."""
+    return isinstance(n, (int, np.integer)) and not isinstance(n, bool)
+
+
 def _check_counts(**counts):
     for name, n in counts.items():
+        if not _is_integer(n):
+            raise ValueError(f"{name} must be an integer, got {n!r}")
         if n < 1:
             raise ValueError(f"{name} must be at least 1, got {n}")
 
@@ -498,15 +495,18 @@ def exit_probability_matrix(policy, env):
 def exit_probability_oracle(solution, dataset):
     """Fraction of records each (b, h) routes to every mode.
 
-    Records are routed oracle.RECORD_BLOCK at a time, so no (D, S, K)
-    score tensor is held.
+    Records are routed oracle.RECORD_BLOCK at a time through the oracle
+    controller's act at every row, so no (D, S, K) score tensor is held.
     """
     env = solution.env
-    b, h = env.state_coords()
-    cells = env.n_modes * np.arange(env.n_states)
+    env.check_exits(dataset.n_exits)
+    controller = OracleController(solution)
+    rows = np.arange(env.n_states)
+    cells = env.n_modes * rows
     counts = np.zeros(env.n_states * env.n_modes, dtype=np.int64)
     for blk in oracle_mod.record_blocks(len(dataset)):
-        choice = oracle_mod.oracle_choice(solution, b, h, dataset.z[blk, None, :])  # (B, S)
+        choice = np.empty((len(dataset.z[blk]), env.n_states), dtype=np.intp)
+        controller.act(np.broadcast_to(rows, choice.shape), dataset.z[blk, None, :], None, choice)
         counts += np.bincount((cells + choice).ravel(), minlength=len(counts))
     return counts.reshape(env.n_states, env.n_modes) / len(dataset)
 

@@ -9,7 +9,9 @@ confidence distribution is the fixed point of an empirical Bellman
 operator averaged over a dataset of confidence draws. Fixing every
 record's decision region makes that operator affine, so v_bar is found
 by Howard policy iteration over per-record choices; plain iteration of
-the operator (`approx_operator`) is the slow reference.
+the operator (`approx_operator`) is the slow reference. Every score is a
+record's confidences plus one masked table: the continuation per (state,
+mode), -inf where the battery cannot pay for the mode.
 """
 
 from __future__ import annotations
@@ -89,6 +91,7 @@ class OracleSolution:
     v_bar: np.ndarray                 # (S,) mean value per (b,h)
     continuation: np.ndarray          # (A, S) discounted expected next value
     delta: np.ndarray                 # (S, K-1) gaps vs mode 0
+    masked: np.ndarray                # (S, K) continuation, -inf where b cannot pay
     residuals: tuple = field(compare=False)   # Bellman residual after each evaluation
     dataset_fp: str = ""
 
@@ -109,6 +112,11 @@ def _continuation(env, gamma, v_bar):
     return gamma * (_kernels(env) @ v_bar)
 
 
+def _masked(env, continuation):
+    """continuation (A, S) as a (state, mode) table, -inf where the battery cannot pay."""
+    return np.where(env.affordable(env.state_coords()[0]), continuation.T, -np.inf)
+
+
 def approx_operator(v_bar, dataset, env, gamma):
     """Empirical Bellman update averaged over the confidence dataset.
 
@@ -117,8 +125,8 @@ def approx_operator(v_bar, dataset, env, gamma):
     evaluation of the region-indicator form: each record contributes the
     affine piece of the region it falls in.
     """
-    b, h = env.state_coords()
-    scores = _scores(env, _continuation(env, gamma, v_bar), b, h, dataset.z[:, None, :])
+    env.check_exits(dataset.n_exits)
+    scores = dataset.z[:, None, :] + _masked(env, _continuation(env, gamma, v_bar))
     return action_max(scores).mean(axis=0)      # scores: (D, S, K)
 
 
@@ -139,13 +147,16 @@ def solve_oracle(env, dataset, gamma=None, eps=1e-6, max_iter=10**5):
     NotConverged after max_iter evaluations.
     """
     check_positive("eps", eps)
+    env.check_exits(dataset.n_exits)
     gamma = env.epoch.discount_epoch if gamma is None else float(gamma)
     choices = np.zeros((len(dataset), env.n_states), dtype=np.min_scalar_type(env.n_modes - 1))
-    reward, freq, *_ = _improve(env, dataset.z, np.zeros((env.n_modes, env.n_states)), choices)
+    masked = _masked(env, np.zeros((env.n_modes, env.n_states)))
+    reward, freq, *_ = _improve(dataset.z, masked, choices)
     residuals = []
     for _ in range(max_iter):
         v = solve_affine_value(np.einsum("as,ast->st", freq, _kernels(env)), reward, gamma)
-        reward, freq, changed, tv = _improve(env, dataset.z, _continuation(env, gamma, v), choices)
+        masked = _masked(env, _continuation(env, gamma, v))
+        reward, freq, changed, tv = _improve(dataset.z, masked, choices)
         residuals.append(float(np.abs(tv - v).max()))
         if residuals[-1] <= eps or not changed:
             break
@@ -155,23 +166,25 @@ def solve_oracle(env, dataset, gamma=None, eps=1e-6, max_iter=10**5):
     return _solution(env, gamma, v, tuple(residuals), dataset_fingerprint(dataset))
 
 
-def _improve(env, z, continuation, choices):
-    """Improve the choices (D, S) of the records z (D, K) against continuation (A, S).
+def _improve(z, masked, choices):
+    """Improve the choices (D, S) of the records z (D, K) against the masked continuation (S, K).
 
     Works one block of records at a time and writes in place: each choice
-    becomes `greedy` of its scores with the current choice. Returns r_pi
-    (S,), freq(a|s) (A, S), the number of changed choices and (Tv)(s), the
-    mean over records of each record's best score.
+    becomes `greedy` of its scores z + masked with the current choice.
+    Returns r_pi (S,), freq(a|s) (A, S), the number of changed choices and
+    (Tv)(s), the mean over records of each record's best score.
     """
-    b, h = env.state_coords()
-    n_s, k = env.n_states, env.n_modes
+    n_s, k = masked.shape
     cells = k * np.arange(n_s)
     reward = np.zeros(n_s)
     counts = np.zeros(n_s * k, dtype=np.int64)
     changed = 0
     top = np.empty((len(z), n_s))
     for blk in record_blocks(len(z)):
-        scores = _scores(env, continuation, b, h, z[blk, None, :])
+        scores = np.empty((len(z[blk]), n_s, k))
+        # one add per mode: a broadcast add over the few modes is about 2x slower
+        for a in range(k):
+            np.add(z[blk, a, None], masked[:, a], out=scores[..., a])
         top[blk] = action_max(scores)
         best = greedy(scores, choices[blk], top[blk])
         changed += np.count_nonzero(best != choices[blk])
@@ -182,40 +195,25 @@ def _improve(env, z, continuation, choices):
 
 
 def _solution(env, gamma, v_bar, residuals, dataset_fp):
-    """OracleSolution with the continuation and delta implied by v_bar."""
+    """OracleSolution with the continuation, delta and masked table implied by v_bar."""
     cont = _continuation(env, gamma, v_bar)
     # delta_0i(s) = gamma * (P_0(s) - P_i(s)) . v_bar = cont_0 - cont_i
     delta = np.ascontiguousarray((cont[0][None, :] - cont[1:]).T)
-    for arr in (v_bar, cont, delta):
+    masked = _masked(env, cont)
+    for arr in (v_bar, cont, delta, masked):
         arr.setflags(write=False)
-    return OracleSolution(env, gamma, v_bar, cont, delta, residuals, dataset_fp)
+    return OracleSolution(env, gamma, v_bar, cont, delta, masked, residuals, dataset_fp)
 
 
 def oracle_choice(solution, b, h, z):
     """Mode maximising z^(a) plus the continuation of (b, h), among affordable a.
 
     Ties go to the cheaper mode. b and h broadcast together, and z has one
-    trailing axis of K confidences that broadcasts against them.
+    trailing axis of K finite confidences that broadcasts against them.
     """
-    return _scores(solution.env, solution.continuation, b, h, z).argmax(axis=-1)
-
-
-def _scores(env, continuation, b, h, z):
-    """z^(a) plus the continuation (A, S) of (b, h); -inf where b cannot pay for a.
-
-    Every oracle computation scores here, so z must hold one confidence per mode.
-    """
+    env = solution.env
     env.check_exits(np.shape(z)[-1])
-    cont = continuation.T[env.state_index(b, h)]
-    if np.shape(z) == cont.shape:       # one row per decision, as in a rollout
-        scores = z + cont
-    else:
-        # record blocks: a broadcast add over the few modes is 2x slower
-        scores = np.empty(np.broadcast_shapes(np.shape(z), cont.shape))
-        for a in range(env.n_modes):
-            np.add(z[..., a], cont[..., a], out=scores[..., a])
-    np.copyto(scores, -np.inf, where=~env.affordable(b))
-    return scores
+    return (z + solution.masked[env.state_index(b, h)]).argmax(axis=-1)
 
 
 def region_of(z, b, h, solution):

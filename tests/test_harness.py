@@ -226,8 +226,18 @@ class TestIncompatibilities:
             exit_probability_oracle(sol, ds)
 
     def test_fixed_mode_out_of_range(self):
-        with pytest.raises(IncompatibleController):
-            FixedModeController(4, fig_env(b_max=5))
+        for k in (4, -1):
+            with pytest.raises(IncompatibleController, match=f"mode {k} is not an integer"):
+                FixedModeController(k, fig_env(b_max=5))
+
+    @pytest.mark.parametrize("k", [1.5, 1.0, True, np.bool_(False), "1"])
+    def test_fixed_mode_must_be_an_integer(self, k):
+        # a fractional mode built and failed inside the walk on an index; True ran as mode 1
+        with pytest.raises(IncompatibleController, match="is not an integer in 0..3"):
+            FixedModeController(k, fig_env(b_max=5))
+
+    def test_fixed_mode_takes_numpy_integers(self):
+        assert FixedModeController(np.int32(2), fig_env(b_max=5)).kind == "FixedMode(2)"
 
     @pytest.mark.parametrize("episodes,epochs", [(0, 10), (1, 0), (-1, 10)])
     def test_simulate_needs_an_epoch(self, dataset, episodes, epochs):
@@ -239,6 +249,22 @@ class TestIncompatibilities:
         env = fig_env(b_max=3)
         with pytest.raises(ValueError, match="rollouts"):
             exit_probability_mc(RandomFeasibleController(env), dataset, (3, 0), 0, 0)
+
+    @pytest.mark.parametrize("count", [2.0, True, np.float64(3.0), "2"])
+    def test_counts_must_be_integers(self, dataset, count):
+        # a float count escaped from numpy as a TypeError
+        ctrl = RandomFeasibleController(fig_env(b_max=3))
+        with pytest.raises(ValueError, match="episodes must be an integer"):
+            simulate(ctrl, dataset, count, 10, 0)
+        with pytest.raises(ValueError, match="epochs must be an integer"):
+            simulate(ctrl, dataset, 1, count, 0)
+        with pytest.raises(ValueError, match="rollouts must be an integer"):
+            exit_probability_mc(ctrl, dataset, (3, 0), count, 0)
+
+    def test_counts_take_numpy_integers(self, dataset):
+        ctrl = RandomFeasibleController(fig_env(b_max=3))
+        assert len(simulate(ctrl, dataset, np.int64(2), np.int32(3), 0)) == 2
+        assert exit_probability_mc(ctrl, dataset, (3, 0), np.int64(4), 0).sum() == 1
 
     @pytest.mark.parametrize("field", ["episodes", "epochs"])
     def test_sweep_grid_needs_an_epoch(self, field):
@@ -536,7 +562,8 @@ class TestSweep:
     # jobs < 1 ran serially, and a kind without a solver never saw eps
     @pytest.mark.parametrize("bad,match", [
         ({"jobs": 0}, "jobs must be at least 1"), ({"jobs": -4}, "jobs must be at least 1"),
-        ({"eps": np.nan}, "eps must be positive"), ({"eps": np.inf}, "eps must be positive")])
+        ({"eps": np.nan}, "eps must be positive"), ({"eps": np.inf}, "eps must be positive"),
+        ({"jobs": True}, "jobs must be an integer")])
     def test_bad_jobs_or_eps_rejected_before_any_cell(self, dataset, monkeypatch, bad, match):
         ran = []
         monkeypatch.setattr(harness, "_sweep_cell", ran.append)

@@ -4,15 +4,16 @@ The reference below is the scalar loop the simulator used before it
 stepped all episodes together: per episode and slot it draws the next
 weather state and the arrival by `np.searchsorted` on the cumulative
 tables and clips the battery in plain Python. It calls the controllers
-with scalars, one decision at a time.
+with scalars, one decision at a time, through decide or decide_sub.
 
 Every controller is walked over the env's state rows with one tabled
 next row per step. The kinds differ only in how a step picks its actions:
-a table controller's are composed into the table, the oracle takes its
-masked argmax, a DQN controller runs one batched forward on its gathered
-row inputs, and any other controller is asked through decide or
-decide_sub. The last tests hold the table, oracle and DQN steps to the
-asked step, and check that the walk asks none of those kinds.
+a table controller's are composed into the table, and any other
+controller acts on the episodes' rows, act(j, z, u, out). The last tests
+hold each kind's act to its decide or decide_sub at every state row, hold
+the walk to the asked step (`DecideOnly`, an act that asks decide or
+decide_sub at the rows' coordinates), and check that neither the walk nor
+the oracle's exit fractions ask any kind.
 """
 
 import numpy as np
@@ -26,10 +27,12 @@ from ehinfer.dqn import (QNetwork, _inc_feasible, encode_inc, encode_os, forward
 from ehinfer.env import (ArrivalModel, BatteryConfig, EpochConfig, HarvestChain,
                          HarvestEnvironment, InfeasibleAction,
                          stationary_distribution, two_state_env)
+from ehinfer import oracle as oracle_mod
 from ehinfer.harness import (EpisodeResult, FixedModeController, IncDqnController,
                              IncTableController, MmsController, OracleController,
-                             OsDqnController, RandomFeasibleController, _unaffordable,
-                             exit_probability_mc, simulate)
+                             OsDqnController, RandomFeasibleController, _state_rows,
+                             _unaffordable, exit_probability_mc, exit_probability_oracle,
+                             simulate)
 from ehinfer.mdp import inc_state_index
 from ehinfer.oracle import solve_oracle
 
@@ -251,6 +254,9 @@ class TopModeController:
     def decide(self, b, h, z, u_dec):
         return np.full(np.shape(b), self.env.n_modes - 1)
 
+    def act(self, j, z, u, out):
+        out[...] = self.env.n_modes - 1
+
 
 class AlwaysProceed:
     """An incremental decider that proceeds at every slot, past the last mode too."""
@@ -263,6 +269,9 @@ class AlwaysProceed:
 
     def decide_sub(self, b, h, xi, tau, z_xi, u_dec):
         return np.ones(np.shape(b), dtype=np.int64)
+
+    def act(self, j, z, u, out):
+        out[...] = 1
 
 
 def test_infeasible_choice_raises():
@@ -347,17 +356,22 @@ def test_single_mode_env_matches_scalar_reference():
 
 
 class DecideOnly:
-    """A table, oracle or DQN controller seen only through decide or
-    decide_sub, so the walk asks it for each step's actions instead of
-    composing its table, taking the oracle's argmax or running the DQN
-    step."""
+    """A controller whose act asks its decide or decide_sub at the rows'
+    (b, h) or (b, h, xi, tau) coordinates, with arrays of every episode:
+    the asked step, so the walk neither composes a table controller's
+    actions nor runs the controller's own act."""
 
     def __init__(self, ctrl):
+        self.ctrl = ctrl
         self.kind, self.incremental, self.env = ctrl.kind, ctrl.incremental, ctrl.env
-        if ctrl.incremental:
-            self.decide_sub = ctrl.decide_sub
+        self.coords = _state_rows(ctrl.env, ctrl.incremental)
+
+    def act(self, j, z, u, out):
+        at = [c[j] for c in self.coords]
+        if self.incremental:
+            out[...] = self.ctrl.decide_sub(*at, z, u)
         else:
-            self.decide = ctrl.decide
+            out[...] = self.ctrl.decide(*at, z, u)
 
 
 def outcome(run):
@@ -367,21 +381,31 @@ def outcome(run):
         return str(ex)
 
 
-def walked_controllers(env, dataset, rng):
-    """Feasible, unfiltered and always-proceeding tables, FixedMode, small
-    random networks of both DQN kinds, and the oracle wherever it has two
-    modes to choose from."""
-    k, n_inc = env.n_modes, env.n_states * env.n_modes * env.epoch.T
+def acting_controllers(env, dataset, rng):
+    """One controller of every kind that acts: small random networks of both
+    DQN kinds, RandomFeasible, and the oracle wherever it has two modes to
+    choose from."""
+    k = env.n_modes
     return [
         IncDqnController(QNetwork.create(rng, inc_input_dim(env), 2, hidden=(8,)), env),
         OsDqnController(QNetwork.create(rng, os_input_dim(env), k, hidden=(8,)), env),
+        RandomFeasibleController(env),
+        *([OracleController(solve_oracle(env, dataset, eps=1e-3))] if k > 1 else []),
+    ]
+
+
+def walked_controllers(env, dataset, rng):
+    """Every acting controller, then feasible, unfiltered and
+    always-proceeding tables and FixedMode."""
+    k, n_inc = env.n_modes, env.n_states * env.n_modes * env.epoch.T
+    return [
+        *acting_controllers(env, dataset, rng),
         *feasible_tables(env, rng),
         MmsController(rng.integers(k, size=env.n_states), env),
         IncTableController(rng.integers(2, size=n_inc), env),
         # reaches the last mode and steps past it: the sentinel step
         IncTableController(np.ones(n_inc, dtype=np.int64), env),
         FixedModeController(int(rng.integers(k)), env),
-        *([OracleController(solve_oracle(env, dataset, eps=1e-3))] if k > 1 else []),
     ]
 
 
@@ -400,11 +424,11 @@ def walked_controllers(env, dataset, rng):
 @example(case=(two_state_env(0.7, 0.4, 0.6, 0.2, b_max=5, costs=(0, 1, 1, 3), T=3),
                np.random.default_rng(2)), seed=7, episodes=3, epochs=25, ties=True)
 def test_table_walk_matches_decision_loop(case, seed, episodes, epochs, ties):
-    """The composed table step, the oracle's argmax step and the DQN step
-    give what the asked step gives on the same controller: episodes, exit
-    counts and InfeasibleAction messages. Both DQN steps run one batched
-    forward over the same episodes, so they agree bit for bit, near ties
-    too."""
+    """The composed table step and every kind's act give what the asked
+    step gives on the same controller: episodes, exit counts and
+    InfeasibleAction messages. A DQN act and the asked decide run one
+    batched forward over the same episodes, so they agree bit for bit,
+    near ties too."""
     env, rng = case
     k = env.n_modes
     # confidences of 0, 1/2 and 1 tie within and across records
@@ -435,19 +459,51 @@ def test_walk_asks_no_table_oracle_or_dqn_controller(monkeypatch):
     rng = np.random.default_rng(0)
     dataset = ConfidenceDataset(rng.random((40, 4)), rng.integers(0, 2, (40, 4)))
     ctrls = walked_controllers(env, dataset, rng)
-    assert {type(c) for c in ctrls} == {MmsController, IncTableController, FixedModeController,
-                                        OracleController, IncDqnController, OsDqnController}
+    assert {type(c) for c in ctrls} == {
+        MmsController, IncTableController, FixedModeController, OracleController,
+        IncDqnController, OsDqnController, RandomFeasibleController}
 
     def asked(*args):
         raise AssertionError("the walk asked for a decision")
 
-    for cls in (MmsController, FixedModeController, OracleController, OsDqnController):
+    for cls in (MmsController, FixedModeController, OracleController, OsDqnController,
+                RandomFeasibleController):
         monkeypatch.setattr(cls, "decide", asked)
     for cls in (IncTableController, IncDqnController):
         monkeypatch.setattr(cls, "decide_sub", asked)
+    monkeypatch.setattr(oracle_mod, "oracle_choice", asked)
     for ctrl in ctrls:
         outcome(lambda: simulate(ctrl, dataset, 3, 25, seed=1))
         outcome(lambda: exit_probability_mc(ctrl, dataset, (2, 1), 30, seed=1))
+        if isinstance(ctrl, OracleController):
+            exit_probability_oracle(ctrl.solution, dataset)
+
+
+@settings(max_examples=25, deadline=None)
+@given(case=small_envs(min_k=1), ties=st.booleans())
+def test_act_matches_decide_at_every_row(case, ties):
+    """Each kind's act on state rows equals its decide or decide_sub at the
+    rows' coordinates, for every row, in any order and repeated, and for
+    decision uniforms at both ends of [0, 1)."""
+    env, rng = case
+    k = env.n_modes
+    z = rng.integers(0, 3, (40, k)) / 2 if ties else rng.random((40, k))
+    dataset = ConfidenceDataset(z, rng.integers(0, 2, (40, k)))
+    for ctrl in acting_controllers(env, dataset, rng):
+        coords = _state_rows(env, ctrl.incremental)
+        n = len(coords[0])
+        for j in (np.arange(n), rng.integers(n, size=2 * n + 1)):
+            at = [c[j] for c in coords]
+            z = dataset.z[rng.integers(len(dataset), size=len(j))]
+            if ctrl.incremental:
+                z = z[np.arange(len(j)), at[2]]     # the current mode's confidence
+            for u in (0.0, 0.5, np.nextafter(1, 0)):
+                u = np.full(len(j), u)
+                out = np.empty(len(j), dtype=np.intp)
+                ctrl.act(j, z, u, out)
+                want = (ctrl.decide_sub(*at, z, u) if ctrl.incremental
+                        else ctrl.decide(*at, z, u))
+                assert np.array_equal(out, want)
 
 
 @settings(max_examples=15, deadline=None)

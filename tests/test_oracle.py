@@ -5,11 +5,49 @@ from hypothesis import given, settings, strategies as st
 from ehinfer.confidence import (ConfidenceDataset, SyntheticSpec, default_spec,
                                 generate_synthetic)
 from ehinfer.env import two_state_env
-from ehinfer.mdp import NotConverged, fixed_point
-from ehinfer.oracle import (OracleSolution, approx_operator,
-                            build_partition_matrices, dataset_fingerprint,
-                            load_solution, oracle_choice, region_of,
-                            save_solution, solve_oracle)
+from ehinfer.mdp import NotConverged, action_max, fixed_point, greedy
+from ehinfer.oracle import (OracleSolution, _continuation, _improve, _masked,
+                            approx_operator, build_partition_matrices,
+                            dataset_fingerprint, load_solution, oracle_choice,
+                            record_blocks, region_of, save_solution, solve_oracle)
+
+
+def reference_scores(env, continuation, b, h, z):
+    """z^(a) plus the continuation (A, S) of (b, h); -inf where b cannot pay for a.
+
+    The scores every oracle computation built for itself before they all
+    added z to one masked table.
+    """
+    env.check_exits(np.shape(z)[-1])
+    cont = continuation.T[env.state_index(b, h)]
+    if np.shape(z) == cont.shape:       # one row per decision, as in a rollout
+        scores = z + cont
+    else:
+        scores = np.empty(np.broadcast_shapes(np.shape(z), cont.shape))
+        for a in range(env.n_modes):
+            np.add(z[..., a], cont[..., a], out=scores[..., a])
+    np.copyto(scores, -np.inf, where=~env.affordable(b))
+    return scores
+
+
+def reference_improve(env, z, continuation, choices):
+    """The policy-improvement step of solve_oracle on reference_scores."""
+    b, h = env.state_coords()
+    n_s, k = env.n_states, env.n_modes
+    cells = k * np.arange(n_s)
+    reward = np.zeros(n_s)
+    counts = np.zeros(n_s * k, dtype=np.int64)
+    changed = 0
+    top = np.empty((len(z), n_s))
+    for blk in record_blocks(len(z)):
+        scores = reference_scores(env, continuation, b, h, z[blk, None, :])
+        top[blk] = action_max(scores)
+        best = greedy(scores, choices[blk], top[blk])
+        changed += np.count_nonzero(best != choices[blk])
+        choices[blk] = best
+        reward += np.take_along_axis(z[blk], best, axis=1).sum(axis=0)
+        counts += np.bincount((cells + best).ravel(), minlength=n_s * k)
+    return reward / len(z), counts.reshape(n_s, k).T / len(z), changed, top.mean(axis=0)
 
 
 def region_inequalities(z, b, h, solution, j):
@@ -131,7 +169,7 @@ class TestSolve:
         ds3 = generate_synthetic(np.random.default_rng(0), spec3, 500)
         with pytest.raises(ValueError, match="3 exits, environment 4 modes"):
             solve_oracle(fig_env(), ds3, eps=1e-4)
-        # every oracle computation scores records through the one checked path
+        # the operator checks the records' exits too
         with pytest.raises(ValueError, match="3 exits, environment 4 modes"):
             approx_operator(np.zeros(fig_env().n_states), ds3, fig_env(), 0.9)
 
@@ -213,6 +251,51 @@ class TestRegions:
         t = np.linspace(0.0, 1.0, 21)
         g = np.array([np.max((1 - ti) * z0 + ti * z1 + cont) for ti in t])
         assert np.all(np.diff(g, 2) >= -1e-9)
+
+
+# the environments and record distributions of acceptance gates 5, 6 and 7
+GATE_CASES = {
+    "gate5": (lambda: two_state_env(0.9, 0.5, 0.3, 0.0, b_max=5, costs=(0, 1, 2), T=2),
+              SyntheticSpec(accuracies=(1 / 200, 0.6, 0.8), n_classes=200)),
+    "gate6": (lambda: fig_env(b_max=5), default_spec()),
+    "gate7": (lambda: fig_env(b_max=30), default_spec()),
+}
+
+
+class TestMaskedTable:
+    """Every oracle score is z plus OracleSolution.masked, bit for bit the
+    reference scores, for a solved and a loaded solution."""
+
+    @pytest.mark.parametrize("gate", GATE_CASES)
+    def test_scores_match_the_reference(self, gate, tmp_path):
+        make_env, spec = GATE_CASES[gate]
+        env = make_env()
+        rng = np.random.default_rng(12)
+        ds = generate_synthetic(rng, spec, 600)
+        solved = solve_oracle(env, ds, eps=1e-6)
+        save_solution(solved, tmp_path / "sol.json")
+        b, h = env.state_coords()
+        k = env.n_modes
+        for sol in (solved, load_solution(tmp_path / "sol.json", env)):
+            assert np.array_equal(
+                sol.masked, reference_scores(env, sol.continuation, b, h, np.zeros((len(b), k))))
+            want = reference_scores(env, sol.continuation, b, h, ds.z[:, None, :]).argmax(axis=-1)
+            assert np.array_equal(oracle_choice(sol, b, h, ds.z[:, None, :]), want)
+            rows = rng.integers(len(b), size=len(ds))
+            want = reference_scores(env, sol.continuation, b[rows], h[rows], ds.z).argmax(axis=-1)
+            assert np.array_equal(oracle_choice(sol, b[rows], h[rows], ds.z), want)
+            v = sol.v_bar
+            want = action_max(reference_scores(
+                env, _continuation(env, sol.gamma, v), b, h, ds.z[:, None, :])).mean(axis=0)
+            assert np.array_equal(approx_operator(v, ds, env, sol.gamma), want)
+            for cont in (np.zeros((k, len(b))), sol.continuation):
+                start = rng.integers(k, size=(len(ds), len(b))).astype(np.uint8)
+                got_choices, want_choices = start.copy(), start.copy()
+                got = _improve(ds.z, _masked(env, cont), got_choices)
+                want = reference_improve(env, ds.z, cont, want_choices)
+                assert np.array_equal(got_choices, want_choices)
+                for x, y in zip(got, want):
+                    assert np.array_equal(x, y)
 
 
 class TestSerialization:
